@@ -4,23 +4,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The locality-grouped query path against the per-query arrival-order path
-// it replaced, on the batch driver's production (prepared) plane. The
-// workload is a skewed query mix — the shape real clients send: one hot
-// function receives most of the stream, values are drawn Zipf-ish so a few
-// hot (high-use-count) values dominate, and blocks concentrate inside each
-// def's dominance interval, where liveness is actually in question. Two
-// driver configurations differing ONLY in GroupChunks run the identical
-// stream:
+// The locality-grouped query path against the per-query arrival-order path,
+// on the batch driver's production (prepared) plane. The stream has the
+// shape an interference-graph client sends: value by value, it asks
+// whether the value is live out at the def block of every value defined
+// inside its dominance interval, so each value's queries arrive as one
+// contiguous run. One hot function receives most of the stream, and the
+// values are drawn Zipf-ish so a few hot (high-use-count) values dominate.
+// Two driver configurations differing ONLY in GroupChunks run the
+// identical stream:
 //
 //   arrival   GroupChunks=false: one prepared table read and one scan
-//             kernel per query, in stream order — the pre-grouping
-//             behavior, kept in the driver as the differential oracle.
-//   grouped   GroupChunks=true: each chunk is sorted by (function, value)
-//             and every run of same-value queries is answered through one
-//             LiveCheck::answerPreparedRun call — one pass over the
-//             dominance interval classifies the targets, then each probe
-//             is a word-parallel range sweep (BitMatrix kernel dispatch).
+//             kernel per query, in stream order — kept in the driver as
+//             the differential oracle.
+//   grouped   GroupChunks=true: each maximal same-value run of arrival
+//             order (no reordering) of at least 8 queries is answered
+//             through one LiveCheck::answerPreparedRun call — one pass over
+//             the dominance interval classifies the targets, then each
+//             probe is a word-parallel range sweep (BitMatrix kernel
+//             dispatch). Shorter runs take the per-query kernels.
 //
 // Single thread, static schedule: the ratio isolates the kernel
 // amortization, which travels across machines; the work-stealing half of
@@ -88,11 +90,12 @@ int main(int Argc, char **Argv) {
   constexpr unsigned FuncsPerModule = 4;
   constexpr unsigned QueriesPerBlock = 96;
 
-  std::printf("Query-mix shootout: locality-grouped multi-query kernel vs "
-              "arrival order\n(prepared plane, single thread, static "
-              "schedule; skewed stream: hot function,\nZipf-ish hot values, "
-              "interval-concentrated blocks; identical answers enforced;\n"
-              "per config: one warm pass, best of %u timed passes)\n\n",
+  std::printf("Query-mix shootout: same-value runs through the multi-query "
+              "kernel vs per-query\n(prepared plane, single thread, static "
+              "schedule; value-by-value interference\nstream: hot function, "
+              "Zipf-ish hot values, one run per value; identical\nanswers "
+              "enforced; per config: one warm pass, best of %u timed "
+              "passes)\n\n",
               Reps);
 
   TablePrinter Table({"Blocks", "Queries", "Config", "Mq/s", "Speedup"});
@@ -142,28 +145,29 @@ int main(int Argc, char **Argv) {
                 });
     }
 
-    // The skewed stream: ~60% of queries hit function 0; the value rank is
-    // cubed-uniform (Zipf-ish — rank 0 is drawn far more than rank k); the
-    // block is 3-in-4 inside the def's dominance interval.
+    // The interference-shaped stream: ~60% of the runs are in function 0;
+    // the value rank is cubed-uniform (Zipf-ish — rank 0 is drawn far more
+    // than rank k). Each drawn value A contributes one contiguous run: A
+    // live out at the def block of every value defined in A's dominance
+    // interval (A's own def block included).
     const DomTree *Trees[FuncsPerModule];
     for (unsigned FI = 0; FI != FuncsPerModule; ++FI)
       Trees[FI] = &AM.domTree(*Funcs[FI]);
     std::vector<BatchQuery> Workload;
     std::size_t NumQueries = std::size_t(Blocks) * QueriesPerBlock;
     Workload.reserve(NumQueries);
-    for (std::size_t I = 0; I != NumQueries; ++I) {
+    while (Workload.size() < NumQueries) {
       unsigned FI = Rng.nextBelow(10) < 6
                         ? 0
                         : 1 + Rng.nextBelow(FuncsPerModule - 1);
       const std::vector<HotValue> &Vals = Hot[FI];
       double U = Rng.nextDouble();
-      const HotValue &V =
+      const HotValue &A =
           Vals[std::size_t(double(Vals.size()) * U * U * U)];
-      std::uint32_t Block =
-          (Rng.nextBelow(4) == 3 || V.Hi == V.Lo)
-              ? Rng.nextBelow(Funcs[FI]->numBlocks())
-              : Trees[FI]->nodeAtNum(Rng.nextInRange(V.Lo, V.Hi));
-      Workload.push_back({FI, V.ValueId, Block, Rng.nextBelow(2) != 0});
+      for (const HotValue &B : Vals)
+        if (B.Lo >= A.Lo && B.Lo <= A.Hi && Workload.size() < NumQueries)
+          Workload.push_back(
+              {FI, A.ValueId, Trees[FI]->nodeAtNum(B.Lo), true});
     }
 
     // The two configurations, differing only in GroupChunks.

@@ -50,8 +50,8 @@
 /// descriptors. The span and mask payloads themselves live in per-stripe
 /// arenas: one `unsigned` arena for the sorted use-number spans, one
 /// 64-bit-word arena for the use masks. The entry table is therefore a
-/// flat scan-friendly array, and a warm ensure sweep touches contiguous
-/// memory instead of chasing ~N per-entry heap blocks. Arena growth
+/// flat scan-friendly array, and warm lookups touch contiguous memory
+/// instead of chasing ~N per-entry heap blocks. Arena growth
 /// relocates a stripe's payloads and re-anchors every outstanding
 /// Prep.NumsBegin/NumsEnd/MaskWords of that stripe from the stored
 /// offsets; freed slices (def-use rebuilds that change size class) are
@@ -68,10 +68,18 @@
 /// allocation, freeing, and growth re-anchoring all stay inside that
 /// stripe, so distinct stripes are write-disjoint by construction. The
 /// batch driver's sharded cold-fill mode assigns whole stripes to
-/// workers on exactly this contract; its warm sweep stays sequential
-/// (warm ensures are two compares — a parallel fill measured slower).
-/// cached() is const, lock-free, and safe for any number of concurrent
-/// readers — the query phase of the batch pipeline.
+/// workers on exactly this contract.
+///
+/// lookup() and cached() are const, lock-free, and safe for any number of
+/// concurrent readers while nobody ensures. lookup() is the batch
+/// pipeline's fused read: it returns the entry when fresh and null
+/// otherwise, never building. The driver's workers answer every fresh
+/// query in one pass and set the rest aside; after the join the calling
+/// thread — then the only writer — ensure()s and answers those deferred
+/// queries. Readers and the one writer are thus separated by the join,
+/// and no separate ensure sweep precedes the query fan-out. Readers count
+/// their hits on their own stack and fold them in with countHits(), so
+/// the hit counter stays exact without a shared write per query.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,7 +118,7 @@ class PreparedCache {
 public:
   /// Arena striping: entry id % NumStripes selects the arena shard that
   /// owns the entry's span/mask payloads. One writer per stripe is the
-  /// concurrency unit of a sharded ensure sweep.
+  /// concurrency unit of a sharded cold fill.
   static constexpr unsigned NumStripes = 8;
   static constexpr unsigned stripeOf(std::uint32_t ValueId) {
     return ValueId % NumStripes;
@@ -164,6 +172,30 @@ public:
       }
     }
     return ensureSlow(V);
+  }
+
+  /// The entry for \p V if it is built and both epochs still match, else
+  /// null — a stale or missing entry is never built or dropped here. Const
+  /// and lock-free (see Concurrency); counts no hit (see countHits()).
+  /// Starts the fetch of the span/mask payload, as ensure() does.
+  const LiveCheck::PreparedVar *lookup(const Value &V) const {
+    if (V.id() >= Entries.size())
+      return nullptr;
+    const Entry &E = Entries[V.id()];
+    if (!fresh(E, V))
+      return nullptr;
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(E.Prep.NumsBegin);
+    if (E.Prep.MaskWords)
+      __builtin_prefetch(E.Prep.MaskWords);
+#endif
+    return &E.Prep;
+  }
+
+  /// Adds \p N hits served through lookup(). Atomic, so concurrent readers
+  /// may each fold in their own tally.
+  void countHits(std::uint64_t N) {
+    Hits.fetch_add(N, std::memory_order_relaxed);
   }
 
   /// Lock-free read of an already-ensured entry, for the concurrent query

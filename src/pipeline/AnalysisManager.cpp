@@ -85,6 +85,11 @@ const LiveCheck &FunctionAnalyses::liveCheck() {
   return *Engine;
 }
 
+const LiveCheck *FunctionAnalyses::builtLiveCheck() {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Engine.get();
+}
+
 void FunctionAnalyses::applyDeltas(const CFGDelta *B, const CFGDelta *E) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (!Graph) {

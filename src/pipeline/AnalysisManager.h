@@ -63,6 +63,10 @@ public:
   const LiveCheck &liveCheck();
   /// @}
 
+  /// The engine if it is already built, else null; never builds. Lets a
+  /// caller resolve warm functions inline and fan out only the cold builds.
+  const LiveCheck *builtLiveCheck();
+
   /// Advances the snapshot to the function's current epoch by replaying
   /// the journaled edits \p [B, E) against whatever analyses are already
   /// materialized: the cached CFG mirror absorbs the deltas, the DFS

@@ -217,7 +217,332 @@ bool queryableValue(const Value &V) {
   return V.hasSingleDef() && V.hasUses();
 }
 
+/// Shortest same-value run answered through the multi-query kernel. It is
+/// LiveCheck::answerPreparedRun's own break-even: below it the kernel falls
+/// back to the per-probe scans anyway, so shorter runs call them directly
+/// and skip the probe staging.
+constexpr std::size_t MinKernelRun = 8;
+
+/// Everything a worker reads while answering one frame.
+struct FrameView {
+  const std::vector<BatchQuery> &Workload;
+  const std::vector<const Function *> &Funcs;
+  const std::vector<const LiveCheck *> &Engines;
+  const std::vector<const DomTree *> &Trees;
+  const std::vector<std::unique_ptr<PreparedCache>> &Prepared;
+  const std::vector<std::unique_ptr<LivenessQueries>> &Baselines;
+  std::vector<std::uint8_t> &Answers;
+  /// The LiveCheck entry point; BlockId whenever the backend has no
+  /// renumbered plane (block-sweep, or trees not resolved).
+  QueryPlane Plane;
+  bool UsesLiveCheck;
+  /// Same-value runs go through one prepared variable and, from
+  /// MinKernelRun queries on, one multi-query kernel call.
+  bool Grouped;
+  /// The block-sweep backend: one interval sweep per same-value run.
+  bool Sweep;
+};
+
+/// Answers queries of one frame on one thread: a worker's share of the
+/// fan-out, or the caller's deferred pass after the join. Runs are
+/// maximal same-(function, value) stretches in arrival order — no
+/// reordering, so a uniform stream costs one key compare per query and a
+/// value-by-value stream (an interference-graph client) amortizes fully.
+class FrameWorker {
+public:
+  explicit FrameWorker(const FrameView &Fr)
+      : Fr(Fr), W(Fr.Workload), UsesH(pool::scratchArray()),
+        NumsH(pool::scratchArray()), HitsH(pool::scratchArray()) {
+    if (Fr.Plane == QueryPlane::Prepared)
+      HitsH->assign(Fr.Funcs.size(), 0);
+  }
+
+  FrameWorker(const FrameWorker &) = delete;
+  FrameWorker &operator=(const FrameWorker &) = delete;
+
+  /// Folds the lookup hits into the caches' counters.
+  ~FrameWorker() {
+    for (std::size_t F = 0; F != HitsH->size(); ++F)
+      if ((*HitsH)[F])
+        Fr.Prepared[F]->countHits((*HitsH)[F]);
+  }
+
+  /// Answers [Begin, End). Prepared-plane queries whose cache entry is
+  /// stale or missing are appended to \p Deferred instead.
+  void answerSpan(std::size_t Begin, std::size_t End,
+                  std::vector<std::size_t> &Deferred) {
+    if (!Fr.Grouped && !Fr.Sweep) {
+      for (std::size_t I = Begin; I != End; ++I)
+        answerOne(I, Deferred);
+      return;
+    }
+    auto At = [Begin](std::size_t K) { return Begin + K; };
+    forEachRun(At, End - Begin, [&](std::size_t K, std::size_t RunEnd) {
+      if (Fr.Sweep)
+        sweepRun(At, K, RunEnd);
+      else
+        groupedRun(At, K, RunEnd, Deferred);
+    });
+  }
+
+  /// Ensures and answers queries deferred by answerSpan. Only the calling
+  /// thread runs this, after the fan-out joined: it is then the caches'
+  /// single writer.
+  void answerDeferred(const std::vector<std::size_t> &Deferred) {
+    auto At = [&Deferred](std::size_t K) { return Deferred[K]; };
+    forEachRun(At, Deferred.size(), [&](std::size_t K, std::size_t RunEnd) {
+      const BatchQuery &Lead = W[At(K)];
+      const Value &V = *Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId);
+      answerRun(At, K, RunEnd, Fr.Prepared[Lead.FuncIndex]->ensure(V),
+                *Fr.Engines[Lead.FuncIndex]);
+    });
+  }
+
+  BatchThreadStats Stats;
+
+private:
+  /// Calls \p Fn(K, RunEnd) for each maximal run [K, RunEnd) of positions
+  /// in [0, Count) whose queries At(pos) share (function, value).
+  template <class AtFn, class RunFn>
+  void forEachRun(AtFn At, std::size_t Count, RunFn Fn) {
+    std::size_t K = 0;
+    while (K != Count) {
+      const BatchQuery &Lead = W[At(K)];
+      assert(Lead.FuncIndex < Fr.Funcs.size() &&
+             "query function out of range");
+      std::size_t RunEnd = K + 1;
+      while (RunEnd != Count && W[At(RunEnd)].FuncIndex == Lead.FuncIndex &&
+             W[At(RunEnd)].ValueId == Lead.ValueId)
+        ++RunEnd;
+      Fn(K, RunEnd);
+      K = RunEnd;
+    }
+  }
+
+  void record(std::size_t I, bool Answer) {
+    Fr.Answers[I] = Answer;
+    Stats.PositiveAnswers += Answer;
+  }
+
+  /// The run [K, RunEnd) of one value through its prepared variable \p PV:
+  /// one multi-query kernel call for a long run on a grouped plane, the
+  /// per-probe prepared kernels otherwise.
+  template <class AtFn>
+  void answerRun(AtFn At, std::size_t K, std::size_t RunEnd,
+                 const LiveCheck::PreparedVar &PV, const LiveCheck &E) {
+    std::size_t Len = RunEnd - K;
+    if (!Fr.Grouped || Len < MinKernelRun) {
+      for (std::size_t J = K; J != RunEnd; ++J) {
+        const BatchQuery &Q = W[At(J)];
+        record(At(J), Q.IsLiveOut
+                          ? E.isLiveOutPrepared(PV, Q.BlockId, &Stats.Engine)
+                          : E.isLiveInPrepared(PV, Q.BlockId, &Stats.Engine));
+      }
+      return;
+    }
+    Probes.resize(Len);
+    RunAnswers.resize(Len);
+    for (std::size_t J = 0; J != Len; ++J) {
+      const BatchQuery &Q = W[At(K + J)];
+      Probes[J].Block = Q.BlockId;
+      Probes[J].IsLiveOut = Q.IsLiveOut;
+    }
+    E.answerPreparedRun(PV, Probes.data(), Len, RunAnswers.data(),
+                        &Stats.Engine);
+    for (std::size_t J = 0; J != Len; ++J)
+      record(At(K + J), RunAnswers[J]);
+  }
+
+  /// A same-value run on a grouped renumbered plane.
+  template <class AtFn>
+  void groupedRun(AtFn At, std::size_t K, std::size_t RunEnd,
+                  std::vector<std::size_t> &Deferred) {
+    const BatchQuery &Lead = W[At(K)];
+    const Value &V = *Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId);
+    if (!queryableValue(V))
+      return; // Answers start out 0.
+    const LiveCheck &E = *Fr.Engines[Lead.FuncIndex];
+    if (Fr.Plane == QueryPlane::Prepared) {
+      const LiveCheck::PreparedVar *PV = Fr.Prepared[Lead.FuncIndex]->lookup(V);
+      if (!PV) {
+        for (std::size_t J = K; J != RunEnd; ++J)
+          Deferred.push_back(At(J));
+        return;
+      }
+      (*HitsH)[Lead.FuncIndex] += static_cast<unsigned>(RunEnd - K);
+      answerRun(At, K, RunEnd, *PV, E);
+      return;
+    }
+    // The differential planes re-derive the variable — the translation
+    // cost they exist to measure — once per run instead of once per query.
+    LiveCheck::PreparedVar Local;
+    collectUses(V);
+    const DomTree &DT = *Fr.Trees[Lead.FuncIndex];
+    E.prepareDef(defBlockId(V), Local);
+    if (Fr.Plane == QueryPlane::Nums) {
+      numberUses(DT);
+      Local.NumsBegin = Nums().data();
+      Local.NumsEnd = Nums().data() + Nums().size();
+    } else {
+      maskUses(DT, E);
+      Local.setMask(*MaskH);
+    }
+    answerRun(At, K, RunEnd, Local, E);
+  }
+
+  /// A same-value run on the block-sweep backend: one liveIn/OutBlocks
+  /// sweep, then each query is a bit test. The last swept value is kept
+  /// across runs, so a value continuing into the next chunk sweeps once.
+  template <class AtFn>
+  void sweepRun(AtFn At, std::size_t K, std::size_t RunEnd) {
+    const BatchQuery &Lead = W[At(K)];
+    if (!InBlocksH) {
+      InBlocksH = pool::bitsets().acquire();
+      OutBlocksH = pool::bitsets().acquire();
+    }
+    if (Lead.FuncIndex != CachedFunc || Lead.ValueId != CachedVal) {
+      CachedFunc = Lead.FuncIndex;
+      CachedVal = Lead.ValueId;
+      const Value &V = *Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId);
+      CachedQueryable = queryableValue(V);
+      if (CachedQueryable) {
+        collectUses(V);
+        Fr.Engines[Lead.FuncIndex]->liveInOutBlocks(defBlockId(V), Uses(),
+                                                    *InBlocksH, *OutBlocksH);
+      }
+    }
+    if (!CachedQueryable)
+      return;
+    for (std::size_t J = K; J != RunEnd; ++J) {
+      const BatchQuery &Q = W[At(J)];
+      record(At(J), Q.IsLiveOut ? OutBlocksH->test(Q.BlockId)
+                                : InBlocksH->test(Q.BlockId));
+    }
+  }
+
+  /// One query in arrival order — the block-id plane, the standalone
+  /// baselines, and the GroupChunks=false differential path.
+  void answerOne(std::size_t I, std::vector<std::size_t> &Deferred) {
+    const BatchQuery &Q = W[I];
+    assert(Q.FuncIndex < Fr.Funcs.size() && "query function out of range");
+    const Function &F = *Fr.Funcs[Q.FuncIndex];
+    const Value &V = *F.value(Q.ValueId);
+    if (!queryableValue(V))
+      return;
+    if (!Fr.UsesLiveCheck) {
+      LivenessQueries &B = *Fr.Baselines[Q.FuncIndex];
+      const BasicBlock &Block = *F.block(Q.BlockId);
+      record(I, Q.IsLiveOut ? B.isLiveOut(V, Block) : B.isLiveIn(V, Block));
+      return;
+    }
+    const LiveCheck &E = *Fr.Engines[Q.FuncIndex];
+    bool Answer = false;
+    switch (Fr.Plane) {
+    case QueryPlane::Prepared: {
+      // The cached plane: a lock-free table read — no chain walk, no
+      // numbering, no allocation per query.
+      const LiveCheck::PreparedVar *P = Fr.Prepared[Q.FuncIndex]->lookup(V);
+      if (!P) {
+        Deferred.push_back(I);
+        return;
+      }
+      ++(*HitsH)[Q.FuncIndex];
+      Answer = Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
+                           : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine);
+      break;
+    }
+    // The non-cached planes re-derive the variable per query: their role
+    // as differential baselines.
+    case QueryPlane::BlockId:
+      collectUses(V);
+      Answer = Q.IsLiveOut ? E.isLiveOut(defBlockId(V), Q.BlockId, Uses(),
+                                         &Stats.Engine)
+                           : E.isLiveIn(defBlockId(V), Q.BlockId, Uses(),
+                                        &Stats.Engine);
+      break;
+    case QueryPlane::Nums: {
+      collectUses(V);
+      numberUses(*Fr.Trees[Q.FuncIndex]);
+      const unsigned *B = Nums().data(), *End = B + Nums().size();
+      Answer = Q.IsLiveOut ? E.isLiveOutNums(defBlockId(V), Q.BlockId, B, End,
+                                             &Stats.Engine)
+                           : E.isLiveInNums(defBlockId(V), Q.BlockId, B, End,
+                                            &Stats.Engine);
+      break;
+    }
+    case QueryPlane::Mask:
+      collectUses(V);
+      maskUses(*Fr.Trees[Q.FuncIndex], E);
+      Answer = Q.IsLiveOut ? E.isLiveOutMask(defBlockId(V), Q.BlockId,
+                                             *MaskH, &Stats.Engine)
+                           : E.isLiveInMask(defBlockId(V), Q.BlockId, *MaskH,
+                                            &Stats.Engine);
+      break;
+    }
+    record(I, Answer);
+  }
+
+  std::vector<unsigned> &Uses() { return *UsesH; }
+  std::vector<unsigned> &Nums() { return *NumsH; }
+  void collectUses(const Value &V) {
+    Uses().clear();
+    appendLiveUseBlocks(V, Uses());
+  }
+  void numberUses(const DomTree &DT) {
+    Nums().clear();
+    for (unsigned U : Uses())
+      Nums().push_back(DT.num(U));
+  }
+  void maskUses(const DomTree &DT, const LiveCheck &E) {
+    if (!MaskH)
+      MaskH = pool::bitsets().acquire();
+    MaskH->resize(E.numNodes());
+    MaskH->reset();
+    for (unsigned U : Uses())
+      MaskH->set(DT.num(U));
+  }
+
+  const FrameView &Fr;
+  const std::vector<BatchQuery> &W;
+  // Scratch, reused across queries and (through the thread-local pools)
+  // across batches: the buffers keep their capacity between runs.
+  pool::ArrayPool<unsigned>::Handle UsesH, NumsH;
+  /// Per-function lookup hits, folded into the caches on destruction.
+  pool::ArrayPool<unsigned>::Handle HitsH;
+  pool::BitsetPool::Handle MaskH, InBlocksH, OutBlocksH;
+  std::vector<LiveCheck::PreparedProbe> Probes;
+  std::vector<std::uint8_t> RunAnswers;
+  std::uint32_t CachedFunc = ~0u, CachedVal = ~0u;
+  bool CachedQueryable = false;
+};
+
 } // namespace
+
+void BatchLivenessDriver::resolveEngines(
+    std::vector<const LiveCheck *> &Engines,
+    std::vector<const DomTree *> *Trees) {
+  // A warm function resolves inline: one manager lookup and one engine
+  // check. Only functions without an engine yet go to the pool, so a warm
+  // frame wakes no other thread for its precompute.
+  std::vector<FunctionAnalyses *> Analyses(Funcs.size());
+  std::vector<std::size_t> Cold;
+  Engines.assign(Funcs.size(), nullptr);
+  for (std::size_t I = 0; I != Funcs.size(); ++I) {
+    Analyses[I] = &Manager.get(*Funcs[I]);
+    Engines[I] = Analyses[I]->builtLiveCheck();
+    if (!Engines[I])
+      Cold.push_back(I);
+  }
+  if (!Cold.empty())
+    Pool->parallelFor(0, Cold.size(), [&](std::size_t K) {
+      Engines[Cold[K]] = &Analyses[Cold[K]]->liveCheck();
+    });
+  if (Trees) {
+    Trees->resize(Funcs.size());
+    for (std::size_t I = 0; I != Funcs.size(); ++I)
+      (*Trees)[I] = &Analyses[I]->domTree();
+  }
+}
 
 BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   using Clock = std::chrono::steady_clock;
@@ -226,11 +551,12 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   Result.PerThread.assign(NumWorkers, BatchThreadStats());
   Result.Answers.assign(Workload.size(), 0);
 
-  // Phase 1 — precomputation, one task per function. LiveCheck backends go
-  // through the AnalysisManager (epoch-validated: a second run() on an
-  // unmodified module rebuilds nothing); baselines are built once per
+  // Phase 1 — precomputation: the engines, built once per function. LiveCheck
+  // backends go through the AnalysisManager (epoch-validated: a second run()
+  // on an unmodified module rebuilds nothing); baselines are built once per
   // driver, since they have no invalidation story — exactly the Section 7
-  // contrast this subsystem exists to exploit.
+  // contrast this subsystem exists to exploit. Prepared-cache entries are
+  // not part of it: the query phase reads them as it goes (see below).
   auto PreStart = Clock::now();
   SSALIVE_SPAN("query-batch");
   std::vector<const LiveCheck *> Engines;
@@ -243,9 +569,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   {
   SSALIVE_SPAN("precompute");
   if (usesLiveCheck()) {
-    Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
-      Manager.get(*Funcs[I]).liveCheck();
-    });
+    resolveEngines(Engines, NeedsTrees ? &Trees : nullptr);
   } else if (Baselines.empty()) {
     Baselines.resize(Funcs.size());
     Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
@@ -255,33 +579,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         Baselines[I] = std::make_unique<PathExplorationLiveness>(*Funcs[I]);
     });
   }
-  // Resolve the per-function engines up front so the query loop never
-  // touches the manager's lock. The renumbered planes additionally need
-  // each function's dominator tree to translate use blocks to preorder
-  // numbers.
-  if (usesLiveCheck()) {
-    Engines.reserve(Funcs.size());
-    if (NeedsTrees)
-      Trees.reserve(Funcs.size());
-    for (const Function *F : Funcs) {
-      FunctionAnalyses &FA = Manager.get(*F);
-      Engines.push_back(&FA.liveCheck());
-      if (NeedsTrees)
-        Trees.push_back(&FA.domTree());
-    }
-  }
 
-  // The cached prepared plane: make sure every value the workload touches
-  // has a fresh PreparedVar before the query fan-out, so the query loop is
-  // pure lock-free reads. One linear ensure() sweep over the workload: a
-  // value already prepared — by this batch or any earlier one — validates
-  // by epoch in two compares, so in the warm regime the sweep costs
-  // nanoseconds per query, and in the cold (or post-edit) case exactly the
-  // stale values rebuild. This is the whole point of the plane: across a
-  // session's batches the chain walk happens once per value, not once per
-  // query. (A parallel fill over deduplicated pairs was measured slower on
-  // the warm path — the per-frame sort and pool handoff cost more than
-  // the sweep they saved.)
   if (UsesPreparedCache) {
     if (Prepared.size() != Funcs.size())
       Prepared.resize(Funcs.size());
@@ -295,10 +593,10 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     }
     // Cold-fill sharding gate: sample the workload for values without a
     // fresh entry. A cold *giant* batch is the one place build cost
-    // dominates the sweep, and there the builds fan out across the pool
-    // by value-id stripe — each worker owns whole PreparedCache stripes,
-    // so entry writes and arena alloc/free/re-anchor traffic never cross
-    // workers. Everything warm keeps the sequential sweep untouched.
+    // dominates, and there the builds fan out across the pool by value-id
+    // stripe — each worker owns whole PreparedCache stripes, so entry
+    // writes and arena alloc/free/re-anchor traffic never cross workers.
+    // Everything else builds in the caller's deferred pass.
     if (NumWorkers > 1 && Workload.size() >= Opts.ColdFillShardThreshold &&
         Opts.ColdFillShardThreshold != SIZE_MAX) {
       if (Opts.ColdFillShardThreshold == 0) {
@@ -331,17 +629,10 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
             Prepared[Q.FuncIndex]->ensure(V);
         }
       });
-    } else {
-      for (const BatchQuery &Q : Workload) {
-        assert(Q.FuncIndex < Funcs.size() && "query function out of range");
-        const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-        if (queryableValue(V))
-          Prepared[Q.FuncIndex]->ensure(V);
-      }
     }
   }
-  // Engine resolution and the ensure sweep are part of the precompute
-  // phase: the query timer below must measure only the fan-out.
+  // Engine resolution and cold builds only: prepared-cache ensures of the
+  // ordinary path happen inside the query phase and are timed with it.
   Result.PrecomputeMillis =
       std::chrono::duration<double, std::milli>(Clock::now() - PreStart)
           .count();
@@ -351,7 +642,11 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   // through the scheduler. Each query writes only its own Answers slot and
   // each worker owns its PerThread slot, so the phase stays
   // write-shared-nothing and the result bytes are independent of the
-  // schedule (the scheduler-equivalence suite pins this).
+  // schedule (the scheduler-equivalence suite pins this). On the prepared
+  // plane this is also the ensure pass: a worker answers every query whose
+  // entry is fresh and defers the rest to its own list; after the join the
+  // calling thread — then the caches' only writer — ensures and answers
+  // the deferred queries. A warm frame defers nothing, so it is one pass.
   auto QueryStart = Clock::now();
   const std::size_t NumQueries = Workload.size();
   std::size_t Chunk = Opts.ChunkSize;
@@ -376,270 +671,31 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
                             std::memory_order_relaxed);
       Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
     }
-  const bool SweepBackend = Opts.Backend == BatchBackend::LiveCheckBlockSweep;
-  const bool GroupedPlanes = Opts.GroupChunks && NeedsTrees;
-  // Dense (function, value) key space for the grouped paths' counting
-  // sort: KeyBase[F] + ValueId enumerates every value of every function
-  // without gaps. Recomputed per batch — cheap, and CFG edits can grow a
-  // function's value table between runs.
-  std::vector<std::uint32_t> KeyBase(Funcs.size() + 1, 0);
-  if (GroupedPlanes || SweepBackend)
-    for (std::size_t F = 0; F != Funcs.size(); ++F)
-      KeyBase[F + 1] = KeyBase[F] + Funcs[F]->numValues();
-  const std::size_t KeySpace = KeyBase.empty() ? 0 : KeyBase.back();
+  const FrameView Frame{Workload,
+                        Funcs,
+                        Engines,
+                        Trees,
+                        Prepared,
+                        Baselines,
+                        Result.Answers,
+                        NeedsTrees ? Opts.Plane : QueryPlane::BlockId,
+                        usesLiveCheck(),
+                        Opts.GroupChunks && NeedsTrees,
+                        Opts.Backend == BatchBackend::LiveCheckBlockSweep};
+  std::vector<std::vector<std::size_t>> Deferred(NumWorkers);
 
   Pool->runPerWorker([&](unsigned Worker) {
     // Counters accumulate on the worker's stack: adjacent PerThread slots
     // share cache lines, and bouncing one per query would erase exactly
     // the scaling this driver exists to deliver.
-    BatchThreadStats Stats;
-    // Scratch, reused across queries and (through the thread-local pools)
-    // across batches: the buffers keep their capacity between runs.
-    auto UsesH = pool::scratchArray();
-    std::vector<unsigned> &Uses = *UsesH;
-    auto NumsH = pool::scratchArray();
-    std::vector<unsigned> &Nums = *NumsH;
-    auto MaskH = pool::bitsets().acquire();
-    BitVector &Mask = *MaskH;
-    // Grouping scratch: the sorted view of the current span plus the
-    // probe/answer staging of the multi-query kernel.
-    std::vector<std::size_t> Order;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> Keyed;
-    std::vector<LiveCheck::PreparedProbe> Probes;
-    std::vector<std::uint8_t> RunAnswers;
-    // Block-sweep per-value result cache; lives outside the span loop so a
-    // value continuing across adjacent chunks sweeps once.
-    std::uint32_t CachedFunc = ~0u, CachedVal = ~0u;
-    bool CachedQueryable = false;
-    auto InBlocksH =
-        SweepBackend ? pool::bitsets().acquire() : pool::BitsetPool::Handle();
-    auto OutBlocksH =
-        SweepBackend ? pool::bitsets().acquire() : pool::BitsetPool::Handle();
-
-    // Sorted-by-(function, value, index) view of [Begin, End): the grouped
-    // paths answer runs of same-value queries together; the ordering is
-    // deterministic and every answer still lands in its own slot.
-    std::vector<std::uint32_t> KeyCount;
-    auto sortSpan = [&](std::size_t Begin, std::size_t End) {
-      std::size_t Len = End - Begin;
-      if (Len * 4 >= KeySpace) {
-        // Stable counting sort over the dense (function, value) keys:
-        // three linear passes, and stability gives the index tiebreak for
-        // free. Worth the counter clear only when the span covers a fair
-        // share of the key space — big static spans, not 256-query chunks.
-        KeyCount.assign(KeySpace + 1, 0);
-        for (std::size_t I = Begin; I != End; ++I)
-          ++KeyCount[KeyBase[Workload[I].FuncIndex] + Workload[I].ValueId];
-        std::uint32_t Running = 0;
-        for (std::uint32_t &C : KeyCount) {
-          std::uint32_t N = C;
-          C = Running;
-          Running += N;
-        }
-        Order.resize(Len);
-        for (std::size_t I = Begin; I != End; ++I)
-          Order[KeyCount[KeyBase[Workload[I].FuncIndex] +
-                         Workload[I].ValueId]++] = I;
-        return;
-      }
-      // Packed (FuncIndex << 32 | ValueId, index) keys sort without
-      // touching Workload in the comparator — default pair ordering gives
-      // the same (function, value, index) order, cache-friendlier.
-      Keyed.clear();
-      Keyed.reserve(Len);
-      for (std::size_t I = Begin; I != End; ++I)
-        Keyed.emplace_back((std::uint64_t(Workload[I].FuncIndex) << 32) |
-                               Workload[I].ValueId,
-                           I);
-      std::sort(Keyed.begin(), Keyed.end());
-      Order.clear();
-      Order.reserve(Keyed.size());
-      for (const auto &[Key, I] : Keyed)
-        Order.push_back(std::size_t(I));
-    };
-
-    // One query in arrival order — the block-id plane, the standalone
-    // baselines, and the GroupChunks=false differential path.
-    auto answerOne = [&](std::size_t I) {
-      const BatchQuery &Q = Workload[I];
-      assert(Q.FuncIndex < Funcs.size() && "query function out of range");
-      const Function &F = *Funcs[Q.FuncIndex];
-      const Value &V = *F.value(Q.ValueId);
-      bool Answer = false;
-      if (queryableValue(V)) {
-        if (usesLiveCheck()) {
-          const LiveCheck &E = *Engines[Q.FuncIndex];
-          QueryPlane Plane = NeedsTrees ? Opts.Plane : QueryPlane::BlockId;
-          // The non-cached planes re-derive the variable per query (their
-          // role as differential baselines); the cached plane skips the
-          // chain walk entirely.
-          unsigned Def = 0;
-          if (Plane != QueryPlane::Prepared) {
-            Uses.clear();
-            appendLiveUseBlocks(V, Uses);
-            Def = defBlockId(V);
-          }
-          switch (Plane) {
-          case QueryPlane::BlockId:
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOut(Def, Q.BlockId, Uses, &Stats.Engine)
-                         : E.isLiveIn(Def, Q.BlockId, Uses, &Stats.Engine);
-            break;
-          case QueryPlane::Nums: {
-            const DomTree &DT = *Trees[Q.FuncIndex];
-            Nums.clear();
-            for (unsigned U : Uses)
-              Nums.push_back(DT.num(U));
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOutNums(Def, Q.BlockId, Nums.data(),
-                                           Nums.data() + Nums.size(),
-                                           &Stats.Engine)
-                         : E.isLiveInNums(Def, Q.BlockId, Nums.data(),
-                                          Nums.data() + Nums.size(),
-                                          &Stats.Engine);
-            break;
-          }
-          case QueryPlane::Mask: {
-            const DomTree &DT = *Trees[Q.FuncIndex];
-            Mask.resize(E.numNodes());
-            Mask.reset();
-            for (unsigned U : Uses)
-              Mask.set(DT.num(U));
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOutMask(Def, Q.BlockId, Mask,
-                                           &Stats.Engine)
-                         : E.isLiveInMask(Def, Q.BlockId, Mask,
-                                          &Stats.Engine);
-            break;
-          }
-          case QueryPlane::Prepared: {
-            // The cached plane: the precompute phase ensured every
-            // workload value, so this is a lock-free table read — no
-            // chain walk, no numbering, no allocation per query.
-            const LiveCheck::PreparedVar &P =
-                Prepared[Q.FuncIndex]->cached(V);
-            Answer = Q.IsLiveOut
-                         ? E.isLiveOutPrepared(P, Q.BlockId, &Stats.Engine)
-                         : E.isLiveInPrepared(P, Q.BlockId, &Stats.Engine);
-            break;
-          }
-          }
-        } else {
-          LivenessQueries &B = *Baselines[Q.FuncIndex];
-          const BasicBlock &Block = *F.block(Q.BlockId);
-          Answer = Q.IsLiveOut ? B.isLiveOut(V, Block) : B.isLiveIn(V, Block);
-        }
-      }
-      Result.Answers[I] = Answer;
-      Stats.PositiveAnswers += Answer;
-    };
-
-    auto processSpan = [&](std::size_t Begin, std::size_t End) {
-      if (SweepBackend) {
-        // The sweep computes every block's answer for one variable at once,
-        // so process the span grouped by (function, value).
-        sortSpan(Begin, End);
-        BitVector &InBlocks = *InBlocksH, &OutBlocks = *OutBlocksH;
-        for (std::size_t I : Order) {
-          const BatchQuery &Q = Workload[I];
-          assert(Q.FuncIndex < Funcs.size() && "query function out of range");
-          const Function &F = *Funcs[Q.FuncIndex];
-          const Value &V = *F.value(Q.ValueId);
-          if (Q.FuncIndex != CachedFunc || Q.ValueId != CachedVal) {
-            CachedFunc = Q.FuncIndex;
-            CachedVal = Q.ValueId;
-            CachedQueryable = queryableValue(V);
-            if (CachedQueryable) {
-              Uses.clear();
-              appendLiveUseBlocks(V, Uses);
-              Engines[Q.FuncIndex]->liveInOutBlocks(defBlockId(V), Uses,
-                                                    InBlocks, OutBlocks);
-            }
-          }
-          bool Answer = CachedQueryable &&
-                        (Q.IsLiveOut ? OutBlocks.test(Q.BlockId)
-                                     : InBlocks.test(Q.BlockId));
-          Result.Answers[I] = Answer;
-          Stats.PositiveAnswers += Answer;
-        }
-        return;
-      }
-      if (GroupedPlanes) {
-        // Locality grouping on the renumbered planes: one prepared
-        // variable and one multi-query kernel call per run of
-        // same-(function, value) queries. Sorting is span-local, so the
-        // amortization tracks the stream's actual locality.
-        sortSpan(Begin, End);
-        std::size_t K = 0;
-        while (K != Order.size()) {
-          const BatchQuery &Lead = Workload[Order[K]];
-          assert(Lead.FuncIndex < Funcs.size() &&
-                 "query function out of range");
-          std::size_t RunEnd = K + 1;
-          while (RunEnd != Order.size() &&
-                 Workload[Order[RunEnd]].FuncIndex == Lead.FuncIndex &&
-                 Workload[Order[RunEnd]].ValueId == Lead.ValueId)
-            ++RunEnd;
-          const Function &F = *Funcs[Lead.FuncIndex];
-          const Value &V = *F.value(Lead.ValueId);
-          if (queryableValue(V)) {
-            const LiveCheck &E = *Engines[Lead.FuncIndex];
-            LiveCheck::PreparedVar Local;
-            const LiveCheck::PreparedVar *PV = nullptr;
-            if (Opts.Plane == QueryPlane::Prepared) {
-              PV = &Prepared[Lead.FuncIndex]->cached(V);
-            } else {
-              // The differential planes re-derive the variable — the
-              // translation cost they exist to measure — but now once per
-              // run instead of once per query.
-              Uses.clear();
-              appendLiveUseBlocks(V, Uses);
-              const DomTree &DT = *Trees[Lead.FuncIndex];
-              E.prepareDef(defBlockId(V), Local);
-              if (Opts.Plane == QueryPlane::Nums) {
-                Nums.clear();
-                for (unsigned U : Uses)
-                  Nums.push_back(DT.num(U));
-                Local.NumsBegin = Nums.data();
-                Local.NumsEnd = Nums.data() + Nums.size();
-              } else {
-                Mask.resize(E.numNodes());
-                Mask.reset();
-                for (unsigned U : Uses)
-                  Mask.set(DT.num(U));
-                Local.setMask(Mask);
-              }
-              PV = &Local;
-            }
-            std::size_t RunLen = RunEnd - K;
-            Probes.resize(RunLen);
-            RunAnswers.resize(RunLen);
-            for (std::size_t J = 0; J != RunLen; ++J) {
-              const BatchQuery &Q = Workload[Order[K + J]];
-              Probes[J].Block = Q.BlockId;
-              Probes[J].IsLiveOut = Q.IsLiveOut;
-            }
-            E.answerPreparedRun(*PV, Probes.data(), RunLen,
-                                RunAnswers.data(), &Stats.Engine);
-            for (std::size_t J = 0; J != RunLen; ++J) {
-              Result.Answers[Order[K + J]] = RunAnswers[J];
-              Stats.PositiveAnswers += RunAnswers[J];
-            }
-          }
-          K = RunEnd;
-        }
-        return;
-      }
-      for (std::size_t I = Begin; I != End; ++I)
-        answerOne(I);
-    };
-
+    FrameWorker FW(Frame);
+    std::vector<std::size_t> &Defer = Deferred[Worker];
     if (!Stealing) {
       std::size_t Begin = NumQueries * Worker / NumWorkers;
       std::size_t End = NumQueries * (Worker + 1) / NumWorkers;
       if (Begin != End) {
-        ++Stats.ChunksClaimed;
-        processSpan(Begin, End);
+        ++FW.Stats.ChunksClaimed;
+        FW.answerSpan(Begin, End, Defer);
       }
     } else {
       // Drain the own queue first, then visit the other cursors
@@ -652,15 +708,24 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
           std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
           if (Ticket >= C.End)
             break;
-          ++Stats.ChunksClaimed;
-          Stats.ChunksStolen += Victim != Worker;
-          processSpan(Ticket * Chunk,
-                      std::min((Ticket + 1) * Chunk, NumQueries));
+          ++FW.Stats.ChunksClaimed;
+          FW.Stats.ChunksStolen += Victim != Worker;
+          FW.answerSpan(Ticket * Chunk,
+                        std::min((Ticket + 1) * Chunk, NumQueries), Defer);
         }
       }
     }
-    Result.PerThread[Worker] = Stats;
+    Result.PerThread[Worker] = FW.Stats;
   });
+  // The deferred pass, credited to the worker that deferred each query.
+  for (unsigned Worker = 0; Worker != NumWorkers; ++Worker) {
+    if (Deferred[Worker].empty())
+      continue;
+    FrameWorker FW(Frame);
+    FW.Stats = Result.PerThread[Worker];
+    FW.answerDeferred(Deferred[Worker]);
+    Result.PerThread[Worker] = FW.Stats;
+  }
   Result.QueryMillis =
       std::chrono::duration<double, std::milli>(Clock::now() - QueryStart)
           .count();

@@ -6,16 +6,19 @@
 ///
 /// \file
 /// Executes a liveness-query workload over a whole module (set of functions)
-/// concurrently: per-function precomputation fans out across a thread pool,
-/// then the query stream is carved into chunks that workers claim through a
-/// work-stealing scheduler (static contiguous spans remain selectable) and
-/// answer against the shared read-only engines. Within a chunk, queries for
-/// the renumbered planes are grouped by (function, value) so one prepared
-/// variable and one multi-query kernel call serve a whole run of same-value
-/// queries. Answers land in a per-query slot, so the result is byte-identical
-/// for any thread count and any schedule — the amortization story of the
-/// paper (one CFG-only precomputation, unboundedly many queries) scaled from
-/// one function to a module under heavy query traffic.
+/// concurrently: functions without an engine yet are built across a thread
+/// pool, then the query stream is carved into chunks that the calling
+/// thread and any budgeted pool helpers claim through a work-stealing
+/// scheduler (static contiguous spans remain selectable) and answer against
+/// the shared read-only engines. Within a chunk, each maximal run of
+/// same-(function, value) queries in arrival order is served by one
+/// prepared variable, and long runs by one multi-query kernel call. On the
+/// cached prepared plane the fan-out only reads entries; queries whose
+/// entry is stale are deferred and answered by the caller after the join.
+/// Answers land in a per-query slot, so the result is byte-identical for
+/// any thread count and any schedule — the amortization story of the paper
+/// (one CFG-only precomputation, unboundedly many queries) scaled from one
+/// function to a module under heavy query traffic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +47,7 @@ enum class BatchBackend {
   LiveCheckSorted,     ///< Propagated sets in sorted-array storage.
   LiveCheckBitset,     ///< Legacy per-row BitVector layout (baseline).
   LiveCheckBlockSweep, ///< Arena engine answered via liveIn/OutBlocks
-                       ///< sweeps, queries grouped per value.
+                       ///< sweeps, one per same-value run.
   Dataflow,            ///< Iterative data-flow baseline ("Native").
   PathExploration,     ///< Appel-Palsberg per-variable backwalk baseline.
 };
@@ -122,15 +125,15 @@ struct BatchOptions {
   QueryPlane Plane = QueryPlane::Prepared;
   /// Sharded cold-fill gate (prepared plane, multi-worker pools only):
   /// when the estimated number of workload queries whose values lack a
-  /// fresh prepared entry reaches this threshold, the ensure sweep fans
-  /// out across the pool by value-id stripe (PreparedCache::stripeOf) —
-  /// each worker owns whole stripes, so every build's arena traffic is
-  /// write-disjoint. Below the threshold the sweep stays sequential: warm
-  /// ensures are two epoch compares, and PR-5 measured the fan-out slower
-  /// than the warm sweep it replaces. Coldness is estimated from a strided
+  /// fresh prepared entry reaches this threshold, the cold builds fan out
+  /// across the pool by value-id stripe (PreparedCache::stripeOf) before
+  /// the query phase — each worker owns whole stripes, so every build's
+  /// arena traffic is write-disjoint. Below the threshold nothing is built
+  /// up front: the query workers defer stale queries and the caller
+  /// ensures them after the join. Coldness is estimated from a strided
   /// 1-in-64 sample of the workload, so the warm path pays ~1/64 of a
-  /// sweep, not a full pre-scan. 0 forces sharding (tests);
-  /// SIZE_MAX disables it.
+  /// pass, not a full pre-scan. 0 forces sharding (tests); SIZE_MAX
+  /// disables it.
   std::size_t ColdFillShardThreshold = 4096;
   /// Phase-2 scheduling policy. Stealing is the production default; Static
   /// reproduces the deterministic pre-stealing spans (answers are identical
@@ -141,13 +144,14 @@ struct BatchOptions {
   /// leave enough chunks to rebalance while small batches stay near one
   /// claim per worker.
   std::size_t ChunkSize = 0;
-  /// Group each span/chunk by (function, value) on the renumbered planes so
-  /// a run of same-value queries is answered through one prepared variable
-  /// and one LiveCheck::answerPreparedRun multi-query call. On by default;
-  /// off reproduces per-query arrival order — the baseline bench_querymix
-  /// compares against, and a differential surface for the equivalence
-  /// suite. (The block-id plane and the non-LiveCheck baselines always run
-  /// arrival order: they are the independent oracles.)
+  /// Answer each maximal run of same-(function, value) queries in arrival
+  /// order on the renumbered planes through one prepared variable, and a
+  /// run of at least 8 queries through one LiveCheck::answerPreparedRun
+  /// multi-query call. Queries are never reordered. On by default; off
+  /// answers query by query — the baseline bench_querymix compares
+  /// against, and a differential surface for the equivalence suite. (The
+  /// block-id plane and the non-LiveCheck baselines always answer query by
+  /// query: they are the independent oracles.)
   bool GroupChunks = true;
 };
 
@@ -172,7 +176,10 @@ struct BatchResult {
   /// for every thread count by construction.
   std::vector<std::uint8_t> Answers;
   std::vector<BatchThreadStats> PerThread; ///< One slot per worker.
+  /// Engine resolution and cold builds (engines; a sharded prepared fill).
   double PrecomputeMillis = 0;
+  /// The query phase, including the prepared-cache ensures of deferred
+  /// queries.
   double QueryMillis = 0;
 
   std::uint64_t numQueries() const { return Answers.size(); }
@@ -202,9 +209,10 @@ public:
   ~BatchLivenessDriver();
 
   /// Builds (or reuses, for LiveCheck backends via the AnalysisManager)
-  /// every function's engine in parallel, then answers \p Workload across
-  /// the pool. Repeated calls reuse cached precomputation — the amortized
-  /// regime the throughput report measures.
+  /// every function's engine, then answers \p Workload on the calling
+  /// thread plus whatever pool helpers the pool's budget allows. Repeated
+  /// calls reuse cached precomputation — the amortized regime the
+  /// throughput report measures.
   BatchResult run(const std::vector<BatchQuery> &Workload);
 
   const std::vector<const Function *> &functions() const { return Funcs; }
@@ -249,6 +257,10 @@ public:
 private:
   static LiveCheckOptions liveCheckOptionsFor(BatchBackend B);
   bool usesLiveCheck() const;
+  /// Fills \p Engines (and \p Trees when non-null) for every function,
+  /// building missing engines across the pool.
+  void resolveEngines(std::vector<const LiveCheck *> &Engines,
+                      std::vector<const DomTree *> *Trees);
 
   std::vector<const Function *> Funcs;
   BatchOptions Opts;

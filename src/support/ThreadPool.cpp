@@ -8,7 +8,6 @@
 
 #include "support/Telemetry.h"
 
-#include <atomic>
 #include <memory>
 
 using namespace ssalive;
@@ -36,6 +35,7 @@ ThreadPool::ThreadPool(unsigned NumThreads) {
     if (NumThreads == 0)
       NumThreads = 1;
   }
+  Tokens.store(static_cast<int>(NumThreads), std::memory_order_relaxed);
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I != NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -89,33 +89,105 @@ void ThreadPool::wait() {
   AllIdle.wait(Lock, [this] { return Busy == 0 && Queue.empty(); });
 }
 
-namespace {
+/// Shared state of one blocking call that woke helpers. Helpers hold it
+/// by shared_ptr, so a helper scheduled after the call returned still finds
+/// valid memory — but it sees Finished and leaves without calling Run,
+/// whose context lives on the (gone) caller's stack.
+struct ThreadPool::Call {
+  Call(std::size_t Tickets, void (*Run)(const void *, std::size_t),
+       const void *Ctx)
+      : Tickets(Tickets), Run(Run), Ctx(Ctx) {}
 
-/// Completion state of one blocking call (parallelFor/runPerWorker).
-/// Each call waits on its *own* counter rather than pool-global idleness:
-/// with several concurrent callers on a shared pool (the liveness
-/// server's sessions), waiting for the whole pool to drain would convoy
-/// a small batch behind every other session's work in flight.
-struct CallCompletion {
+  /// Claims and runs tickets until none is left.
+  void drain() {
+    for (;;) {
+      std::size_t T = Next.fetch_add(1, std::memory_order_relaxed);
+      if (T >= Tickets)
+        return;
+      Run(Ctx, T);
+    }
+  }
+
+  /// A helper's whole visit: enter unless the call is over, drain, leave.
+  void help() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (Finished)
+        return;
+      ++Active;
+    }
+    drain();
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (--Active == 0)
+      Left.notify_all();
+  }
+
+  /// The caller's end of the call: no helper may enter from here on, and
+  /// the ones inside must leave before the caller's stack unwinds.
+  void finish() {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Finished = true;
+    Left.wait(Lock, [this] { return Active == 0; });
+  }
+
+  std::atomic<std::size_t> Next{1}; ///< Ticket 0 is the caller's own.
+  const std::size_t Tickets;
+  void (*const Run)(const void *, std::size_t);
+  const void *const Ctx;
   std::mutex Mutex;
-  std::condition_variable Done;
-  std::size_t Remaining;
-
-  explicit CallCompletion(std::size_t Tasks) : Remaining(Tasks) {}
-
-  void taskFinished() {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    if (--Remaining == 0)
-      Done.notify_all();
-  }
-
-  void wait() {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Done.wait(Lock, [this] { return Remaining == 0; });
-  }
+  std::condition_variable Left;
+  unsigned Active = 0;
+  bool Finished = false;
 };
 
-} // namespace
+bool ThreadPool::takeToken() {
+  int T = Tokens.load(std::memory_order_relaxed);
+  while (T > 0)
+    if (Tokens.compare_exchange_weak(T, T - 1, std::memory_order_relaxed))
+      return true;
+  return false;
+}
+
+void ThreadPool::runTickets(std::size_t Tickets,
+                            void (*Run)(const void *, std::size_t),
+                            const void *Ctx) {
+  if (Tickets == 0)
+    return;
+  // The caller's own token, held for the whole call: N concurrent callers
+  // on an N-thread pool leave no spare token, so none of them hands work
+  // to another thread.
+  Tokens.fetch_sub(1, std::memory_order_relaxed);
+  std::size_t Helpers = 0;
+  while (Helpers + 1 < Tickets && Helpers + 1 < numThreads() && takeToken())
+    ++Helpers;
+  if (Helpers == 0) {
+    for (std::size_t T = 0; T != Tickets; ++T)
+      Run(Ctx, T);
+  } else {
+    // Ticket 0 is the caller's: it starts on its own share (the first
+    // chunk, or logical worker 0) while the helpers wake, instead of
+    // racing a freshly woken helper for it and then waiting on that
+    // helper's cold cache.
+    auto C = std::make_shared<Call>(Tickets, Run, Ctx);
+    {
+      std::unique_lock<std::mutex> Lock(Mutex);
+      for (std::size_t H = 0; H != Helpers; ++H) {
+        Queue.push([this, C] {
+          C->help();
+          Tokens.fetch_add(1, std::memory_order_relaxed);
+        });
+        PoolTelemetry::get().Tasks.inc();
+        PoolTelemetry::get().QueueDepth.add(1);
+      }
+    }
+    for (std::size_t H = 0; H != Helpers; ++H)
+      WorkAvailable.notify_one();
+    Run(Ctx, 0);
+    C->drain();
+    C->finish();
+  }
+  Tokens.fetch_add(1, std::memory_order_relaxed);
+}
 
 void ThreadPool::parallelFor(std::size_t Begin, std::size_t End,
                              const std::function<void(std::size_t)> &Body,
@@ -124,33 +196,26 @@ void ThreadPool::parallelFor(std::size_t Begin, std::size_t End,
     return;
   if (GrainSize == 0)
     GrainSize = 1;
-  std::size_t Range = End - Begin;
-  std::size_t Tasks = numThreads() < Range ? numThreads() : Range;
-  // Shared cursor; each worker task grabs chunks until the range is spent.
-  auto Cursor = std::make_shared<std::atomic<std::size_t>>(Begin);
-  auto State = std::make_shared<CallCompletion>(Tasks);
-  auto Chunk = [Cursor, End, GrainSize, &Body, State] {
-    for (;;) {
-      std::size_t Lo = Cursor->fetch_add(GrainSize);
-      if (Lo >= End)
-        break;
-      std::size_t Hi = Lo + GrainSize < End ? Lo + GrainSize : End;
-      for (std::size_t I = Lo; I != Hi; ++I)
-        Body(I);
-    }
-    State->taskFinished();
-  };
-  for (std::size_t I = 0; I != Tasks; ++I)
-    submit(Chunk);
-  State->wait();
+  struct Range {
+    std::size_t Begin, End, Grain;
+    const std::function<void(std::size_t)> &Body;
+  } R{Begin, End, GrainSize, Body};
+  runTickets((End - Begin + GrainSize - 1) / GrainSize,
+             [](const void *Ctx, std::size_t T) {
+               const Range &R = *static_cast<const Range *>(Ctx);
+               std::size_t Lo = R.Begin + T * R.Grain;
+               std::size_t Hi = R.End - Lo < R.Grain ? R.End : Lo + R.Grain;
+               for (std::size_t I = Lo; I != Hi; ++I)
+                 R.Body(I);
+             },
+             &R);
 }
 
 void ThreadPool::runPerWorker(const std::function<void(unsigned)> &Body) {
-  auto State = std::make_shared<CallCompletion>(numThreads());
-  for (unsigned I = 0, E = numThreads(); I != E; ++I)
-    submit([&Body, I, State] {
-      Body(I);
-      State->taskFinished();
-    });
-  State->wait();
+  runTickets(numThreads(),
+             [](const void *Ctx, std::size_t T) {
+               (*static_cast<const std::function<void(unsigned)> *>(Ctx))(
+                   static_cast<unsigned>(T));
+             },
+             &Body);
 }

@@ -22,6 +22,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 using namespace ssalive;
@@ -319,10 +321,107 @@ TEST(BatchDriver, ShardedColdFillMatchesSequentialByteForByte) {
   EXPECT_EQ(R.Answers, Reference.Answers);
 }
 
+TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
+  // The fused ensure: workers only read prepared entries, defer queries
+  // whose entry is stale, and the calling thread ensures and answers those
+  // after the join. Warm a 4-thread driver, then make two kinds of stale
+  // entry — a CFG edit refreshed in place (every entry of that function is
+  // epoch-dropped) and a def-use edit to one value of another function —
+  // and send a frame in which the stale values recur across many small
+  // chunks, so several workers meet each of them. Every distinct stale
+  // value must be rebuilt exactly once, and the answers must match the
+  // block-id plane's. Runs under TSan in CI with the rest of this suite.
+  Module M(6, 0xDEF);
+  std::vector<BatchQuery> Base =
+      BatchLivenessDriver::generateWorkload(M.Funcs, 0x1CE, 6000);
+  ASSERT_FALSE(Base.empty());
+  BatchOptions Opts;
+  Opts.Threads = 4;
+  Opts.ChunkSize = 128;
+  Opts.ColdFillShardThreshold = SIZE_MAX; // Keep stale values deferred.
+  BatchLivenessDriver Driver(M.Funcs, Opts);
+  Driver.run(Base);
+  Driver.run(Base);
+
+  // Structural edit on function 1, repaired through the journal.
+  constexpr std::uint32_t CfgEdited = 1, DefUseEdited = 3;
+  Function &Edited = *M.Owned[CfgEdited];
+  BasicBlock *From = Edited.block(Edited.numBlocks() - 1);
+  BasicBlock *To = nullptr;
+  for (unsigned I = 0; I != Edited.numBlocks() && !To; ++I) {
+    const auto &Succs = From->successors();
+    if (std::find(Succs.begin(), Succs.end(), Edited.block(I)) == Succs.end())
+      To = Edited.block(I);
+  }
+  ASSERT_NE(To, nullptr);
+  From->addSuccessor(To);
+  Driver.analysisManager().refresh(Edited);
+
+  // Def-use edit on one queried value of function 3: a new use in the
+  // last block bumps its def-use epoch (the CFG stays untouched).
+  Function &DU = *M.Owned[DefUseEdited];
+  std::uint32_t EditedValue = ~0u;
+  for (const BatchQuery &Q : Base)
+    if (Q.FuncIndex == DefUseEdited) {
+      EditedValue = Q.ValueId;
+      break;
+    }
+  ASSERT_NE(EditedValue, ~0u);
+  DU.block(DU.numBlocks() - 1)
+      ->insertAt(0, std::make_unique<Instruction>(
+                        Opcode::Opaque, DU.createValue("extra"),
+                        std::vector<Value *>{DU.value(EditedValue)}));
+
+  std::vector<BatchQuery> Frame;
+  for (unsigned Rep = 0; Rep != 4; ++Rep)
+    Frame.insert(Frame.end(), Base.begin(), Base.end());
+  std::set<std::uint32_t> StaleCfg;
+  for (const BatchQuery &Q : Frame)
+    if (Q.FuncIndex == CfgEdited)
+      StaleCfg.insert(Q.ValueId);
+
+  std::vector<PreparedCacheStats> Before;
+  for (std::size_t F = 0; F != M.Funcs.size(); ++F)
+    Before.push_back(Driver.preparedCache(F)->stats());
+  auto rebuildsSince = [&](std::size_t F) {
+    PreparedCacheStats S = Driver.preparedCache(F)->stats();
+    return (S.Builds - Before[F].Builds) + (S.Rebuilds - Before[F].Rebuilds) +
+           (S.EpochDrops - Before[F].EpochDrops);
+  };
+
+  BatchResult R = Driver.run(Frame);
+  BatchOptions Ref;
+  Ref.Threads = 1;
+  Ref.Plane = QueryPlane::BlockId;
+  EXPECT_EQ(R.Answers, BatchLivenessDriver(M.Funcs, Ref).run(Frame).Answers)
+      << "deferred answers diverge from the block-id plane";
+  for (std::size_t F = 0; F != M.Funcs.size(); ++F) {
+    std::uint64_t Expected = F == CfgEdited      ? StaleCfg.size()
+                             : F == DefUseEdited ? 1
+                                                 : 0;
+    EXPECT_EQ(rebuildsSince(F), Expected)
+        << "function " << F << ": each stale value must rebuild once";
+  }
+  EXPECT_EQ(Driver.preparedCache(DefUseEdited)->stats().Rebuilds -
+                Before[DefUseEdited].Rebuilds,
+            1u);
+  LiveCheckStats Engine = R.totalEngineStats();
+  EXPECT_EQ(Engine.LiveInQueries + Engine.LiveOutQueries,
+            std::uint64_t(Frame.size()))
+      << "deferred queries are answered (and counted) exactly once";
+
+  // Everything is fresh again: the next frame rebuilds nothing.
+  for (std::size_t F = 0; F != M.Funcs.size(); ++F)
+    Before[F] = Driver.preparedCache(F)->stats();
+  Driver.run(Frame);
+  for (std::size_t F = 0; F != M.Funcs.size(); ++F)
+    EXPECT_EQ(rebuildsSince(F), 0u) << "function " << F;
+}
+
 TEST(BatchDriver, BlockSweepDeterministicAcrossThreadCounts) {
-  // The block-sweep backend reorders each worker's span by (function,
-  // value) to amortize the interval sweeps; answers must still land in
-  // their own slots, byte-identical for every thread count.
+  // The block-sweep backend sweeps once per same-value run and keeps the
+  // last sweep across chunks; answers must still land in their own slots,
+  // byte-identical for every thread count.
   Module M(6, 0xF00D);
   std::vector<BatchQuery> Workload =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0xABC, 8000);

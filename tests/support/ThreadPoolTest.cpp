@@ -9,6 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 using namespace ssalive;
@@ -72,4 +77,143 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
     // No wait(): destruction itself must finish the queue.
   }
   EXPECT_EQ(Ran.load(), 50u);
+}
+
+namespace {
+
+/// A one-shot gate: wait() blocks until open() was called.
+class Gate {
+public:
+  void open() {
+    std::lock_guard<std::mutex> Lock(M);
+    Open = true;
+    CV.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> Lock(M);
+    CV.wait(Lock, [this] { return Open; });
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable CV;
+  bool Open = false;
+};
+
+/// Runs \p Fn on a fresh thread and reports whether it finished within a
+/// generous deadline. On a miss, \p Unblock runs before the join so the
+/// test fails instead of hanging.
+template <class Fn, class Unblock>
+bool finishesInTime(Fn &&Body, Unblock &&OnMiss) {
+  std::packaged_task<void()> Task(std::forward<Fn>(Body));
+  std::future<void> Done = Task.get_future();
+  std::thread T(std::move(Task));
+  bool InTime =
+      Done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!InTime)
+    OnMiss();
+  T.join();
+  return InTime;
+}
+
+} // namespace
+
+TEST(ThreadPool, CallsCompleteWhileEveryWorkerIsBlocked) {
+  // Every pool thread sits in a task that waits on a gate opened only after
+  // the calls below returned: the calling thread must claim every index
+  // itself, each exactly once.
+  ThreadPool Pool(3);
+  Gate Release;
+  std::atomic<unsigned> Blocked{0};
+  for (unsigned I = 0; I != Pool.numThreads(); ++I)
+    Pool.submit([&] {
+      Blocked.fetch_add(1);
+      Release.wait();
+    });
+  while (Blocked.load() != Pool.numThreads())
+    std::this_thread::yield();
+
+  std::vector<std::atomic<unsigned>> Hits(500);
+  std::vector<std::atomic<unsigned>> Slots(Pool.numThreads());
+  bool InTime = finishesInTime(
+      [&] {
+        Pool.parallelFor(0, Hits.size(),
+                         [&Hits](std::size_t I) { Hits[I].fetch_add(1); },
+                         /*GrainSize=*/3);
+        Pool.runPerWorker([&Slots](unsigned W) { Slots[W].fetch_add(1); });
+      },
+      [&] { Release.open(); });
+  EXPECT_TRUE(InTime) << "a call waited for a blocked pool thread";
+  Release.open();
+  Pool.wait();
+  for (std::size_t I = 0; I != Hits.size(); ++I)
+    EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
+  for (std::size_t W = 0; W != Slots.size(); ++W)
+    EXPECT_EQ(Slots[W].load(), 1u) << "worker slot " << W;
+}
+
+TEST(ThreadPool, ParallelForFromInsideAPoolTaskCompletes) {
+  // The only pool thread issues a nested call: it has to run the call's
+  // indices itself rather than wait for a worker that is itself.
+  ThreadPool Pool(1);
+  std::atomic<unsigned> Sum{0};
+  std::promise<void> Done;
+  std::future<void> DoneF = Done.get_future();
+  Pool.submit([&] {
+    Pool.parallelFor(0, 64, [&Sum](std::size_t I) {
+      Sum.fetch_add(static_cast<unsigned>(I));
+    });
+    Done.set_value();
+  });
+  ASSERT_EQ(DoneF.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "nested parallelFor deadlocked on its own pool";
+  Pool.wait();
+  EXPECT_EQ(Sum.load(), 64u * 63u / 2u);
+}
+
+TEST(ThreadPool, CallersBeyondTheBudgetStayOnTheirOwnThread) {
+  // Caller A holds its token and has woken its one helper (both block
+  // inside A's bodies), so a 2-thread pool has no spare token left: caller
+  // B must answer its whole call on its own thread.
+  ThreadPool Pool(2);
+  Gate Release, AInside;
+  std::atomic<bool> Signalled{false};
+  std::thread A([&] {
+    Pool.runPerWorker([&](unsigned) {
+      if (!Signalled.exchange(true))
+        AInside.open();
+      Release.wait();
+    });
+  });
+  AInside.wait();
+
+  std::vector<std::thread::id> Ran(200);
+  std::thread::id BId;
+  bool InTime = finishesInTime(
+      [&] {
+        BId = std::this_thread::get_id();
+        Pool.parallelFor(0, Ran.size(), [&Ran](std::size_t I) {
+          Ran[I] = std::this_thread::get_id();
+        });
+      },
+      [&] { Release.open(); });
+  Release.open();
+  A.join();
+  ASSERT_TRUE(InTime) << "the second caller waited for busy pool threads";
+  for (std::size_t I = 0; I != Ran.size(); ++I)
+    EXPECT_EQ(Ran[I], BId) << "index " << I << " left the calling thread";
+}
+
+TEST(ThreadPool, OneThreadPoolNeverLeavesTheCaller) {
+  ThreadPool Pool(1);
+  std::vector<std::thread::id> Ran(100);
+  Pool.parallelFor(0, Ran.size(), [&Ran](std::size_t I) {
+    Ran[I] = std::this_thread::get_id();
+  });
+  std::thread::id Slot;
+  Pool.runPerWorker([&Slot](unsigned) { Slot = std::this_thread::get_id(); });
+  for (const std::thread::id &Id : Ran)
+    EXPECT_EQ(Id, std::this_thread::get_id());
+  EXPECT_EQ(Slot, std::this_thread::get_id());
 }

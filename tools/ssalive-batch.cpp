@@ -221,7 +221,8 @@ int main(int Argc, char **Argv) {
     std::uint64_t Positive = 0;
     for (const BatchThreadStats &S : Last.PerThread)
       Positive += S.PositiveAnswers;
-    std::printf("  run %u%s: precompute %.2f ms, queries %.2f ms "
+    std::printf("  run %u%s: precompute (engines + cold builds) %.2f ms, "
+                "queries (incl. prepared-cache ensures) %.2f ms "
                 "(%.0f q/s), %llu live (%.1f%%), %llu targets visited\n",
                 Run + 1, Run == 0 ? " (cold)" : " (warm)",
                 Last.PrecomputeMillis, Last.QueryMillis,
