@@ -60,22 +60,10 @@ Workload makeWorkload(const SpecProfile &P, RandomEngine &Rng) {
 
 int main() {
   const Variant Variants[] = {
-      {"propagated+skip",
-       {TMode::Propagated, true, true, TStorage::Bitset}},
-      {"propagated-noskip",
-       {TMode::Propagated, false, false, TStorage::Bitset}},
-      {"filtered+fastpath",
-       {TMode::Filtered, true, true, TStorage::Bitset}},
-      {"filtered-nofast",
-       {TMode::Filtered, true, false, TStorage::Bitset}},
-      {"propagated+sorted-T",
-       {TMode::Propagated, true, true, TStorage::SortedArray}},
-      {"filtered+sorted-T",
-       {TMode::Filtered, true, true, TStorage::SortedArray}},
-      {"propagated+arena",
-       {TMode::Propagated, true, true, TStorage::Arena}},
-      {"filtered+arena",
-       {TMode::Filtered, true, true, TStorage::Arena}},
+      {"propagated+skip", {TMode::Propagated, true, true}},
+      {"propagated-noskip", {TMode::Propagated, false, false}},
+      {"filtered+fastpath", {TMode::Filtered, true, true}},
+      {"filtered-nofast", {TMode::Filtered, true, false}},
   };
 
   std::printf("Ablation: T-set computation modes and query-scan "

@@ -24,13 +24,13 @@
 //             probe is a word-parallel range sweep (BitMatrix kernel
 //             dispatch). Shorter runs take the per-query kernels.
 //
-// Single thread, static schedule: the ratio isolates the kernel
-// amortization, which travels across machines; the work-stealing half of
-// the query path is schedule-equivalence-tested (byte-identical answers)
-// rather than gated here, because multi-core speedups depend on the
-// runner's core count. Answers must be byte-identical across both configs
-// and every pass; the run exits 1 otherwise. One untimed warm pass per
-// config (steady-state prepared cache), then best-of timed passes. Emits
+// Single thread, one chunk: the ratio isolates the kernel amortization,
+// which travels across machines; the work-stealing half of the query path
+// is equivalence-tested (byte-identical answers) rather than gated here,
+// because multi-core speedups depend on the runner's core count. Answers
+// must be byte-identical across both configs and every pass; the run exits
+// 1 otherwise. One untimed warm pass per config (steady-state prepared
+// cache), then best-of timed passes. Emits
 // BENCH_querymix.json with speedup_grouped_vs_arrival per tier — the ratio
 // the CI trend gate tracks against the committed baseline, with a >= 1.15x
 // target at the 1024-block tier.
@@ -174,7 +174,7 @@ int main(int Argc, char **Argv) {
     BatchOptions Base;
     Base.Threads = 1;
     Base.Plane = QueryPlane::Prepared;
-    Base.Schedule = BatchSchedule::Static;
+    Base.ChunkSize = Workload.size(); // One span, no chunk-split runs.
     BatchOptions AOpts = Base, GOpts2 = Base;
     AOpts.GroupChunks = false;
     GOpts2.GroupChunks = true;

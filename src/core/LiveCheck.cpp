@@ -22,10 +22,9 @@
 // is Lemma 3 (elements of T_q need not be totally ordered by dominance), so
 // the Theorem-2 single-test fast path demands TMode::Filtered.
 //
-// Implementation note on the storage planes: R and T are always *computed*
-// into the BitMatrix arenas (the recurrences are then linear sweeps over
-// contiguous memory); finalizeStorage() afterwards materializes whatever
-// layout the options request and binds the scan kernels, so the query path
+// Implementation note on the arenas: R and T are computed and stored in
+// BitMatrix arenas (the recurrences are then linear sweeps over contiguous
+// memory); bindKernels() picks the scan kernels once, so the query path
 // never consults Opts again.
 //
 //===----------------------------------------------------------------------===//
@@ -45,24 +44,6 @@ using namespace ssalive;
 
 namespace {
 
-/// Uniform bit probe over either row representation: a legacy per-row
-/// BitVector or a raw arena row span.
-struct RowProbe {
-  static bool test(const BitVector &R, unsigned Idx) { return R.test(Idx); }
-  static bool test(const std::uint64_t *R, unsigned Idx) {
-    return BitMatrix::testBit(R, Idx);
-  }
-  static bool anyCommonMask(const BitVector &R, const std::uint64_t *MaskW,
-                            unsigned MaskNumWords, unsigned ExcludeBit) {
-    return BitMatrix::wordsAnyCommon(R.words(), MaskW, MaskNumWords,
-                                     ExcludeBit);
-  }
-  static bool anyCommonMask(const std::uint64_t *R, const std::uint64_t *MaskW,
-                            unsigned MaskNumWords, unsigned ExcludeBit) {
-    return BitMatrix::wordsAnyCommon(R, MaskW, MaskNumWords, ExcludeBit);
-  }
-};
-
 /// Pre-numbered use span: dominance preorder numbers, probed directly
 /// against R rows. Order is irrelevant and duplicates merely cost a
 /// redundant probe, so callers only sort/dedup when a span is reused often
@@ -71,9 +52,8 @@ struct NumUses {
   const unsigned *Begin, *End;
   const std::uint8_t *BackTarget;
 
-  template <class Row>
-  bool test(const Row &R, unsigned TNum, unsigned QNum, bool ExcludeTrivialQ,
-            LiveCheckStats *Sink) const {
+  bool test(const std::uint64_t *R, unsigned TNum, unsigned QNum,
+            bool ExcludeTrivialQ, LiveCheckStats *Sink) const {
     // Algorithm 2 line 8: with t = q, a use in q itself only certifies a
     // non-trivial path if q is a back-edge target. Decided once, outside
     // the probe loop.
@@ -85,7 +65,7 @@ struct NumUses {
         continue;
       if (Sink)
         ++Sink->UseTests;
-      if (RowProbe::test(R, UNum))
+      if (BitMatrix::testBit(R, UNum))
         return true;
     }
     return false;
@@ -100,16 +80,15 @@ struct MaskUses {
   unsigned MaskNumWords;
   const std::uint8_t *BackTarget;
 
-  template <class Row>
-  bool test(const Row &R, unsigned TNum, unsigned QNum, bool ExcludeTrivialQ,
-            LiveCheckStats *Sink) const {
+  bool test(const std::uint64_t *R, unsigned TNum, unsigned QNum,
+            bool ExcludeTrivialQ, LiveCheckStats *Sink) const {
     if (Sink)
       ++Sink->UseTests;
     unsigned ExcludeBit = (ExcludeTrivialQ && TNum == QNum &&
                            !BackTarget[QNum])
                               ? QNum
                               : BitMatrix::npos;
-    return RowProbe::anyCommonMask(R, MaskW, MaskNumWords, ExcludeBit);
+    return BitMatrix::wordsAnyCommon(R, MaskW, MaskNumWords, ExcludeBit);
   }
 };
 
@@ -119,96 +98,63 @@ struct MaskUses {
 // Scan kernels
 //===----------------------------------------------------------------------===//
 
-template <LiveCheck::ScanLayout L, bool Skip, bool FP, class Uses>
+template <bool Skip, bool FP, class Uses>
 bool LiveCheck::scanImpl(const LiveCheck &LC, unsigned DefNum,
                          unsigned MaxDom, unsigned QNum, Uses U,
                          bool ExcludeTrivialQ, LiveCheckStats *Sink) {
-  // Shared target-visit body (Algorithm 1 line 4 / Algorithm 2 line 9).
+  // Algorithm 3. The dominance-preorder numbering makes T_q ∩ sdom(def)
+  // the set bits of T_q in [DefNum + 1, MaxDom]; scanning from index 0
+  // upwards visits "more dominating" targets first (Section 5.1 item 2).
+  // The row pointer is resolved once and the word scan is clamped to the
+  // interval, so a scan never reads past bit MaxDom.
+  //
   // FP compiles in Theorem 2: on reducible CFGs with exact Definition-5
   // sets, the most dominating target decides the query alone. One
   // refinement: the trivial-path exclusion can suppress the q-use at
   // t = q, in which case a *less* dominating target could still certify a
   // non-trivial path, so the fast path only applies when nothing was
   // excluded.
-  auto Visit = [&](unsigned TNum) {
+  const std::uint64_t *TRow = LC.TMat.row(QNum);
+  unsigned Limit = MaxDom + 1;
+  unsigned WordLen = (Limit + BitMatrix::WordBits - 1) / BitMatrix::WordBits;
+  unsigned TNum = BitMatrix::wordsFindNextSet(TRow, WordLen, DefNum + 1,
+                                              Limit);
+  while (TNum != BitMatrix::npos) {
     if (Sink)
       ++Sink->TargetsVisited;
-    if constexpr (L == ScanLayout::Legacy)
-      return U.test(LC.RByNum[TNum], TNum, QNum, ExcludeTrivialQ, Sink);
-    else
-      return U.test(LC.RMat.row(TNum), TNum, QNum, ExcludeTrivialQ, Sink);
-  };
-
-  if constexpr (L == ScanLayout::Sorted) {
-    // The Section-6.1 variant: T_q is a short ascending array, so the scan
-    // is a lower_bound plus a forward walk, and the subtree skip becomes
-    // another lower_bound over the remaining suffix.
-    const auto &T = LC.TSortedByNum[QNum];
-    auto It = std::lower_bound(T.begin(), T.end(), DefNum + 1);
-    while (It != T.end() && *It <= MaxDom) {
-      unsigned TNum = *It;
-      if (Visit(TNum))
-        return true;
-      if constexpr (FP)
-        if (!(ExcludeTrivialQ && TNum == QNum))
-          return false;
-      if constexpr (Skip)
-        It = std::lower_bound(It + 1, T.end(), LC.MaxNumByNum[TNum] + 1);
-      else
-        ++It;
-    }
-    return false;
-  } else {
-    // Algorithm 3. The dominance-preorder numbering makes T_q ∩ sdom(def)
-    // the set bits of T_q in [DefNum + 1, MaxDom]; scanning from index 0
-    // upwards visits "more dominating" targets first (Section 5.1 item 2).
-    // The row pointer is resolved once and the word scan is clamped to the
-    // interval, so a scan never reads past bit MaxDom.
-    const std::uint64_t *TRow;
-    if constexpr (L == ScanLayout::Legacy)
-      TRow = LC.TByNum[QNum].words();
-    else
-      TRow = LC.TMat.row(QNum);
-    unsigned Limit = MaxDom + 1;
-    unsigned WordLen = (Limit + BitMatrix::WordBits - 1) / BitMatrix::WordBits;
-    unsigned TNum = BitMatrix::wordsFindNextSet(TRow, WordLen, DefNum + 1,
-                                                Limit);
-    while (TNum != BitMatrix::npos) {
-      if (Visit(TNum))
-        return true;
-      if constexpr (FP)
-        if (!(ExcludeTrivialQ && TNum == QNum))
-          return false;
-      TNum = BitMatrix::wordsFindNextSet(
-          TRow, WordLen, Skip ? LC.MaxNumByNum[TNum] + 1 : TNum + 1, Limit);
-    }
-    return false;
+    if (U.test(LC.RMat.row(TNum), TNum, QNum, ExcludeTrivialQ, Sink))
+      return true;
+    if constexpr (FP)
+      if (!(ExcludeTrivialQ && TNum == QNum))
+        return false;
+    TNum = BitMatrix::wordsFindNextSet(
+        TRow, WordLen, Skip ? LC.MaxNumByNum[TNum] + 1 : TNum + 1, Limit);
   }
+  return false;
 }
 
-template <LiveCheck::ScanLayout L, bool Skip, bool FP>
+template <bool Skip, bool FP>
 bool LiveCheck::numSpanKernel(const LiveCheck &LC, unsigned DefNum,
                               unsigned MaxDom, unsigned QNum,
                               const unsigned *Begin, const unsigned *End,
                               bool ExcludeTrivialQ, LiveCheckStats *Sink) {
-  return scanImpl<L, Skip, FP>(LC, DefNum, MaxDom, QNum,
-                               NumUses{Begin, End,
-                                       LC.BackTargetByNum.data()},
-                               ExcludeTrivialQ, Sink);
+  return scanImpl<Skip, FP>(LC, DefNum, MaxDom, QNum,
+                            NumUses{Begin, End, LC.BackTargetByNum.data()},
+                            ExcludeTrivialQ, Sink);
 }
 
-template <LiveCheck::ScanLayout L, bool Skip, bool FP>
+template <bool Skip, bool FP>
 bool LiveCheck::renumberingKernel(const LiveCheck &LC, unsigned DefNum,
                                   unsigned MaxDom, unsigned QNum,
                                   const unsigned *Begin, const unsigned *End,
                                   bool ExcludeTrivialQ,
                                   LiveCheckStats *Sink) {
-  // Block-id entry on a non-legacy layout: number the span once up front —
-  // O(uses) instead of O(targets x uses) — then run the numbered kernel.
-  // Small spans (the overwhelming majority, per the paper's Table 1 use
-  // distribution) stay on the stack and are not worth sorting: duplicates
-  // only cost a redundant bit probe. Large spans get deduplicated so the
-  // probe loop shrinks.
+  // Block-id entry: number the span once up front — O(uses) instead of
+  // O(targets x uses) — then run the numbered kernel. Small spans (the
+  // overwhelming majority, per the paper's Table 1 use distribution) stay
+  // on the stack and are not worth sorting: duplicates only cost a
+  // redundant bit probe. Large spans get deduplicated so the probe loop
+  // shrinks.
   unsigned Stack[64];
   std::vector<unsigned> Heap;
   std::size_t Count = static_cast<std::size_t>(End - Begin);
@@ -224,98 +170,40 @@ bool LiveCheck::renumberingKernel(const LiveCheck &LC, unsigned DefNum,
     std::sort(Buf, NewEnd);
     NewEnd = std::unique(Buf, NewEnd);
   }
-  return numSpanKernel<L, Skip, FP>(LC, DefNum, MaxDom, QNum, Buf, NewEnd,
-                                    ExcludeTrivialQ, Sink);
+  return numSpanKernel<Skip, FP>(LC, DefNum, MaxDom, QNum, Buf, NewEnd,
+                                 ExcludeTrivialQ, Sink);
 }
 
-template <LiveCheck::ScanLayout L, bool Skip, bool FP>
+template <bool Skip, bool FP>
 bool LiveCheck::maskKernel(const LiveCheck &LC, unsigned DefNum,
                            unsigned MaxDom, unsigned QNum,
                            const std::uint64_t *MaskWords,
                            unsigned MaskNumWords, bool ExcludeTrivialQ,
                            LiveCheckStats *Sink) {
-  return scanImpl<L, Skip, FP>(LC, DefNum, MaxDom, QNum,
-                               MaskUses{MaskWords, MaskNumWords,
-                                        LC.BackTargetByNum.data()},
-                               ExcludeTrivialQ, Sink);
+  return scanImpl<Skip, FP>(LC, DefNum, MaxDom, QNum,
+                            MaskUses{MaskWords, MaskNumWords,
+                                     LC.BackTargetByNum.data()},
+                            ExcludeTrivialQ, Sink);
 }
 
-//===----------------------------------------------------------------------===//
-// The pre-refactor query path (TStorage::Bitset block-id entries)
-//===----------------------------------------------------------------------===//
-
-bool LiveCheck::legacyTestTarget(unsigned TNum, unsigned QNum,
-                                 const unsigned *UsesBegin,
-                                 const unsigned *UsesEnd,
-                                 bool ExcludeTrivialQ, bool &Decided,
-                                 LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->TargetsVisited;
-  const BitVector &R = RByNum[TNum];
-  for (const unsigned *U = UsesBegin; U != UsesEnd; ++U) {
-    unsigned UNum = DT.num(*U);
-    if (ExcludeTrivialQ && TNum == QNum && UNum == QNum &&
-        !BackTargetByNum[QNum])
-      continue;
-    if (Sink)
-      ++Sink->UseTests;
-    if (R.test(UNum))
-      return true;
-  }
-  Decided = FastPath && !(ExcludeTrivialQ && TNum == QNum);
-  return false;
-}
-
-bool LiveCheck::legacyScanTargets(unsigned DefNum, unsigned MaxDom,
-                                  unsigned QNum, const unsigned *UsesBegin,
-                                  const unsigned *UsesEnd,
-                                  bool ExcludeTrivialQ,
-                                  LiveCheckStats *Sink) const {
-  const BitVector &T = TByNum[QNum];
-  unsigned TNum = T.findNextSet(DefNum + 1);
-  while (TNum != BitVector::npos && TNum <= MaxDom) {
-    bool Decided = false;
-    if (legacyTestTarget(TNum, QNum, UsesBegin, UsesEnd, ExcludeTrivialQ,
-                         Decided, Sink))
-      return true;
-    if (Decided)
-      return false;
-    unsigned Next = Opts.SubtreeSkip ? MaxNumByNum[TNum] + 1 : TNum + 1;
-    TNum = T.findNextSet(Next);
-  }
-  return false;
-}
-
-bool LiveCheck::legacyBlockKernel(const LiveCheck &LC, unsigned DefNum,
-                                  unsigned MaxDom, unsigned QNum,
-                                  const unsigned *Begin, const unsigned *End,
-                                  bool ExcludeTrivialQ,
-                                  LiveCheckStats *Sink) {
-  return LC.legacyScanTargets(DefNum, MaxDom, QNum, Begin, End,
-                              ExcludeTrivialQ, Sink);
-}
-
-template <LiveCheck::ScanLayout L> void LiveCheck::bindKernels() {
+void LiveCheck::bindKernels() {
   if (Opts.SubtreeSkip)
-    bindKernelsSkip<L, true>();
+    bindKernelsSkip<true>();
   else
-    bindKernelsSkip<L, false>();
+    bindKernelsSkip<false>();
 }
 
-template <LiveCheck::ScanLayout L, bool Skip> void LiveCheck::bindKernelsSkip() {
+template <bool Skip> void LiveCheck::bindKernelsSkip() {
   if (FastPath)
-    bindKernelsFull<L, Skip, true>();
+    bindKernelsFull<Skip, true>();
   else
-    bindKernelsFull<L, Skip, false>();
+    bindKernelsFull<Skip, false>();
 }
 
-template <LiveCheck::ScanLayout L, bool Skip, bool FP>
-void LiveCheck::bindKernelsFull() {
-  BlockScan = L == ScanLayout::Legacy
-                  ? &LiveCheck::legacyBlockKernel
-                  : &LiveCheck::renumberingKernel<L, Skip, FP>;
-  NumScan = &LiveCheck::numSpanKernel<L, Skip, FP>;
-  MaskScan = &LiveCheck::maskKernel<L, Skip, FP>;
+template <bool Skip, bool FP> void LiveCheck::bindKernelsFull() {
+  BlockScan = &LiveCheck::renumberingKernel<Skip, FP>;
+  NumScan = &LiveCheck::numSpanKernel<Skip, FP>;
+  MaskScan = &LiveCheck::maskKernel<Skip, FP>;
 }
 
 //===----------------------------------------------------------------------===//
@@ -330,14 +218,11 @@ LiveCheck::LiveCheck(const CFG &Graph, const DFS &Dfs, const DomTree &Tree,
 
 void LiveCheck::computeAll() {
   // The paper's "pay once" side of the amortization profile: count every
-  // precompute, time it, and record the resident R/T footprint per storage
-  // layout. All off the query path — queries touch none of this.
+  // precompute, time it, and record the resident R/T footprint. All off
+  // the query path — queries touch none of this.
   static telemetry::Counter BuildsC("ssalive_livecheck_builds_total");
   static telemetry::Histogram PrecomputeNs("ssalive_livecheck_precompute_ns");
-  static telemetry::Counter RTBytes[] = {
-      telemetry::Counter("ssalive_livecheck_rt_bytes_bitset_total"),
-      telemetry::Counter("ssalive_livecheck_rt_bytes_sorted_array_total"),
-      telemetry::Counter("ssalive_livecheck_rt_bytes_arena_total")};
+  static telemetry::Counter RTBytes("ssalive_livecheck_rt_bytes_total");
   BuildsC.inc();
   telemetry::ScopedTimerNs Timer(PrecomputeNs);
   SSALIVE_SPAN("livecheck-precompute");
@@ -345,9 +230,6 @@ void LiveCheck::computeAll() {
   NumNodes = G.numNodes();
   RMat.resize(NumNodes, NumNodes);
   TMat.resize(NumNodes, NumNodes);
-  RByNum.clear();
-  TByNum.clear();
-  TSortedByNum.clear();
   MaxNumByNum.assign(NumNodes, 0);
   BackTargetByNum.assign(NumNodes, 0);
   for (unsigned V = 0; V != NumNodes; ++V) {
@@ -365,59 +247,10 @@ void LiveCheck::computeAll() {
   if (Opts.ReducibleFastPath && Opts.Mode == TMode::Filtered)
     FastPath = analyzeReducibility(D, DT).Reducible;
 
-  finalizeStorage();
+  bindKernels();
   captureSnapshots();
 
-  RTBytes[static_cast<unsigned>(Opts.Storage)].inc(memoryBytes());
-}
-
-void LiveCheck::finalizeStorage() {
-  switch (Opts.Storage) {
-  case TStorage::Bitset:
-    // Legacy layout: materialize one BitVector per row and release the
-    // arenas, so the baseline pays exactly the historical pointer chase.
-    RByNum.assign(NumNodes, BitVector());
-    TByNum.assign(NumNodes, BitVector());
-    for (unsigned Num = 0; Num != NumNodes; ++Num) {
-      RByNum[Num].assignFromWords(RMat.row(Num), NumNodes);
-      TByNum[Num].assignFromWords(TMat.row(Num), NumNodes);
-    }
-    RMat.clear();
-    TMat.clear();
-    bindKernels<ScanLayout::Legacy>();
-    break;
-  case TStorage::SortedArray:
-    // Convert the T rows into sorted arrays of preorder numbers and release
-    // the T arena; T sets hold only back-edge targets plus the node itself,
-    // so the arrays are short. R stays in the arena.
-    TSortedByNum.resize(NumNodes);
-    for (unsigned Num = 0; Num != NumNodes; ++Num)
-      for (unsigned B = TMat.findNextSetInRow(Num, 0); B != BitMatrix::npos;
-           B = TMat.findNextSetInRow(Num, B + 1))
-        TSortedByNum[Num].push_back(B);
-    TMat.clear();
-    bindKernels<ScanLayout::Sorted>();
-    break;
-  case TStorage::Arena:
-    bindKernels<ScanLayout::Arena>();
-    break;
-  }
-}
-
-bool LiveCheck::isInT(unsigned Of, unsigned T) const {
-  unsigned OfNum = DT.num(Of);
-  unsigned TNum = DT.num(T);
-  switch (Opts.Storage) {
-  case TStorage::Bitset:
-    return TByNum[OfNum].test(TNum);
-  case TStorage::SortedArray: {
-    const auto &Sorted = TSortedByNum[OfNum];
-    return std::binary_search(Sorted.begin(), Sorted.end(), TNum);
-  }
-  case TStorage::Arena:
-    return TMat.test(OfNum, TNum);
-  }
-  return false;
+  RTBytes.inc(memoryBytes());
 }
 
 void LiveCheck::computeR() {
@@ -622,7 +455,7 @@ void LiveCheck::captureCoordSnapshots() {
 }
 
 void LiveCheck::captureSnapshots() {
-  if (!Opts.Incremental || Opts.Storage != TStorage::Arena) {
+  if (!Opts.Incremental) {
     SnapNodeAtNum.clear();
     SnapBackEdges.clear();
     UpdTargetT.clear();
@@ -731,7 +564,7 @@ bool LiveCheck::permuteInterval(unsigned Lo, unsigned Hi) {
 }
 
 bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
-  if (!Opts.Incremental || Opts.Storage != TStorage::Arena)
+  if (!Opts.Incremental)
     return false;
   const unsigned N = NumNodes;
   if (G.numNodes() != N || SnapNodeAtNum.size() != N)
@@ -1213,7 +1046,7 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
   if (Opts.ReducibleFastPath && Opts.Mode == TMode::Filtered)
     FastPath = analyzeReducibility(D, DT).Reducible;
   if (FastPath != OldFastPath)
-    bindKernels<ScanLayout::Arena>();
+    bindKernels();
 
   // Refresh the snapshot: the retained T inputs are already current (the
   // dirty tracking repaired them in place); only the coordinate system
@@ -1283,73 +1116,6 @@ bool LiveCheck::isLiveOut(unsigned DefBlock, unsigned Q,
                    /*ExcludeTrivialQ=*/true, Sink);
 }
 
-bool LiveCheck::isLiveInNums(unsigned DefBlock, unsigned Q,
-                             const unsigned *NumsBegin,
-                             const unsigned *NumsEnd,
-                             LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveInQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return NumScan(*this, DefNum, MaxDom, QNum, NumsBegin, NumsEnd,
-                 /*ExcludeTrivialQ=*/false, Sink);
-}
-
-bool LiveCheck::isLiveOutNums(unsigned DefBlock, unsigned Q,
-                              const unsigned *NumsBegin,
-                              const unsigned *NumsEnd,
-                              LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveOutQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (DefBlock == Q) {
-    // num() is a bijection, so "any use block != def" is "any num != DefNum".
-    for (const unsigned *U = NumsBegin; U != NumsEnd; ++U)
-      if (*U != DefNum)
-        return true;
-    return false;
-  }
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return NumScan(*this, DefNum, MaxDom, QNum, NumsBegin, NumsEnd,
-                 /*ExcludeTrivialQ=*/true, Sink);
-}
-
-bool LiveCheck::isLiveInMask(unsigned DefBlock, unsigned Q,
-                             const BitVector &UseMask,
-                             LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveInQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return MaskScan(*this, DefNum, MaxDom, QNum, UseMask.words(),
-                  UseMask.numWordsInUse(), /*ExcludeTrivialQ=*/false, Sink);
-}
-
-bool LiveCheck::isLiveOutMask(unsigned DefBlock, unsigned Q,
-                              const BitVector &UseMask,
-                              LiveCheckStats *Sink) const {
-  if (Sink)
-    ++Sink->LiveOutQueries;
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned QNum = DT.num(Q);
-  if (DefBlock == Q)
-    return UseMask.anyExcept(DefNum);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (QNum <= DefNum || MaxDom < QNum)
-    return false;
-  return MaskScan(*this, DefNum, MaxDom, QNum, UseMask.words(),
-                  UseMask.numWordsInUse(), /*ExcludeTrivialQ=*/true, Sink);
-}
-
 //===----------------------------------------------------------------------===//
 // Batch sweep
 //===----------------------------------------------------------------------===//
@@ -1383,24 +1149,8 @@ void LiveCheck::liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
   for (const unsigned *U = UsesBegin; U != UsesEnd; ++U)
     UseMask.set(DT.num(*U));
 
-  unsigned Lo = DefNum + 1;
-  if (Opts.Storage != TStorage::Arena) {
-    // Non-arena layouts: one mask query per interval block and direction.
-    for (unsigned QNum = Lo; QNum <= MaxDom; ++QNum) {
-      if (In && MaskScan(*this, DefNum, MaxDom, QNum, UseMask.words(),
-                         UseMask.numWordsInUse(),
-                         /*ExcludeTrivialQ=*/false, nullptr))
-        In->set(DT.nodeAtNum(QNum));
-      if (Out && MaskScan(*this, DefNum, MaxDom, QNum, UseMask.words(),
-                          UseMask.numWordsInUse(),
-                          /*ExcludeTrivialQ=*/true, nullptr))
-        Out->set(DT.nodeAtNum(QNum));
-    }
-    return;
-  }
-
-  // Arena fast path: two linear passes over the arena instead of one scan
-  // per block, shared between the two directions.
+  // Two linear passes over the arena instead of one scan per block, shared
+  // between the two directions.
   //
   // Pass 1 marks the "good" targets: t ∈ (DefNum, MaxDom] with
   // R_t ∩ uses != ∅ (the body of Algorithm 1 line 4, evaluated once per
@@ -1413,6 +1163,7 @@ void LiveCheck::liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
   // existential formulation matches the scan kernels including the
   // Theorem-2 fast path: on reducible CFGs the most-dominating target's
   // verdict agrees with the disjunction over all targets.
+  unsigned Lo = DefNum + 1;
   unsigned Stride = RMat.strideWords();
   const BitMatrix::Word *MaskW = UseMask.words();
   auto GoodH = pool::scratchBitset(NumNodes);
@@ -1460,8 +1211,7 @@ void LiveCheck::answerPreparedRun(const PreparedVar &V,
   // The sweep amortizes one interval pass over the run; below the
   // break-even (short runs, or runs small next to the dominance interval)
   // the per-probe scan kernels with their subtree skips are cheaper.
-  bool Sweep = Opts.Storage == TStorage::Arena && N >= 8 &&
-               std::size_t(Interval) <= N * 8;
+  bool Sweep = N >= 8 && std::size_t(Interval) <= N * 8;
   if (!Sweep) {
     for (std::size_t I = 0; I != N; ++I)
       Answers[I] = Probes[I].IsLiveOut
@@ -1626,17 +1376,10 @@ void LiveCheck::answerPreparedRun(const PreparedVar &V,
 //===----------------------------------------------------------------------===//
 
 size_t LiveCheck::memoryBytes() const {
-  // Everything a resident engine holds: set payloads in the active layout,
-  // per-row container headers, the per-node side tables the scan loop
-  // reads, and the arena bookkeeping.
+  // Everything a resident engine holds: the R/T arenas, the per-node side
+  // tables the scan loop reads, and the arena bookkeeping.
   size_t Bytes = RMat.memoryBytes() + TMat.memoryBytes() +
                  2 * sizeof(BitMatrix);
-  for (const BitVector &B : RByNum)
-    Bytes += B.memoryBytes() + sizeof(BitVector);
-  for (const BitVector &B : TByNum)
-    Bytes += B.memoryBytes() + sizeof(BitVector);
-  for (const auto &T : TSortedByNum)
-    Bytes += T.capacity() * sizeof(unsigned) + sizeof(T);
   Bytes += MaxNumByNum.capacity() * sizeof(unsigned);
   Bytes += BackTargetByNum.capacity() * sizeof(std::uint8_t);
   // Retained incremental-update state (Opts.Incremental engines only).

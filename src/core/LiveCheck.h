@@ -24,43 +24,29 @@
 /// uses, or whole instructions never invalidates it — the property that
 /// motivates the paper.
 ///
-/// ## Memory-layout contract (TStorage)
+/// ## Memory layout
 ///
 /// The R and T sets are logically N x N bit matrices indexed by dominance
-/// preorder number on both axes. How they are *physically* held is fixed at
-/// construction and never changes afterwards:
-///
-///   * `Arena` (default): both matrices live in one contiguous word arena
-///     each (support/BitMatrix) — row t of R is `base + t * stride` with no
-///     per-row heap object, so the precomputation sweeps are linear passes
-///     and a query's row access is offset arithmetic instead of a pointer
-///     chase. This is the hot-path layout.
-///   * `Bitset`: one heap-allocated BitVector per row, the pre-refactor
-///     layout, kept as the ablation/benchmark baseline (bench_storage
-///     measures the arena's advantage against exactly this).
-///   * `SortedArray`: R stays in the arena; each T row is converted to a
-///     sorted array of preorder numbers (the paper's own Section-6.1
-///     suggestion) and the T arena is released.
-///
-/// All layouts answer every query identically; the property tests assert
-/// this bit for bit. The scan loop itself is not branched per query either:
-/// the constructor binds function-pointer kernels specialized (by template
-/// instantiation) for the layout and the subtree-skip setting, so
-/// `Opts.Storage`/`Opts.SubtreeSkip` are consulted exactly once.
+/// preorder number on both axes. Both live in one contiguous word arena
+/// each (support/BitMatrix): row t of R is `base + t * stride` with no
+/// per-row heap object, so the precomputation sweeps are linear passes and
+/// a query's row access is offset arithmetic instead of a pointer chase.
+/// The scan loop is not branched per query: the constructor binds
+/// function-pointer kernels specialized (by template instantiation) for
+/// the subtree-skip and fast-path settings, so `Opts.SubtreeSkip` is
+/// consulted exactly once.
 ///
 /// ## The renumbered query plane
 ///
 /// The engine's native coordinate system is the dominance preorder number.
-/// The classic entry points take block ids and used to re-translate every
-/// use through DT.num() once per *target* (O(targets x uses) array loads on
-/// the hottest loop); they now number the span once per query. Callers that
-/// can do that numbering themselves — FunctionLiveness, the batch driver,
-/// the benches — use the `*Nums` entry points with a sorted, deduplicated
-/// span of use numbers, or the `*Mask` entry points with a bitset of use
-/// numbers for high-use-count variables (the per-target test then collapses
-/// to a word-level `R_t ∩ UseMask != ∅` sweep). `liveInBlocks`/
-/// `liveOutBlocks` answer the query for *every* block of the dominance
-/// interval in one two-pass sweep over the arena.
+/// The block-id entry points number the use span once per query. Callers
+/// that reuse a variable across queries translate it once into a
+/// `PreparedVar`: the def's dominance interval plus a span of use numbers,
+/// or a bitset of use numbers for high-use-count variables (the
+/// per-target test then collapses to a word-level `R_t ∩ UseMask != ∅`
+/// sweep). core/PreparedCache keeps one per value and is the production
+/// path. `liveInBlocks`/`liveOutBlocks` answer the query for *every* block
+/// of the dominance interval in one two-pass sweep over the arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,23 +80,6 @@ enum class TMode {
   Filtered,
 };
 
-/// How the R and T sets are stored for querying (see the memory-layout
-/// contract in the file comment).
-enum class TStorage {
-  /// One heap BitVector per row — the pre-refactor layout, kept as the
-  /// bench/ablation baseline.
-  Bitset,
-  /// T rows as sorted arrays of dominance-preorder numbers — the paper's
-  /// own suggestion (Section 6.1): "future implementations could use
-  /// sorted arrays instead of bitsets to save space in case of larger
-  /// CFGs and speed up the loop iteration (by abandoning
-  /// bitset_next_set)". T sets contain only back-edge targets, so the
-  /// arrays are tiny (back edges are ~4% of edges). R stays in the arena.
-  SortedArray,
-  /// Both matrices in contiguous BitMatrix arenas (default).
-  Arena,
-};
-
 /// Tuning/ablation switches.
 struct LiveCheckOptions {
   TMode Mode = TMode::Propagated;
@@ -120,7 +89,6 @@ struct LiveCheckOptions {
   /// Allow the Theorem-2 single-test fast path when the CFG is reducible
   /// and Mode == Filtered.
   bool ReducibleFastPath = true;
-  TStorage Storage = TStorage::Arena;
   /// Retain the (small) snapshot state that lets update() repatch R/T rows
   /// in place after CFG edits instead of recomputing everything. Costs a
   /// few per-node side arrays plus node-space copies of the back-edge
@@ -175,16 +143,15 @@ public:
   /// applied to the referenced CFG. Call order matters: the referenced DFS
   /// must already be recomputed and the referenced DomTree repaired for
   /// the post-edit graph (AnalysisManager::refresh orchestrates exactly
-  /// this sequence). Under TStorage::Arena with Opts.Incremental set, the
-  /// engine diffs the old and new back-edge sets and dominance numbering
-  /// against its retained snapshot and repatches only the R/T rows whose
-  /// reduced-reachability or back-target sets can have changed (plus a
-  /// row/column permutation of the arena when the preorder numbering
-  /// shifted); otherwise — including node-count changes, numbering shifts
-  /// or affected sets past half the graph, and the non-arena layouts — it
-  /// recomputes everything in place. Either way the result answers every
-  /// query identically to a freshly constructed engine, which the
-  /// differential fuzz suite asserts bit for bit.
+  /// this sequence). With Opts.Incremental set, the engine diffs the old
+  /// and new back-edge sets and dominance numbering against its retained
+  /// snapshot and repatches only the R/T rows whose reduced-reachability
+  /// or back-target sets can have changed (plus a row/column permutation
+  /// of the arena when the preorder numbering shifted); otherwise —
+  /// including node-count changes and numbering shifts or affected sets
+  /// past half the graph — it recomputes everything in place. Either way
+  /// the result answers every query identically to a freshly constructed
+  /// engine, which the differential fuzz suite asserts bit for bit.
   void update(const CFGDelta *B, const CFGDelta *E);
 
   const LiveCheckUpdateStats &updateStats() const { return UStats; }
@@ -217,33 +184,16 @@ public:
                      Sink);
   }
 
-  /// \name Pre-numbered query plane.
-  /// The span [\p NumsBegin, \p NumsEnd) holds dominance-preorder numbers
-  /// (DT.num of the Definition-1 use blocks), in any order; duplicates are
-  /// allowed and merely cost a redundant probe, so callers sort/dedup only
-  /// when a span is reused often enough to pay for it. Numbering once per
-  /// query — or once per variable when the caller batches — replaces the
-  /// per-target re-translation the block-id entry points historically did.
+  /// \name Prepared-variable query plane.
   /// @{
-  bool isLiveInNums(unsigned DefBlock, unsigned Q, const unsigned *NumsBegin,
-                    const unsigned *NumsEnd,
-                    LiveCheckStats *Sink = nullptr) const;
-  bool isLiveOutNums(unsigned DefBlock, unsigned Q, const unsigned *NumsBegin,
-                     const unsigned *NumsEnd,
-                     LiveCheckStats *Sink = nullptr) const;
-  /// Mask variants: \p UseMask has numNodes() bits, bit n set iff some use
-  /// block has preorder number n. Meant for high-use-count variables,
-  /// where one word sweep beats per-use bit probes.
-  bool isLiveInMask(unsigned DefBlock, unsigned Q, const BitVector &UseMask,
-                    LiveCheckStats *Sink = nullptr) const;
-  bool isLiveOutMask(unsigned DefBlock, unsigned Q, const BitVector &UseMask,
-                     LiveCheckStats *Sink = nullptr) const;
-
   /// A variable fully translated into the engine's coordinate system, built
   /// once and reused across any number of queries: the def's dominance
   /// interval plus the numbered use span (and optionally a use mask, which
   /// takes precedence when non-null). The spans alias caller storage, which
-  /// must outlive the queries.
+  /// must outlive the queries. The use span holds dominance-preorder
+  /// numbers (DT.num of the Definition-1 use blocks) in any order;
+  /// duplicates merely cost a redundant probe, so callers sort/dedup only
+  /// when a span is reused often enough to pay for it.
   ///
   /// Lifetime contract: every field is expressed in the dominance preorder
   /// numbering of the DomTree the engine was built (or last update()d)
@@ -259,7 +209,7 @@ public:
   struct PreparedVar {
     unsigned DefNum = 0;            ///< DT.num(def block).
     unsigned MaxDom = 0;            ///< DT.maxnum(def block).
-    const unsigned *NumsBegin = nullptr; ///< Sorted, deduped use numbers.
+    const unsigned *NumsBegin = nullptr; ///< Use numbers.
     const unsigned *NumsEnd = nullptr;
     /// Optional use mask over numbers as a raw word span (engaged when
     /// non-null, taking precedence over the Nums span). A raw span rather
@@ -340,14 +290,14 @@ public:
   /// probe — the batch driver's locality-grouped path relies on that, and
   /// tests/core pins it differentially.
   ///
-  /// Under TStorage::Arena with enough probes relative to the dominance
-  /// interval, the kernel amortizes: one pass over the interval classifies
+  /// With enough probes relative to the dominance interval, the kernel
+  /// amortizes: one pass over the interval classifies
   /// every target t by `R_t ∩ uses != ∅` (the Algorithm-1 verdict, plus the
   /// self-excluded variant Algorithm 2 needs) into pooled Good/GoodSelf
   /// rows, then each probe becomes one word-parallel
   /// `T_q ∩ Good != ∅` range sweep — the same two-pass structure as
   /// liveInBlocks, but only over the blocks actually asked about. Short
-  /// runs and non-arena layouts fall back to the per-probe entry points.
+  /// runs fall back to the per-probe entry points.
   ///
   /// Stats contract: LiveInQueries/LiveOutQueries in \p Sink count exactly
   /// one per probe regardless of path; TargetsVisited/UseTests count the
@@ -362,9 +312,8 @@ public:
   /// Answers the query for every block at once: \p Out is resized to the
   /// node count and bit b is set iff the variable (def block \p DefBlock,
   /// Definition-1 use blocks \p Uses, block ids) is live-in (respectively
-  /// live-out) at block b. Under TStorage::Arena this is a two-pass
-  /// word-level sweep of the dominance interval — O(interval² / 64) instead
-  /// of interval many scans; other layouts fall back to per-block queries.
+  /// live-out) at block b: a two-pass word-level sweep of the dominance
+  /// interval — O(interval² / 64) instead of interval many scans.
   /// @{
   void liveInBlocks(unsigned DefBlock, const unsigned *UsesBegin,
                     const unsigned *UsesEnd, BitVector &Out) const {
@@ -376,7 +325,7 @@ public:
   }
   /// Both directions in one call: the expensive first pass (per-target
   /// R ∩ uses verdicts) is shared, roughly halving the work of callers
-  /// that need live-in and live-out together (the block-sweep backend).
+  /// that need live-in and live-out together.
   void liveInOutBlocks(unsigned DefBlock, const unsigned *UsesBegin,
                        const unsigned *UsesEnd, BitVector &In,
                        BitVector &Out) const {
@@ -401,13 +350,13 @@ public:
   /// @{
   /// Reduced reachability: is \p To in R_{From}? (Definition 4)
   bool isReducedReachable(unsigned From, unsigned To) const {
-    if (Opts.Storage == TStorage::Bitset)
-      return RByNum[DT.num(From)].test(DT.num(To));
     return RMat.test(DT.num(From), DT.num(To));
   }
 
   /// Membership in the precomputed T set: is \p T in T_{Of}?
-  bool isInT(unsigned Of, unsigned T) const;
+  bool isInT(unsigned Of, unsigned T) const {
+    return TMat.test(DT.num(Of), DT.num(T));
+  }
 
   /// Whether the single-test fast path is active.
   bool usesReducibleFastPath() const { return FastPath; }
@@ -427,18 +376,14 @@ public:
 
   const LiveCheckOptions &options() const { return Opts; }
 
-  /// Bytes held by the engine: the R/T payloads in whatever layout is
-  /// active (the quadratic footprint Sections 6.1 and 8 discuss) plus the
-  /// per-node side tables (MaxNumByNum, BackTargetByNum) and container
-  /// metadata, so the bench memory numbers reflect what a resident engine
-  /// actually costs.
+  /// Bytes held by the engine: the R/T arenas (the quadratic footprint
+  /// Sections 6.1 and 8 discuss) plus the per-node side tables
+  /// (MaxNumByNum, BackTargetByNum) and container metadata, so the bench
+  /// memory numbers reflect what a resident engine actually costs.
   size_t memoryBytes() const;
   /// @}
 
 private:
-  /// Which physical layout the bound kernels read (see TStorage).
-  enum class ScanLayout { Legacy, Arena, Sorted };
-
   using SpanScanFn = bool (*)(const LiveCheck &, unsigned DefNum,
                               unsigned MaxDom, unsigned QNum,
                               const unsigned *Begin, const unsigned *End,
@@ -480,9 +425,6 @@ private:
   void propagateT(const std::vector<BitVector> &AtSource);
   void computeTPropagated();
   void computeTFiltered();
-  /// Moves the freshly computed arena matrices into the layout Opts.Storage
-  /// requests and binds the scan kernels.
-  void finalizeStorage();
 
   /// \name Incremental update machinery (see update()).
   /// @{
@@ -498,41 +440,26 @@ private:
   /// the interval.
   bool permuteInterval(unsigned Lo, unsigned Hi);
   /// @}
-  template <ScanLayout L> void bindKernels();
-  template <ScanLayout L, bool Skip> void bindKernelsSkip();
-  template <ScanLayout L, bool Skip, bool FP> void bindKernelsFull();
+  /// Binds the scan kernels for the current SubtreeSkip/FastPath settings.
+  void bindKernels();
+  template <bool Skip> void bindKernelsSkip();
+  template <bool Skip, bool FP> void bindKernelsFull();
 
-  /// The pre-refactor query path, preserved verbatim (runtime option
-  /// branching, per-target DT.num() re-translation, per-row BitVectors).
-  /// Bound as the block-id entry of the legacy Bitset layout so
-  /// bench_storage measures the historical baseline, not a retuned one.
-  bool legacyTestTarget(unsigned TNum, unsigned QNum,
-                        const unsigned *UsesBegin, const unsigned *UsesEnd,
-                        bool ExcludeTrivialQ, bool &Decided,
-                        LiveCheckStats *Sink) const;
-  bool legacyScanTargets(unsigned DefNum, unsigned MaxDom, unsigned QNum,
-                         const unsigned *UsesBegin, const unsigned *UsesEnd,
-                         bool ExcludeTrivialQ, LiveCheckStats *Sink) const;
-  static bool legacyBlockKernel(const LiveCheck &LC, unsigned DefNum,
-                                unsigned MaxDom, unsigned QNum,
-                                const unsigned *Begin, const unsigned *End,
-                                bool ExcludeTrivialQ, LiveCheckStats *Sink);
-
-  template <ScanLayout L, bool Skip, bool FP, class Uses>
+  template <bool Skip, bool FP, class Uses>
   static bool scanImpl(const LiveCheck &LC, unsigned DefNum, unsigned MaxDom,
                        unsigned QNum, Uses U, bool ExcludeTrivialQ,
                        LiveCheckStats *Sink);
-  template <ScanLayout L, bool Skip, bool FP>
+  template <bool Skip, bool FP>
   static bool renumberingKernel(const LiveCheck &LC, unsigned DefNum,
                                 unsigned MaxDom, unsigned QNum,
                                 const unsigned *Begin, const unsigned *End,
                                 bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  template <ScanLayout L, bool Skip, bool FP>
+  template <bool Skip, bool FP>
   static bool numSpanKernel(const LiveCheck &LC, unsigned DefNum,
                             unsigned MaxDom, unsigned QNum,
                             const unsigned *Begin, const unsigned *End,
                             bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  template <ScanLayout L, bool Skip, bool FP>
+  template <bool Skip, bool FP>
   static bool maskKernel(const LiveCheck &LC, unsigned DefNum,
                          unsigned MaxDom, unsigned QNum,
                          const std::uint64_t *MaskWords,
@@ -551,22 +478,15 @@ private:
   unsigned NumNodes = 0;
   bool FastPath = false;
 
-  /// Arena layout: R and T as contiguous matrices (row == preorder number).
-  /// R stays resident for Arena and SortedArray; both are released under
-  /// the legacy Bitset layout after materializing the per-row vectors.
+  /// R and T as contiguous matrices (row == preorder number).
   BitMatrix RMat;
   BitMatrix TMat;
-  /// Legacy layout (TStorage::Bitset only).
-  std::vector<BitVector> RByNum;
-  std::vector<BitVector> TByNum;
-  /// TStorage::SortedArray rows.
-  std::vector<std::vector<unsigned>> TSortedByNum;
   /// maxnum() by dominance preorder number (subtree skipping).
   std::vector<unsigned> MaxNumByNum;
   /// Back-edge-target flag by preorder number (Algorithm 2 line 8).
   std::vector<std::uint8_t> BackTargetByNum;
 
-  /// \name Retained update state (Opts.Incremental under Arena only).
+  /// \name Retained update state (Opts.Incremental only).
   /// Snapshots of the coordinate system and the T-set inputs as of the
   /// last build/repatch, all numbering-independent (node space) where the
   /// numbering itself can shift. update() diffs the next state against
@@ -599,9 +519,7 @@ private:
 
   /// Scan kernels bound once at construction — the per-query dispatch is
   /// one indirect call, never an Opts branch. BlockScan takes block-id
-  /// spans (on the legacy layout it is the historical per-target
-  /// re-translation, preserved as the bench baseline; elsewhere it numbers
-  /// the span once and forwards to NumScan's kernel).
+  /// spans; it numbers the span once and forwards to NumScan's kernel.
   SpanScanFn BlockScan = nullptr;
   SpanScanFn NumScan = nullptr;
   MaskScanFn MaskScan = nullptr;

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <thread>
 
 using namespace ssalive;
 
@@ -56,12 +57,6 @@ const char *ssalive::batchBackendName(BatchBackend B) {
     return "propagated";
   case BatchBackend::LiveCheckFiltered:
     return "filtered";
-  case BatchBackend::LiveCheckSorted:
-    return "sorted";
-  case BatchBackend::LiveCheckBitset:
-    return "bitset";
-  case BatchBackend::LiveCheckBlockSweep:
-    return "block-sweep";
   case BatchBackend::Dataflow:
     return "dataflow";
   case BatchBackend::PathExploration:
@@ -71,11 +66,7 @@ const char *ssalive::batchBackendName(BatchBackend B) {
 }
 
 bool ssalive::parseBatchBackend(const std::string &Name, BatchBackend &Out) {
-  for (BatchBackend B :
-       {BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-        BatchBackend::LiveCheckSorted, BatchBackend::LiveCheckBitset,
-        BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-        BatchBackend::PathExploration})
+  for (BatchBackend B : AllBatchBackends)
     if (Name == batchBackendName(B)) {
       Out = B;
       return true;
@@ -87,10 +78,6 @@ const char *ssalive::queryPlaneName(QueryPlane P) {
   switch (P) {
   case QueryPlane::BlockId:
     return "block-id";
-  case QueryPlane::Nums:
-    return "nums";
-  case QueryPlane::Mask:
-    return "mask";
   case QueryPlane::Prepared:
     return "prepared";
   }
@@ -98,29 +85,9 @@ const char *ssalive::queryPlaneName(QueryPlane P) {
 }
 
 bool ssalive::parseQueryPlane(const std::string &Name, QueryPlane &Out) {
-  for (QueryPlane P : {QueryPlane::BlockId, QueryPlane::Nums,
-                       QueryPlane::Mask, QueryPlane::Prepared})
+  for (QueryPlane P : AllQueryPlanes)
     if (Name == queryPlaneName(P)) {
       Out = P;
-      return true;
-    }
-  return false;
-}
-
-const char *ssalive::batchScheduleName(BatchSchedule S) {
-  switch (S) {
-  case BatchSchedule::Static:
-    return "static";
-  case BatchSchedule::Stealing:
-    return "stealing";
-  }
-  return "unknown";
-}
-
-bool ssalive::parseBatchSchedule(const std::string &Name, BatchSchedule &Out) {
-  for (BatchSchedule S : {BatchSchedule::Static, BatchSchedule::Stealing})
-    if (Name == batchScheduleName(S)) {
-      Out = S;
       return true;
     }
   return false;
@@ -145,36 +112,14 @@ LiveCheckStats BatchResult::totalEngineStats() const {
 LiveCheckOptions
 BatchLivenessDriver::liveCheckOptionsFor(BatchBackend B) {
   LiveCheckOptions Opts;
-  switch (B) {
-  case BatchBackend::LiveCheckPropagated:
-  case BatchBackend::LiveCheckBlockSweep:
-    Opts.Mode = TMode::Propagated;
-    Opts.Storage = TStorage::Arena;
-    break;
-  case BatchBackend::LiveCheckFiltered:
+  if (B == BatchBackend::LiveCheckFiltered)
     Opts.Mode = TMode::Filtered;
-    Opts.Storage = TStorage::Arena;
-    break;
-  case BatchBackend::LiveCheckSorted:
-    Opts.Mode = TMode::Propagated;
-    Opts.Storage = TStorage::SortedArray;
-    break;
-  case BatchBackend::LiveCheckBitset:
-    Opts.Mode = TMode::Propagated;
-    Opts.Storage = TStorage::Bitset;
-    break;
-  default:
-    break;
-  }
   return Opts;
 }
 
 bool ssalive::batchBackendUsesLiveCheck(BatchBackend B) {
   return B == BatchBackend::LiveCheckPropagated ||
-         B == BatchBackend::LiveCheckFiltered ||
-         B == BatchBackend::LiveCheckSorted ||
-         B == BatchBackend::LiveCheckBitset ||
-         B == BatchBackend::LiveCheckBlockSweep;
+         B == BatchBackend::LiveCheckFiltered;
 }
 
 bool BatchLivenessDriver::usesLiveCheck() const {
@@ -228,19 +173,15 @@ struct FrameView {
   const std::vector<BatchQuery> &Workload;
   const std::vector<const Function *> &Funcs;
   const std::vector<const LiveCheck *> &Engines;
-  const std::vector<const DomTree *> &Trees;
   const std::vector<std::unique_ptr<PreparedCache>> &Prepared;
   const std::vector<std::unique_ptr<LivenessQueries>> &Baselines;
   std::vector<std::uint8_t> &Answers;
-  /// The LiveCheck entry point; BlockId whenever the backend has no
-  /// renumbered plane (block-sweep, or trees not resolved).
+  /// The LiveCheck entry point; BlockId for the baselines.
   QueryPlane Plane;
   bool UsesLiveCheck;
   /// Same-value runs go through one prepared variable and, from
   /// MinKernelRun queries on, one multi-query kernel call.
   bool Grouped;
-  /// The block-sweep backend: one interval sweep per same-value run.
-  bool Sweep;
 };
 
 /// Answers queries of one frame on one thread: a worker's share of the
@@ -252,7 +193,7 @@ class FrameWorker {
 public:
   explicit FrameWorker(const FrameView &Fr)
       : Fr(Fr), W(Fr.Workload), UsesH(pool::scratchArray()),
-        NumsH(pool::scratchArray()), HitsH(pool::scratchArray()) {
+        HitsH(pool::scratchArray()) {
     if (Fr.Plane == QueryPlane::Prepared)
       HitsH->assign(Fr.Funcs.size(), 0);
   }
@@ -271,17 +212,14 @@ public:
   /// stale or missing are appended to \p Deferred instead.
   void answerSpan(std::size_t Begin, std::size_t End,
                   std::vector<std::size_t> &Deferred) {
-    if (!Fr.Grouped && !Fr.Sweep) {
+    if (!Fr.Grouped) {
       for (std::size_t I = Begin; I != End; ++I)
         answerOne(I, Deferred);
       return;
     }
     auto At = [Begin](std::size_t K) { return Begin + K; };
     forEachRun(At, End - Begin, [&](std::size_t K, std::size_t RunEnd) {
-      if (Fr.Sweep)
-        sweepRun(At, K, RunEnd);
-      else
-        groupedRun(At, K, RunEnd, Deferred);
+      groupedRun(At, K, RunEnd, Deferred);
     });
   }
 
@@ -325,7 +263,7 @@ private:
   }
 
   /// The run [K, RunEnd) of one value through its prepared variable \p PV:
-  /// one multi-query kernel call for a long run on a grouped plane, the
+  /// one multi-query kernel call for a long run when grouping, the
   /// per-probe prepared kernels otherwise.
   template <class AtFn>
   void answerRun(AtFn At, std::size_t K, std::size_t RunEnd,
@@ -353,7 +291,7 @@ private:
       record(At(K + J), RunAnswers[J]);
   }
 
-  /// A same-value run on a grouped renumbered plane.
+  /// A same-value run on the grouped prepared plane.
   template <class AtFn>
   void groupedRun(AtFn At, std::size_t K, std::size_t RunEnd,
                   std::vector<std::size_t> &Deferred) {
@@ -361,63 +299,14 @@ private:
     const Value &V = *Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId);
     if (!queryableValue(V))
       return; // Answers start out 0.
-    const LiveCheck &E = *Fr.Engines[Lead.FuncIndex];
-    if (Fr.Plane == QueryPlane::Prepared) {
-      const LiveCheck::PreparedVar *PV = Fr.Prepared[Lead.FuncIndex]->lookup(V);
-      if (!PV) {
-        for (std::size_t J = K; J != RunEnd; ++J)
-          Deferred.push_back(At(J));
-        return;
-      }
-      (*HitsH)[Lead.FuncIndex] += static_cast<unsigned>(RunEnd - K);
-      answerRun(At, K, RunEnd, *PV, E);
+    const LiveCheck::PreparedVar *PV = Fr.Prepared[Lead.FuncIndex]->lookup(V);
+    if (!PV) {
+      for (std::size_t J = K; J != RunEnd; ++J)
+        Deferred.push_back(At(J));
       return;
     }
-    // The differential planes re-derive the variable — the translation
-    // cost they exist to measure — once per run instead of once per query.
-    LiveCheck::PreparedVar Local;
-    collectUses(V);
-    const DomTree &DT = *Fr.Trees[Lead.FuncIndex];
-    E.prepareDef(defBlockId(V), Local);
-    if (Fr.Plane == QueryPlane::Nums) {
-      numberUses(DT);
-      Local.NumsBegin = Nums().data();
-      Local.NumsEnd = Nums().data() + Nums().size();
-    } else {
-      maskUses(DT, E);
-      Local.setMask(*MaskH);
-    }
-    answerRun(At, K, RunEnd, Local, E);
-  }
-
-  /// A same-value run on the block-sweep backend: one liveIn/OutBlocks
-  /// sweep, then each query is a bit test. The last swept value is kept
-  /// across runs, so a value continuing into the next chunk sweeps once.
-  template <class AtFn>
-  void sweepRun(AtFn At, std::size_t K, std::size_t RunEnd) {
-    const BatchQuery &Lead = W[At(K)];
-    if (!InBlocksH) {
-      InBlocksH = pool::bitsets().acquire();
-      OutBlocksH = pool::bitsets().acquire();
-    }
-    if (Lead.FuncIndex != CachedFunc || Lead.ValueId != CachedVal) {
-      CachedFunc = Lead.FuncIndex;
-      CachedVal = Lead.ValueId;
-      const Value &V = *Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId);
-      CachedQueryable = queryableValue(V);
-      if (CachedQueryable) {
-        collectUses(V);
-        Fr.Engines[Lead.FuncIndex]->liveInOutBlocks(defBlockId(V), Uses(),
-                                                    *InBlocksH, *OutBlocksH);
-      }
-    }
-    if (!CachedQueryable)
-      return;
-    for (std::size_t J = K; J != RunEnd; ++J) {
-      const BatchQuery &Q = W[At(J)];
-      record(At(J), Q.IsLiveOut ? OutBlocksH->test(Q.BlockId)
-                                : InBlocksH->test(Q.BlockId));
-    }
+    (*HitsH)[Lead.FuncIndex] += static_cast<unsigned>(RunEnd - K);
+    answerRun(At, K, RunEnd, *PV, *Fr.Engines[Lead.FuncIndex]);
   }
 
   /// One query in arrival order — the block-id plane, the standalone
@@ -436,9 +325,7 @@ private:
       return;
     }
     const LiveCheck &E = *Fr.Engines[Q.FuncIndex];
-    bool Answer = false;
-    switch (Fr.Plane) {
-    case QueryPlane::Prepared: {
+    if (Fr.Plane == QueryPlane::Prepared) {
       // The cached plane: a lock-free table read — no chain walk, no
       // numbering, no allocation per query.
       const LiveCheck::PreparedVar *P = Fr.Prepared[Q.FuncIndex]->lookup(V);
@@ -447,73 +334,30 @@ private:
         return;
       }
       ++(*HitsH)[Q.FuncIndex];
-      Answer = Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
-                           : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine);
-      break;
+      record(I, Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
+                            : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine));
+      return;
     }
-    // The non-cached planes re-derive the variable per query: their role
-    // as differential baselines.
-    case QueryPlane::BlockId:
-      collectUses(V);
-      Answer = Q.IsLiveOut ? E.isLiveOut(defBlockId(V), Q.BlockId, Uses(),
-                                         &Stats.Engine)
-                           : E.isLiveIn(defBlockId(V), Q.BlockId, Uses(),
-                                        &Stats.Engine);
-      break;
-    case QueryPlane::Nums: {
-      collectUses(V);
-      numberUses(*Fr.Trees[Q.FuncIndex]);
-      const unsigned *B = Nums().data(), *End = B + Nums().size();
-      Answer = Q.IsLiveOut ? E.isLiveOutNums(defBlockId(V), Q.BlockId, B, End,
-                                             &Stats.Engine)
-                           : E.isLiveInNums(defBlockId(V), Q.BlockId, B, End,
-                                            &Stats.Engine);
-      break;
-    }
-    case QueryPlane::Mask:
-      collectUses(V);
-      maskUses(*Fr.Trees[Q.FuncIndex], E);
-      Answer = Q.IsLiveOut ? E.isLiveOutMask(defBlockId(V), Q.BlockId,
-                                             *MaskH, &Stats.Engine)
-                           : E.isLiveInMask(defBlockId(V), Q.BlockId, *MaskH,
-                                            &Stats.Engine);
-      break;
-    }
-    record(I, Answer);
-  }
-
-  std::vector<unsigned> &Uses() { return *UsesH; }
-  std::vector<unsigned> &Nums() { return *NumsH; }
-  void collectUses(const Value &V) {
-    Uses().clear();
-    appendLiveUseBlocks(V, Uses());
-  }
-  void numberUses(const DomTree &DT) {
-    Nums().clear();
-    for (unsigned U : Uses())
-      Nums().push_back(DT.num(U));
-  }
-  void maskUses(const DomTree &DT, const LiveCheck &E) {
-    if (!MaskH)
-      MaskH = pool::bitsets().acquire();
-    MaskH->resize(E.numNodes());
-    MaskH->reset();
-    for (unsigned U : Uses())
-      MaskH->set(DT.num(U));
+    // The block-id plane re-derives the variable per query: its role as
+    // the differential baseline.
+    Uses.clear();
+    appendLiveUseBlocks(V, Uses);
+    unsigned Def = defBlockId(V);
+    record(I, Q.IsLiveOut
+                  ? E.isLiveOut(Def, Q.BlockId, Uses, &Stats.Engine)
+                  : E.isLiveIn(Def, Q.BlockId, Uses, &Stats.Engine));
   }
 
   const FrameView &Fr;
   const std::vector<BatchQuery> &W;
   // Scratch, reused across queries and (through the thread-local pools)
   // across batches: the buffers keep their capacity between runs.
-  pool::ArrayPool<unsigned>::Handle UsesH, NumsH;
+  pool::ArrayPool<unsigned>::Handle UsesH;
+  std::vector<unsigned> &Uses = *UsesH;
   /// Per-function lookup hits, folded into the caches on destruction.
   pool::ArrayPool<unsigned>::Handle HitsH;
-  pool::BitsetPool::Handle MaskH, InBlocksH, OutBlocksH;
   std::vector<LiveCheck::PreparedProbe> Probes;
   std::vector<std::uint8_t> RunAnswers;
-  std::uint32_t CachedFunc = ~0u, CachedVal = ~0u;
-  bool CachedQueryable = false;
 };
 
 } // namespace
@@ -561,15 +405,13 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   SSALIVE_SPAN("query-batch");
   std::vector<const LiveCheck *> Engines;
   std::vector<const DomTree *> Trees;
-  bool NeedsTrees = usesLiveCheck() &&
-                    Opts.Backend != BatchBackend::LiveCheckBlockSweep &&
-                    Opts.Plane != QueryPlane::BlockId;
-  bool UsesPreparedCache = NeedsTrees && Opts.Plane == QueryPlane::Prepared;
+  bool UsesPreparedCache =
+      usesLiveCheck() && Opts.Plane == QueryPlane::Prepared;
   bool ShardedFill = false;
   {
   SSALIVE_SPAN("precompute");
   if (usesLiveCheck()) {
-    resolveEngines(Engines, NeedsTrees ? &Trees : nullptr);
+    resolveEngines(Engines, UsesPreparedCache ? &Trees : nullptr);
   } else if (Baselines.empty()) {
     Baselines.resize(Funcs.size());
     Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
@@ -654,7 +496,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     Chunk = std::clamp<std::size_t>(
         NumQueries / (std::size_t(NumWorkers) * 8), 256, 4096);
   const std::size_t NumChunks = (NumQueries + Chunk - 1) / Chunk;
-  const bool Stealing = Opts.Schedule == BatchSchedule::Stealing;
   // One claim cursor per worker over its contiguous queue of chunks.
   // Thieves claim through the same cursor, so fetch_add tickets hand every
   // chunk to exactly one worker with no other synchronization; a skewed
@@ -663,25 +504,26 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   struct alignas(64) ChunkCursor {
     std::atomic<std::size_t> Next{0};
     std::size_t End = 0;
+    /// The thread running this cursor's worker slot; empty before the slot
+    /// starts and after it ends. Read only to classify steals.
+    std::atomic<std::thread::id> Runner{};
   };
-  std::vector<ChunkCursor> Cursors(Stealing ? NumWorkers : 0);
-  if (Stealing)
-    for (unsigned W = 0; W != NumWorkers; ++W) {
-      Cursors[W].Next.store(NumChunks * W / NumWorkers,
-                            std::memory_order_relaxed);
-      Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
-    }
+  std::vector<ChunkCursor> Cursors(NumWorkers);
+  for (unsigned W = 0; W != NumWorkers; ++W) {
+    Cursors[W].Next.store(NumChunks * W / NumWorkers,
+                          std::memory_order_relaxed);
+    Cursors[W].End = NumChunks * (W + 1) / NumWorkers;
+  }
   const FrameView Frame{Workload,
                         Funcs,
                         Engines,
-                        Trees,
                         Prepared,
                         Baselines,
                         Result.Answers,
-                        NeedsTrees ? Opts.Plane : QueryPlane::BlockId,
+                        UsesPreparedCache ? QueryPlane::Prepared
+                                          : QueryPlane::BlockId,
                         usesLiveCheck(),
-                        Opts.GroupChunks && NeedsTrees,
-                        Opts.Backend == BatchBackend::LiveCheckBlockSweep};
+                        Opts.GroupChunks && UsesPreparedCache};
   std::vector<std::vector<std::size_t>> Deferred(NumWorkers);
 
   Pool->runPerWorker([&](unsigned Worker) {
@@ -690,31 +532,28 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     // the scaling this driver exists to deliver.
     FrameWorker FW(Frame);
     std::vector<std::size_t> &Defer = Deferred[Worker];
-    if (!Stealing) {
-      std::size_t Begin = NumQueries * Worker / NumWorkers;
-      std::size_t End = NumQueries * (Worker + 1) / NumWorkers;
-      if (Begin != End) {
+    const std::thread::id Self = std::this_thread::get_id();
+    Cursors[Worker].Runner.store(Self, std::memory_order_relaxed);
+    // Drain the own queue first, then visit the other cursors round-robin.
+    // Chunks are never re-added, so one pass over every cursor claims
+    // everything. A claim is a steal only when the victim's slot is live
+    // on another thread: draining a slot nobody has started yet (the
+    // caller of a call no helper joined) moves no work between threads.
+    for (unsigned V = 0; V != NumWorkers; ++V) {
+      unsigned Victim = (Worker + V) % NumWorkers;
+      ChunkCursor &C = Cursors[Victim];
+      while (true) {
+        std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
+        if (Ticket >= C.End)
+          break;
+        std::thread::id Owner = C.Runner.load(std::memory_order_relaxed);
         ++FW.Stats.ChunksClaimed;
-        FW.answerSpan(Begin, End, Defer);
-      }
-    } else {
-      // Drain the own queue first, then visit the other cursors
-      // round-robin. Chunks are never re-added, so one pass over every
-      // cursor claims everything.
-      for (unsigned V = 0; V != NumWorkers; ++V) {
-        unsigned Victim = (Worker + V) % NumWorkers;
-        ChunkCursor &C = Cursors[Victim];
-        while (true) {
-          std::size_t Ticket = C.Next.fetch_add(1, std::memory_order_relaxed);
-          if (Ticket >= C.End)
-            break;
-          ++FW.Stats.ChunksClaimed;
-          FW.Stats.ChunksStolen += Victim != Worker;
-          FW.answerSpan(Ticket * Chunk,
-                        std::min((Ticket + 1) * Chunk, NumQueries), Defer);
-        }
+        FW.Stats.ChunksStolen += Owner != std::thread::id() && Owner != Self;
+        FW.answerSpan(Ticket * Chunk,
+                      std::min((Ticket + 1) * Chunk, NumQueries), Defer);
       }
     }
+    Cursors[Worker].Runner.store(std::thread::id(), std::memory_order_relaxed);
     Result.PerThread[Worker] = FW.Stats;
   });
   // The deferred pass, credited to the worker that deferred each query.

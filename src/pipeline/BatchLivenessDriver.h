@@ -9,14 +9,15 @@
 /// concurrently: functions without an engine yet are built across a thread
 /// pool, then the query stream is carved into chunks that the calling
 /// thread and any budgeted pool helpers claim through a work-stealing
-/// scheduler (static contiguous spans remain selectable) and answer against
-/// the shared read-only engines. Within a chunk, each maximal run of
-/// same-(function, value) queries in arrival order is served by one
-/// prepared variable, and long runs by one multi-query kernel call. On the
-/// cached prepared plane the fan-out only reads entries; queries whose
-/// entry is stale are deferred and answered by the caller after the join.
-/// Answers land in a per-query slot, so the result is byte-identical for
-/// any thread count and any schedule — the amortization story of the paper
+/// scheduler and answer against the shared read-only engines. On the
+/// cached prepared plane, each maximal run of same-(function, value)
+/// queries in arrival order within a chunk is served by one prepared
+/// variable, and long runs by one multi-query kernel call; the fan-out only
+/// reads entries, and queries whose entry is stale are deferred and
+/// answered by the caller after the join. The block-id plane and the
+/// baselines answer query by query as independent oracles. Answers land in
+/// a per-query slot, so the result is byte-identical for any thread count
+/// and any claim order — the amortization story of the paper
 /// (one CFG-only precomputation, unboundedly many queries) scaled from one
 /// function to a module under heavy query traffic.
 ///
@@ -40,65 +41,49 @@ class Function;
 class LivenessQueries;
 class ThreadPool;
 
-/// Which engine answers the workload.
-enum class BatchBackend {
-  LiveCheckPropagated, ///< The paper's engine, Section-5.2 T sets (arena).
-  LiveCheckFiltered,   ///< Exact Definition-5 sets + reducible fast path.
-  LiveCheckSorted,     ///< Propagated sets in sorted-array storage.
-  LiveCheckBitset,     ///< Legacy per-row BitVector layout (baseline).
-  LiveCheckBlockSweep, ///< Arena engine answered via liveIn/OutBlocks
-                       ///< sweeps, one per same-value run.
-  Dataflow,            ///< Iterative data-flow baseline ("Native").
-  PathExploration,     ///< Appel-Palsberg per-variable backwalk baseline.
+/// Which engine answers the workload. The values are the LoadModule wire
+/// ids of the liveness server; ids 2-4 belonged to removed storage-layout
+/// and block-sweep variants and stay unassigned, so a client that sends one
+/// gets Error(BadBackend) instead of a different engine.
+enum class BatchBackend : std::uint8_t {
+  LiveCheckPropagated = 0, ///< The paper's engine, Section-5.2 T sets.
+  LiveCheckFiltered = 1,   ///< Exact Definition-5 sets + reducible fast path.
+  Dataflow = 5,            ///< Iterative data-flow baseline ("Native").
+  PathExploration = 6,     ///< Appel-Palsberg per-variable backwalk baseline.
 };
+
+/// Every backend, in wire-id order.
+inline constexpr BatchBackend AllBatchBackends[] = {
+    BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
+    BatchBackend::Dataflow, BatchBackend::PathExploration};
 
 const char *batchBackendName(BatchBackend B);
 
-/// Parses "propagated", "filtered", "sorted", "bitset", "block-sweep",
-/// "dataflow", "path-exploration" (returns false on anything else).
+/// Parses "propagated", "filtered", "dataflow", "path-exploration"
+/// (returns false on anything else).
 bool parseBatchBackend(const std::string &Name, BatchBackend &Out);
 
-/// Which LiveCheck entry point answers each query (LiveCheck backends
-/// other than block-sweep; the baselines and the sweep ignore it). All
-/// planes answer identically — the liveness server exposes the selector so
-/// its differential clients can cross-exercise the whole renumbered query
-/// plane over the wire. Prepared is the default and the only plane with
-/// cross-batch state: the driver keeps a per-function PreparedCache, so a
-/// value queried in any earlier batch costs no chain walk ever again; the
-/// other planes re-derive the variable per query and exist as the
-/// differential surfaces the suites compare against.
+/// Which LiveCheck entry point answers each query (the LiveCheck backends;
+/// the baselines ignore it). Both planes answer identically. Prepared is
+/// the default and the only plane with cross-batch state: the driver keeps
+/// a per-function PreparedCache, so a value queried in any earlier batch
+/// costs no chain walk ever again. BlockId re-derives the variable per
+/// query and is the differential surface the suites compare against. The
+/// values are LoadModule wire ids; ids 1-2 belonged to removed planes and
+/// get Error(BadPlane).
 enum class QueryPlane : std::uint8_t {
-  BlockId,  ///< Classic block-id spans (isLiveIn/isLiveOut).
-  Nums,     ///< Pre-numbered spans (isLiveInNums/isLiveOutNums).
-  Mask,     ///< Use-number masks (isLiveInMask/isLiveOutMask).
-  Prepared, ///< Cached PreparedVar entries (core/PreparedCache).
+  BlockId = 0,  ///< Classic block-id spans (isLiveIn/isLiveOut).
+  Prepared = 3, ///< Cached PreparedVar entries (core/PreparedCache).
 };
+
+/// Every plane, in wire-id order.
+inline constexpr QueryPlane AllQueryPlanes[] = {QueryPlane::BlockId,
+                                                QueryPlane::Prepared};
 
 const char *queryPlaneName(QueryPlane P);
 
-/// Parses "block-id", "nums", "mask", "prepared".
+/// Parses "block-id", "prepared".
 bool parseQueryPlane(const std::string &Name, QueryPlane &Out);
-
-/// How phase 2 hands queries to workers. Either way every query writes only
-/// its own Answers slot, so the result bytes are schedule-independent; the
-/// scheduler-equivalence suite pins that.
-enum class BatchSchedule : std::uint8_t {
-  /// Deterministic contiguous spans `[size*W/N, size*(W+1)/N)` — the
-  /// pre-stealing behavior, kept as the differential baseline and for
-  /// reproducing per-worker assignment exactly.
-  Static,
-  /// Work-stealing chunk claiming: the stream is carved into chunks, each
-  /// worker owns a contiguous queue of them behind an atomic cursor, and a
-  /// worker that drains its queue claims from the other cursors round-robin.
-  /// Skewed workloads (hot values concentrating work in a few chunks) no
-  /// longer idle the unlucky workers' siblings.
-  Stealing,
-};
-
-const char *batchScheduleName(BatchSchedule S);
-
-/// Parses "static", "stealing".
-bool parseBatchSchedule(const std::string &Name, BatchSchedule &Out);
 
 /// True when \p B answers through the cached LiveCheck engines (and thus
 /// benefits from AnalysisManager::refresh after CFG edits); false for the
@@ -120,8 +105,9 @@ struct BatchOptions {
   /// when the driver is constructed over a shared pool.
   unsigned Threads = 1;
   /// LiveCheck entry point per query (see QueryPlane). The cached
-  /// prepared plane is the production default; the others re-derive the
-  /// variable per query and serve as differential baselines.
+  /// prepared plane is the production default; the block-id plane
+  /// re-derives the variable per query and serves as the differential
+  /// baseline.
   QueryPlane Plane = QueryPlane::Prepared;
   /// Sharded cold-fill gate (prepared plane, multi-worker pools only):
   /// when the estimated number of workload queries whose values lack a
@@ -135,18 +121,14 @@ struct BatchOptions {
   /// pass, not a full pre-scan. 0 forces sharding (tests); SIZE_MAX
   /// disables it.
   std::size_t ColdFillShardThreshold = 4096;
-  /// Phase-2 scheduling policy. Stealing is the production default; Static
-  /// reproduces the deterministic pre-stealing spans (answers are identical
-  /// either way — only the per-worker stats distribution differs).
-  BatchSchedule Schedule = BatchSchedule::Stealing;
   /// Queries per stealing chunk; 0 picks adaptively from the workload size
   /// (size / (workers * 8), clamped to [256, 4096]) so skewed workloads
   /// leave enough chunks to rebalance while small batches stay near one
   /// claim per worker.
   std::size_t ChunkSize = 0;
   /// Answer each maximal run of same-(function, value) queries in arrival
-  /// order on the renumbered planes through one prepared variable, and a
-  /// run of at least 8 queries through one LiveCheck::answerPreparedRun
+  /// order on the prepared plane through one prepared variable, and a run
+  /// of at least 8 queries through one LiveCheck::answerPreparedRun
   /// multi-query call. Queries are never reordered. On by default; off
   /// answers query by query — the baseline bench_querymix compares
   /// against, and a differential surface for the equivalence suite. (The
@@ -162,9 +144,12 @@ struct BatchOptions {
 /// registry instead (`ssalive_driver_*`).
 struct BatchThreadStats {
   std::uint64_t PositiveAnswers = 0;
-  /// Chunks this worker answered in phase 2 (under Static, 1 per non-empty
-  /// span); ChunksStolen is the subset claimed from another worker's queue.
-  /// Totals feed `ssalive_driver_chunks_total` / `ssalive_driver_steals_total`.
+  /// Chunks this logical worker answered in phase 2. ChunksStolen is the
+  /// subset claimed from another worker's queue while that worker was
+  /// running on a different thread — real load moving between threads. A
+  /// thread draining the queue of a worker slot that has not started (the
+  /// caller of a call no helper joined) steals nothing. Totals feed
+  /// `ssalive_driver_chunks_total` / `ssalive_driver_steals_total`.
   std::uint64_t ChunksClaimed = 0;
   std::uint64_t ChunksStolen = 0;
   LiveCheckStats Engine; ///< LiveCheck counters (zero for baselines).

@@ -224,10 +224,18 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   std::uint8_t Plane = R.u8();
   if (!R.ok())
     return countedError(ErrorCode::MalformedFrame, "load-module too short");
-  if (Backend > static_cast<std::uint8_t>(BatchBackend::PathExploration))
-    return countedError(ErrorCode::BadBackend, "backend id out of range");
-  if (Plane > static_cast<std::uint8_t>(QueryPlane::Prepared))
-    return countedError(ErrorCode::BadPlane, "query plane id out of range");
+  // Membership, not a range check: the id spaces have holes where removed
+  // variants used to be, and a hole must never be cast to an enumerator.
+  auto isId = [](std::uint8_t Id, const auto &Enumerators) {
+    for (auto E : Enumerators)
+      if (static_cast<std::uint8_t>(E) == Id)
+        return true;
+    return false;
+  };
+  if (!isId(Backend, AllBatchBackends))
+    return countedError(ErrorCode::BadBackend, "unknown backend id");
+  if (!isId(Plane, AllQueryPlanes))
+    return countedError(ErrorCode::BadPlane, "unknown query plane id");
 
   std::string Text = R.rest();
   ModuleParseResult P = parseModule(Text);

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// A dense Rows x Cols bit matrix in one contiguous word arena. This is the
-/// storage behind LiveCheck's R and T sets (TStorage::Arena): instead of one
-/// heap-allocated BitVector per CFG node — a pointer chase and a cold cache
-/// line per row touch — every row lives at a fixed stride inside a single
-/// allocation, so row i is `arena + i * stride` with no indirection, the
+/// storage behind LiveCheck's R and T sets: instead of one heap-allocated
+/// BitVector per CFG node — a pointer chase and a cold cache line per row
+/// touch — every row lives at a fixed stride inside a single allocation, so row i is `arena + i * stride` with no indirection, the
 /// precomputation sweeps are linear passes over one buffer, and a query's
 /// row accesses are plain offset arithmetic.
 ///

@@ -29,7 +29,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 namespace ssalive::testutil {
 
@@ -132,7 +137,7 @@ private:
 };
 
 /// A liveness backend answering through per-query-prepared PreparedVar
-/// entries (or the mask entries when \p UseMask is set): the variable is
+/// entries (over a use mask when \p UseMask is set): the variable is
 /// re-prepared on every query, never cached. Kept purely as a differential
 /// oracle for the production cached plane — FunctionLiveness now *is* the
 /// prepared path (via core/PreparedCache), and the ssa matrices compare
@@ -147,15 +152,11 @@ public:
 
   bool isLiveIn(const Value &V, const BasicBlock &B) override {
     prepare(V);
-    if (UseMask)
-      return Engine.isLiveInMask(defBlockId(V), B.id(), Mask);
     return Engine.isLiveInPrepared(Prep, B.id());
   }
 
   bool isLiveOut(const Value &V, const BasicBlock &B) override {
     prepare(V);
-    if (UseMask)
-      return Engine.isLiveOutMask(defBlockId(V), B.id(), Mask);
     return Engine.isLiveOutPrepared(Prep, B.id());
   }
 
@@ -178,7 +179,10 @@ private:
     Engine.prepareDef(defBlockId(V), Prep);
     Prep.NumsBegin = Nums.data();
     Prep.NumsEnd = Nums.data() + Nums.size();
-    Prep.clearMask();
+    if (UseMask)
+      Prep.setMask(Mask);
+    else
+      Prep.clearMask();
   }
 
   CFG Graph;
@@ -191,6 +195,42 @@ private:
   std::vector<unsigned> Nums;
   BitVector Mask;
 };
+
+/// A one-shot gate: wait() blocks until open() was called. Tests park
+/// every pool thread on one to prove a call completes without helpers.
+class Gate {
+public:
+  void open() {
+    std::lock_guard<std::mutex> Lock(M);
+    Open = true;
+    CV.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> Lock(M);
+    CV.wait(Lock, [this] { return Open; });
+  }
+
+private:
+  std::mutex M;
+  std::condition_variable CV;
+  bool Open = false;
+};
+
+/// Runs \p Body on a fresh thread and reports whether it finished within a
+/// generous deadline. On a miss, \p OnMiss runs before the join so the
+/// test fails instead of hanging.
+template <class Fn, class Unblock>
+bool finishesInTime(Fn &&Body, Unblock &&OnMiss) {
+  std::packaged_task<void()> Task(std::forward<Fn>(Body));
+  std::future<void> Done = Task.get_future();
+  std::thread T(std::move(Task));
+  bool InTime =
+      Done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!InTime)
+    OnMiss();
+  T.join();
+  return InTime;
+}
 
 } // namespace ssalive::testutil
 

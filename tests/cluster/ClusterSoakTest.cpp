@@ -304,11 +304,11 @@ TEST(ClusterSoak, ShardedDifferentialMatchesSingleSessionOracles) {
   };
   std::vector<PlanEntry> Plans = {
       {7001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {7002, BatchBackend::LiveCheckBitset, QueryPlane::BlockId},
-      {7003, BatchBackend::LiveCheckSorted, QueryPlane::Prepared},
-      {7004, BatchBackend::LiveCheckFiltered, QueryPlane::Mask},
-      {7005, BatchBackend::LiveCheckPropagated, QueryPlane::Nums},
-      {7006, BatchBackend::LiveCheckBlockSweep, QueryPlane::BlockId},
+      {7002, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId},
+      {7003, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {7004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
+      {7005, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
+      {7006, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
   };
   std::atomic<std::uint64_t> Frames{0};
   std::vector<std::thread> Clients;
@@ -324,7 +324,7 @@ TEST(ClusterSoak, ShardedDifferentialMatchesSingleSessionOracles) {
     Clients.emplace_back([&, I] {
       runShardedResumeClient(Server.boundTcpPort(), 7101 + I,
                              I == 0 ? BatchBackend::LiveCheckPropagated
-                                    : BatchBackend::LiveCheckBitset,
+                                    : BatchBackend::LiveCheckFiltered,
                              I);
     });
   for (std::thread &T : Clients)

@@ -1,15 +1,14 @@
-//===- tests/core/StoragePlaneTest.cpp ------------------------------------===//
+//===- tests/core/EntryPointTest.cpp --------------------------------------===//
 //
 // Part of the ssalive project, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The memory-layout contract of LiveCheck: every storage backend (legacy
-// Bitset, SortedArray, BitMatrix Arena) under both T modes must answer
-// every query identically through every entry point — classic block-id
-// spans, pre-numbered spans, use masks, prepared variables, and the
-// liveInBlocks/liveOutBlocks batch sweeps — and all of them must match the
-// brute-force oracle on random reducible and irreducible CFGs.
+// Every LiveCheck entry point under both T modes must match the
+// brute-force oracle on random reducible and irreducible CFGs: classic
+// block-id spans, prepared variables over an unsorted duplicate-bearing
+// use-number span, over the sorted/deduped span, and over a use mask, and
+// the liveInBlocks/liveOutBlocks batch sweeps.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +61,11 @@ struct Config {
   unsigned Seeds;
 };
 
-class StoragePlane : public ::testing::TestWithParam<Config> {};
+class EntryPoints : public ::testing::TestWithParam<Config> {};
 
 } // namespace
 
-TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
+TEST_P(EntryPoints, EveryEntryPointMatchesOracle) {
   const Config &C = GetParam();
   for (std::uint64_t Seed = 0; Seed != C.Seeds; ++Seed) {
     RandomEngine Rng(Seed * 52361 + 19);
@@ -79,26 +78,24 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
     DomTree DT(G, D);
     unsigned N = G.numNodes();
 
-    // Every storage layout under both T modes.
     std::vector<std::unique_ptr<LiveCheck>> Engines;
-    for (TMode Mode : {TMode::Propagated, TMode::Filtered})
-      for (TStorage Storage :
-           {TStorage::Bitset, TStorage::SortedArray, TStorage::Arena}) {
-        LiveCheckOptions EOpts;
-        EOpts.Mode = Mode;
-        EOpts.Storage = Storage;
-        Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
-      }
+    for (TMode Mode : {TMode::Propagated, TMode::Filtered}) {
+      LiveCheckOptions EOpts;
+      EOpts.Mode = Mode;
+      Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
+    }
 
     auto Vars = placeVariables(G, DT, Rng, 10);
     BitVector InSweep, OutSweep, Mask(N);
     for (const SyntheticVar &V : Vars) {
-      // The renumbered-plane inputs. RawNums keeps the translation order
-      // (with duplicates) — the span contract allows any order — while
-      // Nums is the sorted/deduped form a batching caller would prepare.
-      std::vector<unsigned> RawNums = V.Uses;
+      // The renumbered-plane inputs. RawNums is the translation in reverse
+      // order with the first use repeated — the span contract allows any
+      // order and duplicates — while Nums is the sorted/deduped form a
+      // batching caller would prepare.
+      std::vector<unsigned> RawNums(V.Uses.rbegin(), V.Uses.rend());
       for (unsigned &U : RawNums)
         U = DT.num(U);
+      RawNums.push_back(RawNums.front());
       std::vector<unsigned> Nums = RawNums;
       std::sort(Nums.begin(), Nums.end());
       Nums.erase(std::unique(Nums.begin(), Nums.end()), Nums.end());
@@ -111,6 +108,9 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
         E->prepareDef(V.Def, PVSpan);
         PVSpan.NumsBegin = Nums.data();
         PVSpan.NumsEnd = Nums.data() + Nums.size();
+        LiveCheck::PreparedVar PVRaw = PVSpan;
+        PVRaw.NumsBegin = RawNums.data();
+        PVRaw.NumsEnd = RawNums.data() + RawNums.size();
         LiveCheck::PreparedVar PVMask = PVSpan;
         PVMask.setMask(Mask);
 
@@ -127,32 +127,16 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
           auto Ctx = [&](const char *Entry) {
             return ::testing::Message()
                    << C.Name << " seed " << Seed << " def " << V.Def
-                   << " q " << Q << " entry " << Entry << " storage "
-                   << static_cast<int>(E->options().Storage) << " mode "
+                   << " q " << Q << " entry " << Entry << " mode "
                    << static_cast<int>(E->options().Mode);
           };
           EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn) << Ctx("blocks");
           EXPECT_EQ(E->isLiveOut(V.Def, Q, V.Uses), WantOut)
               << Ctx("blocks");
-          EXPECT_EQ(E->isLiveInNums(V.Def, Q, Nums.data(),
-                                    Nums.data() + Nums.size()),
-                    WantIn)
-              << Ctx("nums");
-          EXPECT_EQ(E->isLiveOutNums(V.Def, Q, Nums.data(),
-                                     Nums.data() + Nums.size()),
-                    WantOut)
-              << Ctx("nums");
-          EXPECT_EQ(E->isLiveInNums(V.Def, Q, RawNums.data(),
-                                    RawNums.data() + RawNums.size()),
-                    WantIn)
-              << Ctx("raw-nums");
-          EXPECT_EQ(E->isLiveOutNums(V.Def, Q, RawNums.data(),
-                                     RawNums.data() + RawNums.size()),
-                    WantOut)
-              << Ctx("raw-nums");
-          EXPECT_EQ(E->isLiveInMask(V.Def, Q, Mask), WantIn) << Ctx("mask");
-          EXPECT_EQ(E->isLiveOutMask(V.Def, Q, Mask), WantOut)
-              << Ctx("mask");
+          EXPECT_EQ(E->isLiveInPrepared(PVRaw, Q), WantIn)
+              << Ctx("prepared-raw-span");
+          EXPECT_EQ(E->isLiveOutPrepared(PVRaw, Q), WantOut)
+              << Ctx("prepared-raw-span");
           EXPECT_EQ(E->isLiveInPrepared(PVSpan, Q), WantIn)
               << Ctx("prepared-span");
           EXPECT_EQ(E->isLiveOutPrepared(PVSpan, Q), WantOut)
@@ -169,38 +153,8 @@ TEST_P(StoragePlane, AllBackendsAllEntryPointsMatchOracle) {
   }
 }
 
-TEST(StoragePlane, MemoryAccountingOrdersLayouts) {
-  // On a loop-bearing graph the arena drops the per-row containers and the
-  // sorted layout drops the T matrix; the honest memoryBytes() must
-  // reflect that ordering, and every term of the accounting (side tables
-  // included) must be covered: an engine is never lighter than its R
-  // payload.
-  RandomEngine Rng(99);
-  CFGGenOptions Opts;
-  Opts.TargetBlocks = 200;
-  CFG G = generateCFG(Opts, Rng);
-  DFS D(G);
-  DomTree DT(G, D);
-  unsigned N = G.numNodes();
-  auto Build = [&](TStorage S) {
-    LiveCheckOptions EOpts;
-    EOpts.Storage = S;
-    return std::make_unique<LiveCheck>(G, D, DT, EOpts);
-  };
-  auto Bitset = Build(TStorage::Bitset);
-  auto Sorted = Build(TStorage::SortedArray);
-  auto Arena = Build(TStorage::Arena);
-  std::size_t RPayload = std::size_t(N) * ((N + 63) / 64) * 8;
-  EXPECT_GT(Bitset->memoryBytes(), RPayload);
-  EXPECT_GT(Sorted->memoryBytes(), RPayload);
-  EXPECT_GT(Arena->memoryBytes(), RPayload);
-  // The arena holds two packed matrices and the side tables, nothing else:
-  // it must be the lightest full-T layout.
-  EXPECT_LT(Arena->memoryBytes(), Bitset->memoryBytes());
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, StoragePlane,
+    Shapes, EntryPoints,
     ::testing::Values(Config{"TinyReducible", 2, 8, 0, 12},
                       Config{"SmallReducible", 8, 24, 0, 8},
                       Config{"MediumReducible", 24, 56, 0, 3},

@@ -168,6 +168,22 @@ TEST(LiveCheckBasic, FastPathOnlyWithFilteredReducible) {
   EXPECT_FALSE(FilteredIrred.Check.usesReducibleFastPath());
 }
 
+TEST(LiveCheckBasic, FastPathAnswersOnReducibleLoop) {
+  // The Theorem-2 single-test scan decides each query from the most
+  // dominating target alone, including the Algorithm-2 live-out case at
+  // the use block itself (the back edge 2 -> 1 carries the value around).
+  Engines E(makeCFG(4, {{0, 1}, {1, 2}, {2, 1}, {1, 3}}),
+            LiveCheckOptions{TMode::Filtered, true, true});
+  ASSERT_TRUE(E.Check.usesReducibleFastPath());
+  std::vector<unsigned> Uses{2};
+  LiveCheckStats Stats;
+  EXPECT_TRUE(E.Check.isLiveIn(0, 1, Uses, &Stats));
+  EXPECT_TRUE(E.Check.isLiveOut(0, 2, Uses));
+  EXPECT_FALSE(E.Check.isLiveIn(0, 3, Uses));
+  EXPECT_EQ(Stats.LiveInQueries, 1u);
+  EXPECT_GT(Stats.TargetsVisited, 0u);
+}
+
 TEST(LiveCheckBasic, StatsCountQueries) {
   Engines E(makeCFG(3, {{0, 1}, {1, 2}}));
   std::vector<unsigned> Uses{2};

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace ssalive;
 using namespace ssalive::testutil;
 
@@ -74,61 +76,29 @@ TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
     DFS D(G);
     DomTree DT(G, D);
 
-    // Engine variants under test.
-    LiveCheck Propagated(G, D, DT, {TMode::Propagated, true, true,
-                                    TStorage::Bitset});
-    LiveCheck Filtered(G, D, DT, {TMode::Filtered, true, true,
-                                  TStorage::Bitset});
-    LiveCheck NoSkip(G, D, DT, {TMode::Propagated, false, false,
-                                TStorage::Bitset});
-    LiveCheck NoFast(G, D, DT, {TMode::Filtered, true, false,
-                                TStorage::Bitset});
-    LiveCheck Sorted(G, D, DT, {TMode::Propagated, true, true,
-                                TStorage::SortedArray});
-    LiveCheck SortedFiltered(G, D, DT, {TMode::Filtered, true, true,
-                                        TStorage::SortedArray});
-    LiveCheck Arena(G, D, DT, {TMode::Propagated, true, true,
-                               TStorage::Arena});
-    LiveCheck ArenaFiltered(G, D, DT, {TMode::Filtered, true, true,
-                                       TStorage::Arena});
+    // Every option combination: both T modes, with and without the
+    // subtree skip and the reducible fast path.
+    const LiveCheckOptions Variants[] = {{TMode::Propagated, true, true},
+                                         {TMode::Filtered, true, true},
+                                         {TMode::Propagated, false, false},
+                                         {TMode::Filtered, true, false}};
+    std::vector<std::unique_ptr<LiveCheck>> Engines;
+    for (const LiveCheckOptions &O : Variants)
+      Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, O));
 
     auto Vars = placeVariables(G, DT, Rng, 12);
     for (const SyntheticVar &V : Vars) {
       for (unsigned Q = 0; Q != G.numNodes(); ++Q) {
         bool WantIn = LivenessOracle::liveInSearch(G, V.Def, V.Uses, Q);
         bool WantOut = LivenessOracle::liveOutSearch(G, V.Def, V.Uses, Q);
-        EXPECT_EQ(Propagated.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Filtered.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoSkip.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoFast.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Sorted.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(SortedFiltered.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Arena.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(ArenaFiltered.isLiveIn(V.Def, Q, V.Uses), WantIn)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Propagated.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Filtered.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoSkip.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(NoFast.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Sorted.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(SortedFiltered.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(Arena.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
-        EXPECT_EQ(ArenaFiltered.isLiveOut(V.Def, Q, V.Uses), WantOut)
-            << C.Name << " seed " << Seed << " def " << V.Def << " q " << Q;
+        for (std::size_t I = 0; I != Engines.size(); ++I) {
+          EXPECT_EQ(Engines[I]->isLiveIn(V.Def, Q, V.Uses), WantIn)
+              << C.Name << " seed " << Seed << " variant " << I << " def "
+              << V.Def << " q " << Q;
+          EXPECT_EQ(Engines[I]->isLiveOut(V.Def, Q, V.Uses), WantOut)
+              << C.Name << " seed " << Seed << " variant " << I << " def "
+              << V.Def << " q " << Q;
+        }
       }
     }
   }

@@ -7,10 +7,10 @@
 // The multi-query kernel (LiveCheck::answerPreparedRun): a run of probes
 // against one prepared variable must answer bit-identically to calling
 // isLiveInPrepared / isLiveOutPrepared per probe, on every internal path —
-// the short-run fallback, the arena interval sweep in its mask-backed,
-// bits-probe (few uses), and scratch-mask (many uses, no mask) modes, and
-// the non-arena layouts that always fall back. The batch driver's
-// locality-grouped phase 2 rests on exactly this equivalence.
+// the short-run fallback and the interval sweep in its mask-backed,
+// bits-probe (few uses), and scratch-mask (many uses, no mask) modes. The
+// batch driver's locality-grouped phase 2 rests on exactly this
+// equivalence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,30 +154,5 @@ TEST(PreparedRunKernel, MatchesPerProbeAcrossSweepSourceModes) {
     NumsOnly.clearMask();
     checkRunsMatchPerProbe(LC, NumsOnly, F->numBlocks(), 0x90D ^ V->id(),
                            "scratch-mask");
-  }
-}
-
-TEST(PreparedRunKernel, NonArenaLayoutsFallBackIdentically) {
-  // The sweep is arena-only; under the bitset and sorted-array layouts the
-  // kernel must take the per-probe fallback for every run length and still
-  // match the oracle (trivially so — but the gate itself is what is pinned:
-  // a sweep that engaged here would read matrices that do not exist).
-  RandomFunctionConfig Cfg;
-  Cfg.TargetBlocks = 18;
-  Cfg.GotoEdges = 1;
-  auto F = randomSSAFunction(0xA3E4A, Cfg);
-  AnalysisManager AM;
-  FunctionAnalyses &FA = AM.get(*F);
-  for (TStorage Storage : {TStorage::Bitset, TStorage::SortedArray}) {
-    LiveCheckOptions Opts;
-    Opts.Storage = Storage;
-    LiveCheck LC(FA.cfg(), FA.dfs(), FA.domTree(), Opts);
-    PreparedCache Cache(*F, LC, FA.domTree());
-    for (const auto &V : F->values()) {
-      if (V->defs().size() != 1 || !V->hasUses())
-        continue;
-      checkRunsMatchPerProbe(LC, Cache.ensure(*V), F->numBlocks(),
-                             0xFA11 ^ V->id(), V->name().c_str());
-    }
   }
 }

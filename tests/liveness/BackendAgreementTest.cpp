@@ -46,8 +46,7 @@ TEST_P(BackendAgreement, AllBackendsAgreeOnAllQueries) {
     auto F = randomSSAFunction(Seed * 31 + S.Blocks, Cfg);
 
     FunctionLiveness Fast(*F);
-    FunctionLiveness FastFiltered(
-        *F, {TMode::Filtered, true, true, TStorage::Bitset});
+    FunctionLiveness FastFiltered(*F, {TMode::Filtered, true, true});
     DataflowLiveness Dataflow(*F);
     BitVectorDataflowLiveness BitDataflow(*F);
     PathExplorationLiveness PathExp(*F);

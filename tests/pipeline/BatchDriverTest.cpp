@@ -14,12 +14,14 @@
 #include "pipeline/BatchLivenessDriver.h"
 
 #include "support/RandomEngine.h"
+#include "support/ThreadPool.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -80,11 +82,7 @@ TEST(BatchDriver, AllBackendsAgree) {
   ASSERT_FALSE(Workload.empty());
 
   std::vector<std::uint8_t> Reference;
-  for (BatchBackend B :
-       {BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-        BatchBackend::LiveCheckSorted, BatchBackend::LiveCheckBitset,
-        BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-        BatchBackend::PathExploration}) {
+  for (BatchBackend B : AllBatchBackends) {
     BatchOptions Opts;
     Opts.Backend = B;
     Opts.Threads = 4;
@@ -177,35 +175,53 @@ TEST(BatchDriver, PerThreadStatsCoverTheWholeWorkload) {
             std::uint64_t(Workload.size()))
       << "only no-use/no-def values skip the engine, and the generator "
          "never draws those";
-
-  // The static schedule keeps the deterministic [size*W/N, size*(W+1)/N)
-  // split, so each worker's share is derivable rather than tallied.
-  BatchOptions StaticOpts;
-  StaticOpts.Threads = 4;
-  StaticOpts.Schedule = BatchSchedule::Static;
-  BatchResult SR = BatchLivenessDriver(M.Funcs, StaticOpts).run(Workload);
-  ASSERT_EQ(SR.PerThread.size(), 4u);
-  for (std::size_t W = 0; W != SR.PerThread.size(); ++W) {
-    const BatchThreadStats &S = SR.PerThread[W];
-    std::uint64_t SpanSize = Workload.size() * (W + 1) / SR.PerThread.size() -
-                             Workload.size() * W / SR.PerThread.size();
-    EXPECT_EQ(S.Engine.LiveInQueries + S.Engine.LiveOutQueries, SpanSize)
-        << "worker " << W << " must execute exactly its span";
-    EXPECT_EQ(S.ChunksClaimed, 1u) << "static spans claim one chunk";
-    EXPECT_EQ(S.ChunksStolen, 0u) << "nothing to steal under static spans";
-  }
-  EXPECT_EQ(SR.Answers, R.Answers)
-      << "schedule must never change the answer bytes";
 }
 
-TEST(BatchDriver, SchedulesAndGroupingAreByteIdentical) {
+TEST(BatchDriver, CallerDrainingUnstartedSlotsStealsNothing) {
+  // Every pool thread is parked, so the calling thread runs every worker
+  // slot itself, one after another. It claims every chunk of every queue,
+  // but no chunk moves between threads: the steal counter must stay zero.
+  Module M(4);
+  std::vector<BatchQuery> Workload =
+      BatchLivenessDriver::generateWorkload(M.Funcs, 3, 5000);
+  ThreadPool Pool(4);
+  Gate Release;
+  std::atomic<unsigned> Blocked{0};
+  for (unsigned I = 0; I != Pool.numThreads(); ++I)
+    Pool.submit([&] {
+      Blocked.fetch_add(1);
+      Release.wait();
+    });
+  while (Blocked.load() != Pool.numThreads())
+    std::this_thread::yield();
+
+  BatchOptions Opts;
+  Opts.ChunkSize = 256;
+  BatchLivenessDriver Driver(M.Funcs, Opts, Pool);
+  BatchResult R;
+  bool InTime = finishesInTime([&] { R = Driver.run(Workload); },
+                               [&] { Release.open(); });
+  Release.open();
+  Pool.wait();
+  ASSERT_TRUE(InTime) << "the frame waited for a blocked pool thread";
+  std::uint64_t Claimed = 0, Stolen = 0;
+  for (const BatchThreadStats &S : R.PerThread) {
+    Claimed += S.ChunksClaimed;
+    Stolen += S.ChunksStolen;
+  }
+  EXPECT_EQ(Claimed, (Workload.size() + 255) / 256);
+  EXPECT_GT(Claimed, 1u);
+  EXPECT_EQ(Stolen, 0u) << "no other thread ran, so nothing was stolen";
+}
+
+TEST(BatchDriver, ThreadsAndGroupingAreByteIdentical) {
   // The scheduler-equivalence suite: a skewed workload (hot values
   // concentrating long same-value runs in a few chunks) and a uniform one,
-  // answered under every schedule × grouping × thread-count combination on
-  // every query plane — all byte-identical to the 1-thread static
-  // arrival-order oracle. Tiny chunks force multi-chunk queues so steals
-  // actually happen; this suite runs under TSan in CI, so the atomic
-  // chunk-cursor claiming is race-checked here, not just argued.
+  // answered under every grouping × thread-count combination on both query
+  // planes — all byte-identical to the 1-thread arrival-order oracle. Tiny
+  // chunks force multi-chunk queues so steals actually happen; this suite
+  // runs under TSan in CI, so the atomic chunk-cursor claiming is
+  // race-checked here, not just argued.
   Module M(6, 0x5C4ED);
   std::vector<BatchQuery> Uniform =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0xD1CE, 9000);
@@ -221,44 +237,36 @@ TEST(BatchDriver, SchedulesAndGroupingAreByteIdentical) {
     std::swap(Skewed[I - 1], Skewed[Shuffle.nextBelow(unsigned(I))]);
 
   for (const std::vector<BatchQuery> *Workload : {&Uniform, &Skewed}) {
-    for (QueryPlane Plane : {QueryPlane::BlockId, QueryPlane::Nums,
-                             QueryPlane::Mask, QueryPlane::Prepared}) {
+    for (QueryPlane Plane : AllQueryPlanes) {
       BatchOptions Ref;
       Ref.Threads = 1;
       Ref.Plane = Plane;
-      Ref.Schedule = BatchSchedule::Static;
       Ref.GroupChunks = false;
       BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
       ASSERT_EQ(Oracle.Answers.size(), Workload->size());
 
-      for (BatchSchedule Schedule :
-           {BatchSchedule::Static, BatchSchedule::Stealing}) {
-        for (bool Group : {false, true}) {
-          BatchOptions Opts;
-          Opts.Threads = 4;
-          Opts.Plane = Plane;
-          Opts.Schedule = Schedule;
-          Opts.GroupChunks = Group;
-          Opts.ChunkSize = 128; // Many chunks per worker → real steals.
-          BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
-          EXPECT_EQ(R.Answers, Oracle.Answers)
-              << "plane " << queryPlaneName(Plane) << " schedule "
-              << batchScheduleName(Schedule) << (Group ? " grouped" : "")
-              << " diverges from the arrival-order oracle";
-        }
+      for (bool Group : {false, true}) {
+        BatchOptions Opts;
+        Opts.Threads = 4;
+        Opts.Plane = Plane;
+        Opts.GroupChunks = Group;
+        Opts.ChunkSize = 128; // Many chunks per worker → real steals.
+        BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
+        EXPECT_EQ(R.Answers, Oracle.Answers)
+            << "plane " << queryPlaneName(Plane)
+            << (Group ? " grouped" : "")
+            << " diverges from the arrival-order oracle";
       }
     }
   }
 
-  // The baselines and the block-sweep backend ignore the plane but still
-  // ride the new schedulers; pin them on the skewed workload too.
-  for (BatchBackend B :
-       {BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-        BatchBackend::PathExploration}) {
+  // The baselines ignore the plane but still ride the stealing scheduler;
+  // pin them on the skewed workload too.
+  for (BatchBackend B : {BatchBackend::Dataflow,
+                         BatchBackend::PathExploration}) {
     BatchOptions Ref;
     Ref.Backend = B;
     Ref.Threads = 1;
-    Ref.Schedule = BatchSchedule::Static;
     Ref.GroupChunks = false;
     BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(Skewed);
     BatchOptions Opts;
@@ -268,7 +276,7 @@ TEST(BatchDriver, SchedulesAndGroupingAreByteIdentical) {
     BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Skewed);
     EXPECT_EQ(R.Answers, Oracle.Answers)
         << "backend " << batchBackendName(B)
-        << " diverges under stealing from its static 1-thread run";
+        << " diverges under stealing from its 1-thread run";
   }
 }
 
@@ -416,25 +424,4 @@ TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
   Driver.run(Frame);
   for (std::size_t F = 0; F != M.Funcs.size(); ++F)
     EXPECT_EQ(rebuildsSince(F), 0u) << "function " << F;
-}
-
-TEST(BatchDriver, BlockSweepDeterministicAcrossThreadCounts) {
-  // The block-sweep backend sweeps once per same-value run and keeps the
-  // last sweep across chunks; answers must still land in their own slots,
-  // byte-identical for every thread count.
-  Module M(6, 0xF00D);
-  std::vector<BatchQuery> Workload =
-      BatchLivenessDriver::generateWorkload(M.Funcs, 0xABC, 8000);
-  ASSERT_FALSE(Workload.empty());
-  BatchOptions Single;
-  Single.Backend = BatchBackend::LiveCheckBlockSweep;
-  Single.Threads = 1;
-  BatchResult Reference = BatchLivenessDriver(M.Funcs, Single).run(Workload);
-  for (unsigned Threads : {2u, 5u}) {
-    BatchOptions Opts = Single;
-    Opts.Threads = Threads;
-    BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(Workload);
-    EXPECT_EQ(R.Answers, Reference.Answers)
-        << Threads << "-thread block-sweep diverges";
-  }
 }

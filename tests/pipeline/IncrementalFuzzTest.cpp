@@ -11,11 +11,11 @@
 // and at the IR level AnalysisManager::refresh — must answer exactly like
 // a from-scratch rebuild: identical dominator trees (idoms and preorder
 // numbering, cross-checked against Lengauer-Tarjan as a second opinion),
-// identical R/T set contents, and identical liveness answers across every
-// TStorage layout and every query entry point (block-id spans, pre-
-// numbered spans, use masks, PreparedVar, and the whole-interval
-// block sweeps). On a mismatch the failing sequence is reported as a
-// replayable (seed, mode, step) triple.
+// identical R/T set contents, and identical liveness answers under both T
+// modes, through the row-repatch path and the full-recompute fallback, at
+// every query entry point (block-id spans, PreparedVar use spans and use
+// masks, and the whole-interval block sweeps). On a mismatch the failing
+// sequence is reported as a replayable (seed, mode, step) triple.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,12 +78,14 @@ struct Rig {
   DomTree DT;
   LiveCheck LC;
 
-  Rig(const CFG &G, std::string Name, LiveCheckOptions O)
+  Rig(const CFG &G, std::string Name, TMode Mode, bool Incremental)
       : Name(std::move(Name)), D(G), DT(G, D),
-        LC(G, D, DT, withIncremental(O)) {}
+        LC(G, D, DT, options(Mode, Incremental)) {}
 
-  static LiveCheckOptions withIncremental(LiveCheckOptions O) {
-    O.Incremental = true;
+  static LiveCheckOptions options(TMode Mode, bool Incremental) {
+    LiveCheckOptions O;
+    O.Mode = Mode;
+    O.Incremental = Incremental;
     return O;
   }
 
@@ -157,39 +159,32 @@ bool compareEngines(const LiveCheck &Inc, const DomTree &IncDT,
     IncPrep.NumsEnd = IncNums.data() + IncNums.size();
     FreshPrep.NumsBegin = FreshNums.data();
     FreshPrep.NumsEnd = FreshNums.data() + FreshNums.size();
+    LiveCheck::PreparedVar IncPrepMask = IncPrep, FreshPrepMask = FreshPrep;
+    IncPrepMask.setMask(IncMask);
+    FreshPrepMask.setMask(FreshMask);
 
     for (unsigned Probe = 0; Probe != 12; ++Probe) {
       unsigned Q = Rng.nextBelow(N);
-      bool In[5] = {Inc.isLiveIn(V.Def, Q, V.Uses),
-                    Inc.isLiveInNums(V.Def, Q, IncNums.data(),
-                                     IncNums.data() + IncNums.size()),
-                    Inc.isLiveInMask(V.Def, Q, IncMask),
+      bool In[4] = {Inc.isLiveIn(V.Def, Q, V.Uses),
                     Inc.isLiveInPrepared(IncPrep, Q),
+                    Inc.isLiveInPrepared(IncPrepMask, Q),
                     Fresh.isLiveIn(V.Def, Q, V.Uses)};
-      bool FreshIn2[3] = {
-          Fresh.isLiveInNums(V.Def, Q, FreshNums.data(),
-                             FreshNums.data() + FreshNums.size()),
-          Fresh.isLiveInMask(V.Def, Q, FreshMask),
-          Fresh.isLiveInPrepared(FreshPrep, Q)};
-      bool Out[5] = {Inc.isLiveOut(V.Def, Q, V.Uses),
-                     Inc.isLiveOutNums(V.Def, Q, IncNums.data(),
-                                       IncNums.data() + IncNums.size()),
-                     Inc.isLiveOutMask(V.Def, Q, IncMask),
+      bool FreshIn2[2] = {Fresh.isLiveInPrepared(FreshPrep, Q),
+                          Fresh.isLiveInPrepared(FreshPrepMask, Q)};
+      bool Out[4] = {Inc.isLiveOut(V.Def, Q, V.Uses),
                      Inc.isLiveOutPrepared(IncPrep, Q),
+                     Inc.isLiveOutPrepared(IncPrepMask, Q),
                      Fresh.isLiveOut(V.Def, Q, V.Uses)};
-      bool FreshOut2[3] = {
-          Fresh.isLiveOutNums(V.Def, Q, FreshNums.data(),
-                              FreshNums.data() + FreshNums.size()),
-          Fresh.isLiveOutMask(V.Def, Q, FreshMask),
-          Fresh.isLiveOutPrepared(FreshPrep, Q)};
-      for (int I = 0; I != 5; ++I)
-        if (In[I] != In[4] || Out[I] != Out[4]) {
+      bool FreshOut2[2] = {Fresh.isLiveOutPrepared(FreshPrep, Q),
+                           Fresh.isLiveOutPrepared(FreshPrepMask, Q)};
+      for (int I = 0; I != 4; ++I)
+        if (In[I] != In[3] || Out[I] != Out[3]) {
           ADD_FAILURE() << Tag << ": live-in/out entry-point mismatch at "
                         << "def=" << V.Def << " q=" << Q << " entry#" << I;
           return false;
         }
-      for (int I = 0; I != 3; ++I)
-        if (FreshIn2[I] != In[4] || FreshOut2[I] != Out[4]) {
+      for (int I = 0; I != 2; ++I)
+        if (FreshIn2[I] != In[3] || FreshOut2[I] != Out[3]) {
           ADD_FAILURE() << Tag << ": fresh-engine entry-point disagreement "
                         << "at def=" << V.Def << " q=" << Q;
           return false;
@@ -264,23 +259,18 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
   GOpts.GotoEdges = Reducible ? 0 : 3;
   CFG G = generateCFG(GOpts, Rng);
 
-  // Every storage layout, both T modes. Arena rigs take the row-repatch
-  // path; Bitset and SortedArray exercise update()'s in-place full
-  // recompute fallback.
-  LiveCheckOptions ArenaProp;
-  LiveCheckOptions ArenaFilt;
-  ArenaFilt.Mode = TMode::Filtered;
-  LiveCheckOptions BitsetProp;
-  BitsetProp.Storage = TStorage::Bitset;
-  LiveCheckOptions SortedFilt;
-  SortedFilt.Mode = TMode::Filtered;
-  SortedFilt.Storage = TStorage::SortedArray;
-
+  // Both T modes, twice: incremental rigs take the row-repatch path, the
+  // others exercise update()'s in-place full recompute fallback.
   std::vector<std::unique_ptr<Rig>> Rigs;
-  Rigs.push_back(std::make_unique<Rig>(G, "arena/prop", ArenaProp));
-  Rigs.push_back(std::make_unique<Rig>(G, "arena/filt", ArenaFilt));
-  Rigs.push_back(std::make_unique<Rig>(G, "bitset/prop", BitsetProp));
-  Rigs.push_back(std::make_unique<Rig>(G, "sorted/filt", SortedFilt));
+  Rigs.push_back(std::make_unique<Rig>(G, "repatch/prop", TMode::Propagated,
+                                       /*Incremental=*/true));
+  Rigs.push_back(std::make_unique<Rig>(G, "repatch/filt", TMode::Filtered,
+                                       /*Incremental=*/true));
+  Rigs.push_back(std::make_unique<Rig>(G, "recompute/prop",
+                                       TMode::Propagated,
+                                       /*Incremental=*/false));
+  Rigs.push_back(std::make_unique<Rig>(G, "recompute/filt", TMode::Filtered,
+                                       /*Incremental=*/false));
 
   CFGMutatorOptions MOpts;
   MOpts.PreserveReducibility = Reducible;
@@ -318,18 +308,16 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
       std::string RTag = Tag + " [" + R->Name + "]";
       if (!compareEngines(R->LC, R->DT, Fresh, FreshDT, Vars, Rng, RTag))
         return Executed;
-      // Bit-exact set equality: cheap at this size for the arena rigs
-      // (the repatch path), sampled implicitly through queries elsewhere.
-      if (R->LC.options().Storage == TStorage::Arena)
-        if (!compareSets(R->LC, Fresh, RTag))
-          return Executed;
+      // Bit-exact set equality: cheap at this size.
+      if (!compareSets(R->LC, Fresh, RTag))
+        return Executed;
     }
   }
 
   // The campaign must actually exercise the incremental plane.
   const auto &ArenaStats = Rigs[0]->LC.updateStats();
   EXPECT_GT(ArenaStats.IncrementalRepatches, Executed / 4)
-      << "seed=" << Seed << ": the arena rig almost never took the "
+      << "seed=" << Seed << ": the repatch rig almost never took the "
       << "row-repatch path; the fuzz is not testing what it claims";
   EXPECT_GT(Rigs[0]->DT.updateStats().ScopedRepairs, 0u) << "seed=" << Seed;
   return Executed;

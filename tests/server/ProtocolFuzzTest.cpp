@@ -436,6 +436,70 @@ TEST(ProtocolFuzz, ZeroLengthFrameIsMalformedNotFatal) {
             static_cast<std::uint8_t>(proto::Opcode::StatsReply));
 }
 
+//===----------------------------------------------------------------------===//
+// Retired LoadModule ids. Backends 2-4 and planes 1-2 named removed engine
+// variants; the id spaces keep those holes, so a client that still sends
+// one gets a well-formed refusal, and its connection stays usable.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Sends LoadModule with a retired id, then a valid LoadModule and a query
+/// on the same connection: the first must be refused with \p Want, the
+/// rest must succeed.
+void expectRetiredIdRefused(std::uint8_t Backend, std::uint8_t Plane,
+                            proto::ErrorCode Want) {
+  auto F = randomSSAFunction(7003, {/*TargetBlocks=*/10});
+  std::string Text = printFunction(*F);
+  std::vector<std::uint8_t> Stream;
+  appendFrame(Stream, proto::encodeLoadModule(Backend, Plane, Text));
+  appendFrame(Stream, proto::encodeLoadModule(0, 3, Text));
+  appendFrame(Stream, proto::encodeQueryBatch({{0, 0, 0, false}}));
+  auto Replies = rawStream(Stream);
+  ASSERT_EQ(Replies.size(), 3u);
+  EXPECT_TRUE(isError(Replies[0], Want))
+      << "backend " << unsigned(Backend) << " plane " << unsigned(Plane);
+  EXPECT_EQ(Replies[1][0],
+            static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
+  EXPECT_EQ(Replies[2][0], static_cast<std::uint8_t>(proto::Opcode::Answers));
+}
+
+} // namespace
+
+TEST(ProtocolFuzz, RetiredBackendId2IsRefused) {
+  expectRetiredIdRefused(2, 0, proto::ErrorCode::BadBackend);
+}
+
+TEST(ProtocolFuzz, RetiredBackendId3IsRefused) {
+  expectRetiredIdRefused(3, 3, proto::ErrorCode::BadBackend);
+}
+
+TEST(ProtocolFuzz, RetiredBackendId4IsRefused) {
+  expectRetiredIdRefused(4, 0, proto::ErrorCode::BadBackend);
+}
+
+TEST(ProtocolFuzz, RetiredPlaneId1IsRefused) {
+  expectRetiredIdRefused(0, 1, proto::ErrorCode::BadPlane);
+}
+
+TEST(ProtocolFuzz, RetiredPlaneId2IsRefused) {
+  expectRetiredIdRefused(1, 2, proto::ErrorCode::BadPlane);
+}
+
+TEST(ProtocolFuzz, EveryAssignedBackendAndPlaneIdLoads) {
+  auto F = randomSSAFunction(7004, {/*TargetBlocks=*/10});
+  std::string Text = printFunction(*F);
+  for (std::uint8_t Backend : {0, 1, 5, 6})
+    for (std::uint8_t Plane : {0, 3}) {
+      server::SessionManager Mgr({});
+      auto S = Mgr.createSession();
+      auto Reply = S->handle(proto::encodeLoadModule(Backend, Plane, Text));
+      EXPECT_EQ(Reply[0],
+                static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded))
+          << "backend " << unsigned(Backend) << " plane " << unsigned(Plane);
+    }
+}
+
 TEST(ProtocolFuzz, MetricsRoundTripsOverTheStreamTransport) {
   std::vector<std::uint8_t> Stream;
   appendFrame(Stream, proto::encodeMetricsRequest());

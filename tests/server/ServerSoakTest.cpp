@@ -248,22 +248,21 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
 
   // Six clients across backends and query planes; the shapes chosen so
   // the request total comfortably clears 100k. The cached prepared plane
-  // (the production default) runs on all three TStorage layouts — arena
-  // (propagated), bitset, sorted — under edit streams, so stale-entry
-  // bugs in any layout's cache interaction surface as byte mismatches
-  // against the block-id oracle.
+  // (the production default) runs under both T modes with edit streams,
+  // so stale-entry bugs in either mode's cache interaction surface as byte
+  // mismatches against the block-id oracle.
   std::vector<ClientPlan> Plans = {
       {1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
        42, 8},
       {1002, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId, 560, 42,
        6},
-      {1003, BatchBackend::LiveCheckBitset, QueryPlane::Prepared, 560, 42,
+      {1003, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared, 560, 42,
        8},
-      {1004, BatchBackend::LiveCheckBlockSweep, QueryPlane::BlockId, 560,
+      {1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
        42, 6},
       {1005, BatchBackend::Dataflow, QueryPlane::BlockId, 150, 42, 4},
-      {1006, BatchBackend::LiveCheckSorted, QueryPlane::Prepared, 560, 42,
-       12},
+      {1006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
+       42, 12},
   };
 
   std::vector<int> ClientFds;
@@ -348,8 +347,8 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
     Clients.emplace_back([&, I] {
       int Fd = connect();
       ClientPlan Plan{2000 + I, BatchBackend::LiveCheckPropagated,
-                      I == 0 ? QueryPlane::Mask : QueryPlane::Nums, 40, 32,
-                      10};
+                      I == 0 ? QueryPlane::Prepared : QueryPlane::BlockId,
+                      40, 32, 10};
       Requests.fetch_add(runClient(Fd, Plan, I));
       ::close(Fd);
     });
@@ -569,9 +568,9 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
       telemetry::Registry::global().value("ssalive_server_queries_total");
   std::atomic<std::uint64_t> QueryLedger{0};
 
-  // Three backends concurrently: the arena engine, the bitset layout, and
-  // the sorted-array layout, all on the cached prepared plane except one
-  // on block-id — so the replayed journals rebuild every storage flavor.
+  // Three sessions concurrently: both T modes on the cached prepared
+  // plane and one on block-id — so the replayed journals rebuild every
+  // engine flavor.
   struct ResumePlanEntry {
     std::uint64_t Seed;
     BatchBackend Backend;
@@ -579,8 +578,8 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
   };
   std::vector<ResumePlanEntry> Plans = {
       {3001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3002, BatchBackend::LiveCheckBitset, QueryPlane::Prepared},
-      {3003, BatchBackend::LiveCheckSorted, QueryPlane::BlockId},
+      {3002, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {3003, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
   };
   std::vector<std::thread> Clients;
   for (std::size_t I = 0; I != Plans.size(); ++I)

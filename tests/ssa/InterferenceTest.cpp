@@ -211,20 +211,18 @@ TEST(Interference, PreparedAndMaskEntriesMatchBlockIdEntries) {
       E.prepareDef(Def, P);
       P.NumsBegin = Nums.data();
       P.NumsEnd = Nums.data() + Nums.size();
+      LiveCheck::PreparedVar PMask = P;
+      PMask.setMask(Mask);
       for (unsigned Q = 0; Q != G.numNodes(); ++Q) {
         bool In = E.isLiveIn(Def, Q, Uses);
-        ASSERT_EQ(In, E.isLiveInNums(Def, Q, P.NumsBegin, P.NumsEnd))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
-        ASSERT_EQ(In, E.isLiveInMask(Def, Q, Mask))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
         ASSERT_EQ(In, E.isLiveInPrepared(P, Q))
             << "seed " << Seed << " %" << V->name() << " q=" << Q;
+        ASSERT_EQ(In, E.isLiveInPrepared(PMask, Q))
+            << "seed " << Seed << " %" << V->name() << " q=" << Q;
         bool Out = E.isLiveOut(Def, Q, Uses);
-        ASSERT_EQ(Out, E.isLiveOutNums(Def, Q, P.NumsBegin, P.NumsEnd))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
-        ASSERT_EQ(Out, E.isLiveOutMask(Def, Q, Mask))
-            << "seed " << Seed << " %" << V->name() << " q=" << Q;
         ASSERT_EQ(Out, E.isLiveOutPrepared(P, Q))
+            << "seed " << Seed << " %" << V->name() << " q=" << Q;
+        ASSERT_EQ(Out, E.isLiveOutPrepared(PMask, Q))
             << "seed " << Seed << " %" << V->name() << " q=" << Q;
       }
     }

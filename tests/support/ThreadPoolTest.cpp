@@ -6,6 +6,8 @@
 
 #include "support/ThreadPool.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <vector>
 
 using namespace ssalive;
+using namespace ssalive::testutil;
 
 TEST(ThreadPool, ReportsRequestedSize) {
   ThreadPool Pool(3);
@@ -78,45 +81,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   }
   EXPECT_EQ(Ran.load(), 50u);
 }
-
-namespace {
-
-/// A one-shot gate: wait() blocks until open() was called.
-class Gate {
-public:
-  void open() {
-    std::lock_guard<std::mutex> Lock(M);
-    Open = true;
-    CV.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> Lock(M);
-    CV.wait(Lock, [this] { return Open; });
-  }
-
-private:
-  std::mutex M;
-  std::condition_variable CV;
-  bool Open = false;
-};
-
-/// Runs \p Fn on a fresh thread and reports whether it finished within a
-/// generous deadline. On a miss, \p Unblock runs before the join so the
-/// test fails instead of hanging.
-template <class Fn, class Unblock>
-bool finishesInTime(Fn &&Body, Unblock &&OnMiss) {
-  std::packaged_task<void()> Task(std::forward<Fn>(Body));
-  std::future<void> Done = Task.get_future();
-  std::thread T(std::move(Task));
-  bool InTime =
-      Done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
-  if (!InTime)
-    OnMiss();
-  T.join();
-  return InTime;
-}
-
-} // namespace
 
 TEST(ThreadPool, CallsCompleteWhileEveryWorkerIsBlocked) {
   // Every pool thread sits in a task that waits on a gate opened only after

@@ -10,21 +10,14 @@
 // report.
 //
 //   ssalive-batch [options] [module.ssair]
-//     --backend=propagated|filtered|sorted|bitset|block-sweep|
-//               dataflow|path-exploration
-//                 propagated/filtered run on the BitMatrix arena layout;
-//                 bitset is the legacy per-row-BitVector baseline;
-//                 block-sweep answers via whole-interval liveInBlocks
-//                 sweeps with per-value query grouping
-//     --plane=block-id|nums|mask|prepared
+//     --backend=propagated|filtered|dataflow|path-exploration
+//                 propagated/filtered are the paper's engine with the
+//                 Section-5.2 and the exact Definition-5 T sets;
+//                 dataflow and path-exploration are independent baselines
+//     --plane=block-id|prepared
 //                 LiveCheck entry point per query (default prepared — the
-//                 cached per-value plane; the others re-derive the
-//                 variable per query and exist as differential baselines)
-//     --schedule=stealing|static
-//                 phase-2 scheduling policy (default stealing: workers
-//                 claim chunks and steal from each other's queues; static
-//                 reproduces the deterministic contiguous spans). Answers
-//                 are byte-identical either way; --verify proves it.
+//                 cached per-value plane; block-id re-derives the variable
+//                 per query and exists as the differential baseline)
 //     --threads=N     worker threads (default 1; 0 = hardware concurrency)
 //     --queries=N     workload size (default 500000)
 //     --seed=S        workload RNG seed (default 42)
@@ -67,7 +60,6 @@ namespace {
 struct CliOptions {
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
   QueryPlane Plane = QueryPlane::Prepared;
-  BatchSchedule Schedule = BatchSchedule::Stealing;
   unsigned Threads = 1;
   std::size_t Queries = 500000;
   std::uint64_t Seed = 42;
@@ -98,11 +90,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--plane=", 0) == 0) {
       if (!parseQueryPlane(Arg.substr(8), Opts.Plane)) {
         std::fprintf(stderr, "unknown query plane '%s'\n", Arg.c_str() + 8);
-        return false;
-      }
-    } else if (Arg.rfind("--schedule=", 0) == 0) {
-      if (!parseBatchSchedule(Arg.substr(11), Opts.Schedule)) {
-        std::fprintf(stderr, "unknown schedule '%s'\n", Arg.c_str() + 11);
         return false;
       }
     } else if (Arg.rfind("--threads=", 0) == 0 &&
@@ -204,15 +191,14 @@ int main(int Argc, char **Argv) {
   BatchOptions DOpts;
   DOpts.Backend = Opts.Backend;
   DOpts.Plane = Opts.Plane;
-  DOpts.Schedule = Opts.Schedule;
   DOpts.Threads = Opts.Threads;
   BatchLivenessDriver Driver(Funcs, DOpts);
 
   std::printf("ssalive-batch: %zu functions (%zu blocks, %zu values), "
-              "%zu queries, backend=%s, plane=%s, schedule=%s, threads=%u\n",
+              "%zu queries, backend=%s, plane=%s, threads=%u\n",
               Funcs.size(), TotalBlocks, TotalValues, Workload.size(),
               batchBackendName(Opts.Backend), queryPlaneName(Opts.Plane),
-              batchScheduleName(Opts.Schedule), Driver.numThreads());
+              Driver.numThreads());
 
   BatchResult Last;
   for (unsigned Run = 0; Run != Opts.Repeat; ++Run) {
@@ -276,34 +262,27 @@ int main(int Argc, char **Argv) {
                   Driver.numThreads());
     }
 
-    // Schedule/grouping differential: work-stealing with locality-grouped
-    // chunks must answer byte-identically to deterministic static spans in
-    // per-query arrival order — the pre-scheduler behavior kept as an
-    // in-tool oracle.
+    // Grouping differential: locality-grouped chunks must answer
+    // byte-identically to per-query arrival order, kept as an in-tool
+    // oracle.
     {
       BatchOptions AOpts = DOpts;
-      AOpts.Schedule = BatchSchedule::Static;
       AOpts.GroupChunks = false;
       BatchLivenessDriver Arrival(Funcs, AOpts);
       BatchResult ArrivalRef = Arrival.run(Workload);
       if (ArrivalRef.Answers != Last.Answers) {
-        std::fprintf(stderr, "FAIL: %s/grouped answers differ from the "
-                             "static arrival-order schedule\n",
-                     batchScheduleName(Opts.Schedule));
+        std::fprintf(stderr, "FAIL: grouped answers differ from "
+                             "arrival-order answers\n");
         Failed = true;
       } else {
-        std::printf("  verify: answers identical under static "
-                    "arrival-order scheduling\n");
+        std::printf("  verify: answers identical in arrival order\n");
       }
     }
 
-    // Plane differential: the cached prepared plane (or whichever plane
-    // was selected) must answer bit-identically to the classic block-id
-    // entry points on the same backend. Skipped when the backend ignores
-    // the plane selector (block-sweep answers through interval sweeps
-    // either way — the comparison would be vacuous).
+    // Plane differential: the cached prepared plane must answer
+    // bit-identically to the classic block-id entry points on the same
+    // backend. Skipped when the backend ignores the plane selector.
     if (batchBackendUsesLiveCheck(Opts.Backend) &&
-        Opts.Backend != BatchBackend::LiveCheckBlockSweep &&
         Opts.Plane != QueryPlane::BlockId) {
       BatchOptions POpts = SOpts;
       POpts.Plane = QueryPlane::BlockId;
@@ -321,11 +300,7 @@ int main(int Argc, char **Argv) {
     }
 
     if (Opts.VerifyAll) {
-      for (BatchBackend B :
-           {BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-            BatchBackend::LiveCheckSorted, BatchBackend::LiveCheckBitset,
-            BatchBackend::LiveCheckBlockSweep, BatchBackend::Dataflow,
-            BatchBackend::PathExploration}) {
+      for (BatchBackend B : AllBatchBackends) {
         if (B == Opts.Backend)
           continue;
         BatchOptions BOpts = SOpts;

@@ -22,11 +22,11 @@
 //                             — exercises the server's park/replay plane
 //                             end to end (needs a reconnectable
 //                             transport, i.e. not pipe)
-//     --backend=NAME          propagated|filtered|sorted|bitset|
-//                             block-sweep|dataflow|path-exploration
-//     --plane=NAME            block-id|nums|mask|prepared (LiveCheck
-//                             entry point used per query; default
-//                             prepared — the server-side cached plane)
+//     --backend=NAME          propagated|filtered|dataflow|
+//                             path-exploration
+//     --plane=NAME            block-id|prepared (LiveCheck entry point
+//                             used per query; default prepared — the
+//                             server-side cached plane)
 //     --generate=N            synthesize N SPEC-profile functions
 //                             (default 8 when no module file is given)
 //     --seed=S --queries=N --batch=K --repeat=R
