@@ -51,9 +51,17 @@ struct WireTelemetry {
   }
 };
 
+/// Counts one shed frame and returns its Error(Overloaded) reply.
+std::vector<std::uint8_t> shedFrame(const char *Why) {
+  WireTelemetry::get().ShedFrames.inc();
+  return detail::countedErrorReply(ErrorCode::Overloaded, Why);
+}
+
+constexpr const char *SessionCapMessage = "session cap reached; retry later";
+
 } // namespace
 
-LivenessServer::LivenessServer(ServerConfig Cfg) : Cfg(Cfg), Router(Cfg) {
+LivenessServer::LivenessServer(ServerConfig Cfg) : Cfg(Cfg), Sessions(Cfg) {
   ignoreSigpipe();
 }
 
@@ -78,14 +86,17 @@ void LivenessServer::serveStream(int InFd, int OutFd) {
   std::unique_ptr<Session> S;
   serveFrames(InFd, OutFd, S);
   // No-op unless the session is resumable and did not request shutdown:
-  // the journal outlives the connection (parked on its shard), not the
-  // server.
-  Router.parkSession(std::move(S));
+  // the journal outlives the connection, not the server.
+  Sessions.parkSession(std::move(S));
 }
 
 void LivenessServer::serveFrames(int InFd, int OutFd,
                                  std::unique_ptr<Session> &S) {
   const WireTelemetry &T = WireTelemetry::get();
+  auto Send = [&](const std::vector<std::uint8_t> &Reply) {
+    T.TxBytes.inc(4 + Reply.size());
+    return writeFrame(OutFd, Reply, Cfg.MaxFrameBytes);
+  };
   std::vector<std::uint8_t> Payload;
   for (;;) {
     ReadStatus RS = readFrame(InFd, Payload, Cfg.MaxFrameBytes);
@@ -120,32 +131,20 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
       int Queued = 0;
       if (::ioctl(InFd, FIONREAD, &Queued) == 0 && Queued > 0 &&
           static_cast<std::size_t>(Queued) > Cfg.InFlightBudgetBytes) {
-        T.ShedFrames.inc();
-        std::vector<std::uint8_t> Reply = detail::countedErrorReply(
-            ErrorCode::Overloaded,
-            "in-flight frame budget exceeded; drain replies and retry");
-        T.TxBytes.inc(4 + Reply.size());
-        if (!writeFrame(OutFd, Reply, Cfg.MaxFrameBytes))
+        if (!Send(shedFrame(
+                "in-flight frame budget exceeded; drain replies and retry")))
           return;
         continue;
       }
     }
 
-    if (!S) {
-      // Router-level admission control: past the aggregate session cap,
-      // frames that would open a NEW session are shed (existing sessions
-      // keep being served — shedding admissions, not service).
-      if (Router.overloaded()) {
-        Router.noteShed();
-        std::vector<std::uint8_t> Reply = detail::countedErrorReply(
-            ErrorCode::Overloaded,
-            "session cap reached across shards; retry later");
-        T.TxBytes.inc(4 + Reply.size());
-        if (!writeFrame(OutFd, Reply, Cfg.MaxFrameBytes))
-          return;
-        continue;
-      }
-      S = Router.createSession();
+    // Admission control: past the session cap, a frame that would open a
+    // NEW session is shed (existing sessions keep being served — shedding
+    // admissions, not service).
+    if (!S && !(S = Sessions.tryCreateSession())) {
+      if (!Send(shedFrame(SessionCapMessage)))
+        return;
+      continue;
     }
     // Frame latency covers dispatch through reply encode — the request's
     // resident cost — not the peer-dependent socket I/O around it.
@@ -158,8 +157,7 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
     T.FrameNs.observe(Elapsed);
     if (IsQuery)
       T.QueryFrameNs.observe(Elapsed);
-    T.TxBytes.inc(4 + Reply.size());
-    if (!writeFrame(OutFd, Reply, Cfg.MaxFrameBytes))
+    if (!Send(Reply))
       return;
     if (S->shutdownRequested()) {
       stop();
@@ -188,16 +186,11 @@ bool LivenessServer::handleResume(int OutFd,
     if (Hwm != 0)
       return Send(detail::countedErrorReply(
           ErrorCode::BadResume, "high-water mark without a session id"));
-    if (Router.overloaded()) {
-      Router.noteShed();
-      return Send(detail::countedErrorReply(
-          ErrorCode::Overloaded,
-          "session cap reached across shards; retry later"));
-    }
-    S = Router.createResumableSession();
-    return Send(encodeResumed(S->sessionId(), 0, 0));
+    S = Sessions.tryCreateResumableSession();
+    return Send(S ? encodeResumed(S->sessionId(), 0, 0)
+                  : shedFrame(SessionCapMessage));
   }
-  SessionManager::ResumeResult RR = Router.resumeSession(Sid, Hwm);
+  SessionManager::ResumeResult RR = Sessions.resumeSession(Sid, Hwm);
   if (!Send(RR.Reply))
     return false;
   for (const std::vector<std::uint8_t> &P : RR.PendingReplies)

@@ -9,12 +9,11 @@
 /// unix-domain sockets and TCP (one shared poll-based acceptor, one
 /// handler thread and one Session per connection) or serves a single
 /// session over an arbitrary duplex fd pair — the pipe transport the
-/// --stdio mode and the in-process test/bench harnesses use. Every
-/// connection routes through the ShardRouter: with --shards=N each
-/// session is consistent-hashed onto one of N SessionManager shards, each
-/// with its own query ThreadPool; per-worker answer spans keep the hot
-/// path lock-free and replies byte-identical regardless of client
-/// interleaving or shard placement.
+/// --stdio mode and the in-process test/bench harnesses use. The server
+/// owns one SessionManager: every connection's session shares its query
+/// ThreadPool and parked-journal store; per-worker answer spans keep the
+/// hot path lock-free and replies byte-identical regardless of client
+/// interleaving.
 ///
 /// A connection whose first frame is a Resume handshake either opens a
 /// journaling (resumable) session or re-attaches to a parked one: the
@@ -23,8 +22,9 @@
 /// high-water mark — reply purity makes the rebuilt connection
 /// indistinguishable from one that never dropped. Overload is shed, not
 /// queued: past the connection cap, accepted sockets get one well-formed
-/// Error(Overloaded) and a close; past the per-connection in-flight
-/// budget, frames are answered Error(Overloaded) without dispatch.
+/// Error(Overloaded) and a close; a frame that would open a session past
+/// the session cap, or that arrives past the per-connection in-flight
+/// budget, is answered Error(Overloaded) without dispatch.
 ///
 /// This is the amortization story of the paper pushed to its natural
 /// habitat: one resident precomputation per loaded function, repaired in
@@ -37,7 +37,6 @@
 #define SSALIVE_SERVER_LIVENESSSERVER_H
 
 #include "server/SessionManager.h"
-#include "server/ShardRouter.h"
 
 #include <atomic>
 #include <memory>
@@ -58,15 +57,8 @@ public:
   LivenessServer(const LivenessServer &) = delete;
   LivenessServer &operator=(const LivenessServer &) = delete;
 
-  /// The shard router every connection routes through. With the default
-  /// --shards=1 there is exactly one shard behind it (the classic server),
-  /// but the router layer — and its ssalive_router_* series — exist either
-  /// way.
-  ShardRouter &router() { return Router; }
-
-  /// Shard 0's manager — the whole server when Shards == 1. Kept for the
-  /// single-shard tools and tests that predate the router.
-  SessionManager &sessions() { return Router.shard(0); }
+  /// The session manager every connection's session belongs to.
+  SessionManager &sessions() { return Sessions; }
 
   /// \name Pipe transport.
   /// Serves exactly one session over an already-open duplex pair, blocking
@@ -155,7 +147,7 @@ private:
   void reapFinishedHandlers();
 
   ServerConfig Cfg;
-  ShardRouter Router;
+  SessionManager Sessions;
 
   int ListenFd = -1;
   int TcpListenFd = -1;

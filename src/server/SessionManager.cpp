@@ -69,9 +69,9 @@ struct ServerTelemetry {
 /// is synchronous). Registry counters — the error taxonomy below and the
 /// request/query/edit totals in Session's handlers — must not re-count
 /// work that was already counted on first dispatch: a resume would
-/// permanently skew every reconcile (and every shed/rebalance decision)
-/// read off the process-wide series. The per-session Tally is exempt: it
-/// must replay to the byte-identical StatsReply.
+/// permanently skew every reconcile read off the process-wide series. The
+/// per-session Tally is exempt: it must replay to the byte-identical
+/// StatsReply.
 thread_local bool ReplayingOnThisThread = false;
 
 /// encodeError plus the error-taxonomy counter for \p Code — every error
@@ -111,28 +111,10 @@ std::vector<std::uint8_t> countedErrorReply(protocol::ErrorCode Code,
 }
 } // namespace ssalive::server::detail
 
-Session::Session(SessionManager &Owner) : Owner(Owner) {
-  ServerTelemetry::get().SessionsOpened.inc();
-  ServerTelemetry::get().SessionsActive.add(1);
-  Owner.noteSessionOpened();
-}
-
 Session::~Session() {
   ServerTelemetry::get().SessionsClosed.inc();
   ServerTelemetry::get().SessionsActive.add(-1);
-  Owner.noteSessionClosed();
-}
-
-void SessionManager::noteSessionOpened() {
-  std::int64_t Now = ActiveSessions.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (ActivityGauge)
-    ActivityGauge->set(Now);
-}
-
-void SessionManager::noteSessionClosed() {
-  std::int64_t Now = ActiveSessions.fetch_sub(1, std::memory_order_relaxed) - 1;
-  if (ActivityGauge)
-    ActivityGauge->set(Now);
+  Owner.ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::vector<std::uint8_t> Session::handle(const std::uint8_t *Data,
@@ -455,13 +437,40 @@ std::vector<std::uint8_t> Session::handleMetrics() {
 }
 
 //===----------------------------------------------------------------------===//
-// SessionManager: the resume plane.
+// SessionManager: admission and the resume plane.
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<Session> SessionManager::createResumableSession() {
-  std::unique_ptr<Session> S = createSession();
-  S->markResumable(
-      NextSessionId.fetch_add(SessionIdStride, std::memory_order_relaxed));
+bool SessionManager::reserveSlot() {
+  std::int64_t Live = ActiveSessions.load(std::memory_order_relaxed);
+  do {
+    if (Cfg.MaxSessions != 0 &&
+        Live >= static_cast<std::int64_t>(Cfg.MaxSessions))
+      return false;
+  } while (!ActiveSessions.compare_exchange_weak(
+      Live, Live + 1, std::memory_order_relaxed));
+  return true;
+}
+
+std::unique_ptr<Session> SessionManager::openSession() {
+  ServerTelemetry::get().SessionsOpened.inc();
+  ServerTelemetry::get().SessionsActive.add(1);
+  return std::unique_ptr<Session>(new Session(*this));
+}
+
+std::unique_ptr<Session> SessionManager::createSession() {
+  ActiveSessions.fetch_add(1, std::memory_order_relaxed);
+  return openSession();
+}
+
+std::unique_ptr<Session> SessionManager::tryCreateSession() {
+  return reserveSlot() ? openSession() : nullptr;
+}
+
+std::unique_ptr<Session> SessionManager::tryCreateResumableSession() {
+  std::unique_ptr<Session> S = tryCreateSession();
+  if (!S)
+    return nullptr;
+  S->markResumable(NextSessionId.fetch_add(1, std::memory_order_relaxed));
   ServerTelemetry::get().ResumeOpened.inc();
   return S;
 }
@@ -497,47 +506,43 @@ void SessionManager::evictLockedPastCaps() {
   }
 }
 
-bool SessionManager::stealParkedJournal(std::uint64_t SessionId,
-                                        std::uint64_t HighWaterMark,
-                                        ParkedJournal &Out,
-                                        std::vector<std::uint8_t> &ErrReply) {
+SessionManager::ResumeResult
+SessionManager::resumeSession(std::uint64_t SessionId,
+                              std::uint64_t HighWaterMark) {
   const ServerTelemetry &T = ServerTelemetry::get();
   T.ResumeAttempts.inc();
-  std::lock_guard<std::mutex> Lock(ParkedMutex);
-  auto It = ParkedById.find(SessionId);
-  if (It == ParkedById.end()) {
-    T.ResumeUnknown.inc();
-    ErrReply = countedError(ErrorCode::UnknownSession,
-                            "session id was never issued, was evicted, or "
-                            "outgrew its journal");
-    return false;
+  ResumeResult R;
+  ParkedJournal P;
+  {
+    std::lock_guard<std::mutex> Lock(ParkedMutex);
+    auto It = ParkedById.find(SessionId);
+    if (It == ParkedById.end()) {
+      T.ResumeUnknown.inc();
+      R.Reply = countedError(ErrorCode::UnknownSession,
+                             "session id was never issued, was evicted, or "
+                             "outgrew its journal");
+      return R;
+    }
+    if (HighWaterMark > It->second.Journal.size()) {
+      // The journal stays parked: a confused client must not destroy a
+      // resumable session.
+      R.Reply = countedError(ErrorCode::BadResume,
+                             "high-water mark beyond the journal");
+      return R;
+    }
+    P = std::move(It->second);
+    ParkedById.erase(It);
+    ParkedBytes -= P.Bytes;
+    T.ResumeParked.set(static_cast<std::int64_t>(ParkedById.size()));
+    T.ResumeParkedBytes.set(static_cast<std::int64_t>(ParkedBytes));
   }
-  if (HighWaterMark > It->second.Journal.size()) {
-    // The journal stays parked: a confused client must not destroy a
-    // resumable session.
-    ErrReply = countedError(ErrorCode::BadResume,
-                            "high-water mark beyond the journal");
-    return false;
-  }
-  Out = std::move(It->second);
-  ParkedById.erase(It);
-  ParkedBytes -= Out.Bytes;
-  T.ResumeParked.set(static_cast<std::int64_t>(ParkedById.size()));
-  T.ResumeParkedBytes.set(static_cast<std::int64_t>(ParkedBytes));
-  return true;
-}
 
-SessionManager::ResumeResult
-SessionManager::adoptJournal(std::uint64_t SessionId,
-                             std::uint64_t HighWaterMark, ParkedJournal P) {
-  // Replay outside any lock: rebuilding a long session is real work and
+  // Replay outside the lock: rebuilding a long session is real work and
   // must not serialize unrelated park/resume traffic. Every reply is a
   // pure function of the request prefix, so the rebuilt session — module,
-  // driver caches, tally — is byte-identical to the uninterrupted one
-  // (on whichever shard the replay runs), and the replies past the
-  // client's high-water mark are exactly the bytes it never received.
-  const ServerTelemetry &T = ServerTelemetry::get();
-  ResumeResult R;
+  // driver caches, tally — is byte-identical to the uninterrupted one, and
+  // the replies past the client's high-water mark are exactly the bytes it
+  // never received.
   std::unique_ptr<Session> S = createSession();
   S->markResumable(SessionId);
   for (std::size_t I = 0; I != P.Journal.size(); ++I) {
@@ -553,16 +558,6 @@ SessionManager::adoptJournal(std::uint64_t SessionId,
   T.ResumeOk.inc();
   R.S = std::move(S);
   return R;
-}
-
-SessionManager::ResumeResult
-SessionManager::resumeSession(std::uint64_t SessionId,
-                              std::uint64_t HighWaterMark) {
-  ResumeResult R;
-  ParkedJournal P;
-  if (!stealParkedJournal(SessionId, HighWaterMark, P, R.Reply))
-    return R;
-  return adoptJournal(SessionId, HighWaterMark, std::move(P));
 }
 
 std::size_t SessionManager::parkedSessions() const {

@@ -51,7 +51,6 @@
 
 #include "pipeline/BatchLivenessDriver.h"
 #include "server/Protocol.h"
-#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -99,20 +98,14 @@ struct ServerConfig {
   std::size_t MaxParkedJournalBytes = 256u << 20;
   /// @}
 
-  /// \name Shard routing (consumed by ShardRouter / LivenessServer, not
-  /// by an individual SessionManager).
-  /// @{
-  /// Worker shards behind the router: each owns its own SessionManager
-  /// and query pool (of \c Threads workers). 1 = the classic single-shard
-  /// server; the router layer exists either way so the ssalive_router_*
-  /// telemetry series are always live.
-  unsigned Shards = 1;
-  /// Router-level shedding: when the live sessions aggregated across all
-  /// shards reach this cap, frames that would open a NEW session are
-  /// answered Error(Overloaded) instead (existing sessions keep being
-  /// served). 0 = unlimited.
+  /// Session cap: when this many sessions are live, the transport answers
+  /// frames that would open a NEW session (a plain first frame or the
+  /// Resume(0, 0) handshake) with Error(Overloaded) instead; existing
+  /// sessions keep being served. The check and the slot reservation are
+  /// one atomic step (SessionManager::tryCreateSession), so concurrent
+  /// admissions never overshoot. Resuming a parked session is not checked
+  /// against the cap. 0 = unlimited.
   std::size_t MaxSessions = 0;
-  /// @}
 };
 
 class SessionManager;
@@ -122,7 +115,6 @@ class SessionManager;
 /// concurrency comes from many sessions sharing the pool.
 class Session {
 public:
-  explicit Session(SessionManager &Owner);
   ~Session();
 
   Session(const Session &) = delete;
@@ -140,10 +132,6 @@ public:
   /// True once a Shutdown request was seen (the transport layer stops the
   /// server after sending the Ok reply).
   bool shutdownRequested() const { return ShutdownSeen; }
-
-  /// The manager (shard) this session belongs to — where its journal is
-  /// parked on disconnect. The router routes a session back here.
-  SessionManager &manager() const { return Owner; }
 
   /// \name Resume plane (driven by SessionManager and the transport).
   /// A resumable session journals every payload handle() dispatches, in
@@ -180,6 +168,10 @@ public:
   /// @}
 
 private:
+  /// Only the manager creates sessions: it reserves the live-session slot
+  /// the destructor releases.
+  explicit Session(SessionManager &Owner) : Owner(Owner) {}
+
   std::vector<std::uint8_t> handleLoadModule(protocol::WireReader &R);
   std::vector<std::uint8_t> handleQueryBatch(protocol::WireReader &R);
   std::vector<std::uint8_t> handleEditCFG(protocol::WireReader &R);
@@ -219,32 +211,31 @@ private:
 };
 
 /// Owns what every session shares: the config, the one process-wide query
-/// pool, and the parked-journal store of the resume plane. Thread-safe;
-/// sessions are created, parked, and resumed from concurrent connection
-/// handlers.
-///
-/// Under a ShardRouter each shard is one SessionManager. Session ids are
-/// minted as FirstSessionId + k*SessionIdStride, so a router that hands
-/// shard i the arithmetic progression (i+1, i+1+N, ...) gets process-wide
-/// unique ids without any cross-shard coordination.
+/// pool, the live-session count the session cap reads, and the
+/// parked-journal store of the resume plane. Thread-safe; sessions are
+/// created, parked, and resumed from concurrent connection handlers.
+/// Session ids start at 1 and count up.
 class SessionManager {
 public:
-  explicit SessionManager(ServerConfig Cfg, std::uint64_t FirstSessionId = 1,
-                          std::uint64_t SessionIdStride = 1)
-      : Cfg(Cfg), Pool(Cfg.Threads), NextSessionId(FirstSessionId),
-        SessionIdStride(SessionIdStride ? SessionIdStride : 1) {}
+  explicit SessionManager(ServerConfig Cfg) : Cfg(Cfg), Pool(Cfg.Threads) {}
 
   const ServerConfig &config() const { return Cfg; }
   ThreadPool &pool() { return Pool; }
 
-  std::unique_ptr<Session> createSession() {
-    SessionsCreated.fetch_add(1, std::memory_order_relaxed);
-    return std::make_unique<Session>(*this);
-  }
+  /// Opens a session regardless of the session cap (in-process harnesses
+  /// and oracles; resume rebuilds go through the same path).
+  std::unique_ptr<Session> createSession();
 
-  /// Creates a session that journals its dispatched requests under a fresh
-  /// id (the Resume sessionId=0 handshake).
-  std::unique_ptr<Session> createResumableSession();
+  /// \name Capped admission.
+  /// Reserve a live-session slot with one compare-and-swap and open the
+  /// session in it; null when ServerConfig::MaxSessions sessions are
+  /// already live.
+  /// @{
+  std::unique_ptr<Session> tryCreateSession();
+  /// Same, for a session that journals its dispatched requests under a
+  /// fresh id (the Resume sessionId=0 handshake).
+  std::unique_ptr<Session> tryCreateResumableSession();
+  /// @}
 
   /// Outcome of a Resume(sessionId != 0) handshake.
   struct ResumeResult {
@@ -272,73 +263,39 @@ public:
   /// the oldest parked journals past the configured caps.
   void parkSession(std::unique_ptr<Session> S);
 
-  /// \name Cross-shard migration (the router's resume-plane primitive).
-  /// A parked journal is just replayable bytes, so any shard can rebuild
-  /// the session: the router steals the journal from the shard that holds
-  /// it and adopts it on the target shard. resumeSession() below is
-  /// exactly steal + adopt on one manager.
-  /// @{
-  /// One parked session's replayable state, detached from its shard.
-  struct ParkedJournal {
-    std::vector<std::vector<std::uint8_t>> Journal;
-    std::size_t Bytes = 0;
-  };
-
-  /// Pops the parked journal for \p SessionId after validating the
-  /// client's high-water mark. On refusal returns false with the Error
-  /// frame in \p ErrReply — and the journal (if any) stays parked, so a
-  /// confused client cannot destroy a resumable session.
-  bool stealParkedJournal(std::uint64_t SessionId,
-                          std::uint64_t HighWaterMark, ParkedJournal &Out,
-                          std::vector<std::uint8_t> &ErrReply);
-
-  /// Rebuilds a session OWNED BY THIS MANAGER from \p P by replaying the
-  /// whole request sequence against a fresh Session (reply purity makes
-  /// the rebuild byte-identical wherever it runs). \p HighWaterMark must
-  /// already be validated against the journal length.
-  ResumeResult adoptJournal(std::uint64_t SessionId,
-                            std::uint64_t HighWaterMark, ParkedJournal P);
-  /// @}
-
-  std::uint64_t sessionsCreated() const {
-    return SessionsCreated.load(std::memory_order_relaxed);
-  }
-
-  /// Sessions currently alive on this manager (created, not yet
-  /// destroyed) — the load figure the router's bounded-load placement and
-  /// shedding read.
+  /// Sessions currently alive (created, not yet destroyed) — the figure
+  /// the session cap is checked against.
   std::int64_t activeSessions() const {
     return ActiveSessions.load(std::memory_order_relaxed);
   }
-
-  /// Mirrors activeSessions() into \p G on every open/close (the router
-  /// installs the per-shard ssalive_router_shard<i>_sessions gauge here).
-  /// Must be set before the first session is created.
-  void setActivityGauge(const telemetry::Gauge *G) { ActivityGauge = G; }
 
   /// Parked journals currently held (tests).
   std::size_t parkedSessions() const;
 
 private:
   friend class Session;
-  void noteSessionOpened();
-  void noteSessionClosed();
+
+  /// One parked session's replayable state.
+  struct ParkedJournal {
+    std::vector<std::vector<std::uint8_t>> Journal;
+    std::size_t Bytes = 0;
+  };
+
+  /// Claims a live-session slot unless the cap is reached.
+  bool reserveSlot();
+  /// Opens a session in an already reserved slot.
+  std::unique_ptr<Session> openSession();
 
   void evictLockedPastCaps();
 
   ServerConfig Cfg;
   ThreadPool Pool;
-  std::atomic<std::uint64_t> SessionsCreated{0};
   std::atomic<std::int64_t> ActiveSessions{0};
-  const telemetry::Gauge *ActivityGauge = nullptr;
-  std::atomic<std::uint64_t> NextSessionId;
-  std::uint64_t SessionIdStride = 1;
+  std::atomic<std::uint64_t> NextSessionId{1};
 
   mutable std::mutex ParkedMutex;
-  /// Insertion-ordered (ids minted by this shard are monotone): begin()
-  /// is the oldest, the one the eviction policy drops first. A journal
-  /// adopted from another shard may interleave arbitrarily; eviction
-  /// order stays oldest-id-first, which is close enough to oldest-parked.
+  /// Keyed by the monotone session id: begin() is the oldest, the one the
+  /// eviction policy drops first.
   std::map<std::uint64_t, ParkedJournal> ParkedById;
   std::size_t ParkedBytes = 0;
 };

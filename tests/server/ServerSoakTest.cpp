@@ -408,23 +408,21 @@ bool readResumed(const std::vector<std::uint8_t> &Reply, std::uint64_t &Sid,
   return R.ok() && R.atEnd();
 }
 
-void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
-                     BatchBackend Backend, QueryPlane Plane,
-                     unsigned ClientId,
-                     std::atomic<std::uint64_t> *QueryLedger = nullptr) {
-  auto tag = [&](const char *What, std::size_t Index) {
-    std::ostringstream OS;
-    OS << "resume client " << ClientId << " seed=" << Seed << " backend="
-       << batchBackendName(Backend) << ": " << What << " #" << Index;
-    return OS.str();
-  };
-
-  // ---- The deterministic request sequence: module load plus >= 1.2k
-  // mixed query/edit frames. The local module copy evolves in lockstep so
-  // every generated edit and workload is valid on the server's copy too.
+/// A deterministic request sequence: module load plus mixed query/edit
+/// frames, \p Frames in all. The local module copy evolves in lockstep so
+/// every generated edit and workload is valid on the server's copy too.
+/// Adds the number of queries in the stream to \p Queries; returns an
+/// empty sequence after a recorded failure.
+std::vector<std::vector<std::uint8_t>>
+buildMixedStream(std::uint64_t Seed, unsigned ClientId, BatchBackend Backend,
+                 QueryPlane Plane, std::size_t Frames,
+                 std::uint64_t &Queries) {
   std::string Text = makeModuleText(Seed, /*NumFuncs=*/4);
   ModuleParseResult Local = parseModule(Text);
-  ASSERT_TRUE(Local.Error.empty()) << tag("parse", 0) << Local.Error;
+  if (!Local.Error.empty()) {
+    ADD_FAILURE() << "seed=" << Seed << " parse: " << Local.Error;
+    return {};
+  }
   std::vector<const Function *> Funcs;
   for (const auto &F : Local.Funcs)
     Funcs.push_back(F.get());
@@ -432,13 +430,11 @@ void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
   RandomEngine Rng(Seed * 733 + ClientId);
   CFGMutatorOptions MOpts;
   MOpts.MaxNodes = 128;
-  const std::size_t TotalFrames = 1200;
-  std::uint64_t QueriesInStream = 0;
   std::vector<std::vector<std::uint8_t>> Requests;
   Requests.push_back(proto::encodeLoadModule(
       static_cast<std::uint8_t>(Backend), static_cast<std::uint8_t>(Plane),
       Text));
-  while (Requests.size() != TotalFrames) {
+  while (Requests.size() != Frames) {
     if (Rng.chancePercent(10)) {
       std::vector<proto::EditItem> Items;
       unsigned Count = 1 + Rng.nextBelow(2);
@@ -461,19 +457,17 @@ void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
       for (const BatchQuery &Q : Workload)
         Items.push_back({Q.FuncIndex, Q.ValueId, Q.BlockId, Q.IsLiveOut});
       Requests.push_back(proto::encodeQueryBatch(Items));
-      QueriesInStream += Workload.size();
+      Queries += Workload.size();
     }
   }
-  // Every frame is dispatched exactly once by the oracle session and
-  // exactly once by the live server — resume REPLAYS must not re-count
-  // (the registry double-count fix) — so the campaign's expected
-  // queries_total delta is 2x this ledger per client.
-  if (QueryLedger)
-    QueryLedger->fetch_add(2 * QueriesInStream);
+  return Requests;
+}
 
-  // ---- The uninterrupted oracle: a fresh in-process session fed the
-  // exact same sequence. Reply purity makes its output the ground truth
-  // for the killed-and-resumed connection.
+/// Replies of an uninterrupted in-process session fed \p Requests. Reply
+/// purity makes them the ground truth for any connection that sends the
+/// same sequence, dropped and resumed or not.
+std::vector<std::vector<std::uint8_t>>
+oracleReplies(const std::vector<std::vector<std::uint8_t>> &Requests) {
   server::SessionManager OracleMgr(
       server::ServerConfig{/*Threads=*/1, proto::DefaultMaxFrameBytes});
   auto OracleS = OracleMgr.createSession();
@@ -481,6 +475,60 @@ void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
   Expected.reserve(Requests.size());
   for (const auto &Req : Requests)
     Expected.push_back(OracleS->handle(Req));
+  return Expected;
+}
+
+/// A plain differential client over TCP: every reply to a mixed stream
+/// must match the single-session oracle byte for byte. Returns the frames
+/// served before the first failure.
+std::uint64_t runMixedClient(std::uint16_t Port, std::uint64_t Seed,
+                             BatchBackend Backend, QueryPlane Plane,
+                             unsigned ClientId) {
+  std::uint64_t Queries = 0;
+  std::vector<std::vector<std::uint8_t>> Requests = buildMixedStream(
+      Seed, ClientId, Backend, Plane, /*Frames=*/400, Queries);
+  std::vector<std::vector<std::uint8_t>> Expected = oracleReplies(Requests);
+  int Fd = connectLoopback(Port);
+  if (Fd < 0) {
+    ADD_FAILURE() << "mixed client " << ClientId << ": connect";
+    return 0;
+  }
+  std::vector<std::uint8_t> Reply;
+  std::size_t I = 0;
+  for (; I != Requests.size(); ++I) {
+    if (!roundTrip(Fd, Requests[I], Reply) || Reply != Expected[I]) {
+      ADD_FAILURE() << "mixed client " << ClientId << " seed=" << Seed
+                    << ": reply mismatch vs single-session oracle #" << I;
+      break;
+    }
+  }
+  ::close(Fd);
+  return I;
+}
+
+void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
+                     BatchBackend Backend, QueryPlane Plane,
+                     unsigned ClientId,
+                     std::atomic<std::uint64_t> *QueryLedger = nullptr) {
+  auto tag = [&](const char *What, std::size_t Index) {
+    std::ostringstream OS;
+    OS << "resume client " << ClientId << " seed=" << Seed << " backend="
+       << batchBackendName(Backend) << ": " << What << " #" << Index;
+    return OS.str();
+  };
+
+  const std::size_t TotalFrames = 1200;
+  std::uint64_t QueriesInStream = 0;
+  std::vector<std::vector<std::uint8_t>> Requests = buildMixedStream(
+      Seed, ClientId, Backend, Plane, TotalFrames, QueriesInStream);
+  ASSERT_EQ(Requests.size(), TotalFrames) << tag("stream", 0);
+  // Every frame is dispatched exactly once by the oracle session and
+  // exactly once by the live server — resume REPLAYS must not re-count
+  // (the registry double-count fix) — so the campaign's expected
+  // queries_total delta is 2x this ledger per client.
+  if (QueryLedger)
+    QueryLedger->fetch_add(2 * QueriesInStream);
+  std::vector<std::vector<std::uint8_t>> Expected = oracleReplies(Requests);
 
   // ---- Live run: handshake, then kill mid-stream with replies unread.
   const std::size_t KillAt = 1050;  // Round-tripped before the kill.
@@ -600,6 +648,63 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
                 QueriesBefore,
             QueryLedger.load())
       << "replayed journals must not re-count queries in the registry";
+
+  int Fd = connectLoopback(Server.boundTcpPort());
+  ASSERT_GE(Fd, 0);
+  std::vector<std::uint8_t> Reply;
+  ASSERT_TRUE(roundTrip(Fd, proto::encodeShutdown(), Reply));
+  EXPECT_EQ(Reply, proto::encodeOk());
+  ::close(Fd);
+  Server.wait();
+}
+
+//===----------------------------------------------------------------------===//
+// The mixed soak: plain differential clients run beside kill-and-resume
+// clients on one server over TCP, so resume replays and parks share the
+// parked-journal store and the query pool with live differential traffic.
+// Every reply is byte-compared against a single-session oracle.
+//===----------------------------------------------------------------------===//
+
+TEST(ServerSoak, MixedDifferentialAndResumeClientsMatchOracles) {
+  proto::ignoreSigpipe();
+  server::ServerConfig Cfg;
+  Cfg.Threads = 2;
+  server::LivenessServer Server(Cfg);
+  std::string Err;
+  ASSERT_TRUE(Server.listenTcp("127.0.0.1", /*Port=*/0, Err)) << Err;
+  Server.start();
+
+  struct PlanEntry {
+    std::uint64_t Seed;
+    BatchBackend Backend;
+    QueryPlane Plane;
+  };
+  std::vector<PlanEntry> Plans = {
+      {7001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
+      {7002, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId},
+      {7003, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {7004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
+      {7005, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
+      {7006, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+  };
+  std::atomic<std::uint64_t> Frames{0};
+  std::vector<std::thread> Clients;
+  for (std::size_t I = 0; I != Plans.size(); ++I)
+    Clients.emplace_back([&, I] {
+      Frames.fetch_add(runMixedClient(Server.boundTcpPort(), Plans[I].Seed,
+                                      Plans[I].Backend, Plans[I].Plane,
+                                      static_cast<unsigned>(I)));
+    });
+  for (unsigned I = 0; I != 2; ++I)
+    Clients.emplace_back([&, I] {
+      runResumeClient(Server.boundTcpPort(), 7101 + I,
+                      I == 0 ? BatchBackend::LiveCheckPropagated
+                             : BatchBackend::LiveCheckFiltered,
+                      QueryPlane::Prepared, I);
+    });
+  for (std::thread &T : Clients)
+    T.join();
+  EXPECT_EQ(Frames.load(), Plans.size() * 400u);
 
   int Fd = connectLoopback(Server.boundTcpPort());
   ASSERT_GE(Fd, 0);

@@ -15,7 +15,9 @@
 //    unconditionally unlinked the path, orphaning it) while still
 //    cleaning up a stale file from a dead one.
 //  * Overload shedding: connections past MaxConnections get one
-//    well-formed Error(Overloaded) and a close.
+//    well-formed Error(Overloaded) and a close; frames that would open a
+//    session past MaxSessions are shed, and concurrent admissions never
+//    overshoot the cap.
 //  * The resume plane: unknown/evicted ids, bad high-water marks,
 //    journal-overflow latching, oldest-first eviction, and the core
 //    replay contract — a park/resume cycle rebuilds a session whose
@@ -35,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <netinet/in.h>
@@ -42,6 +45,7 @@
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -346,6 +350,112 @@ TEST(ServerOverload, ShedFramesDoNotCountTowardTheResumeHighWaterMark) {
   Server.wait();
 }
 
+// The session cap sheds admissions, not service: past MaxSessions, a frame
+// that would open a NEW session — a plain first frame or the Resume(0, 0)
+// handshake — is answered Error(Overloaded) and counted as one shed frame,
+// while the session already open keeps being served.
+TEST(ServerOverload, SessionCapShedsNewSessionsButServesExisting) {
+  proto::ignoreSigpipe();
+  server::ServerConfig Cfg;
+  Cfg.MaxSessions = 1;
+  server::LivenessServer Server(Cfg);
+
+  int PairA[2], PairB[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, PairA), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, PairB), 0);
+  std::thread SideA([&] {
+    Server.serveStream(PairA[1], PairA[1]);
+    ::close(PairA[1]);
+  });
+  std::thread SideB([&] {
+    Server.serveStream(PairB[1], PairB[1]);
+    ::close(PairB[1]);
+  });
+  auto shedFrames = [] {
+    return telemetry::Registry::global().value(
+        "ssalive_server_shed_frames_total");
+  };
+
+  // Client A takes the only session slot.
+  std::vector<std::uint8_t> Reply;
+  ASSERT_TRUE(proto::roundTrip(PairA[0], PairA[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply));
+  EXPECT_EQ(Server.sessions().activeSessions(), 1);
+
+  // Client B's first frame would open session #2: shed, connection stays
+  // usable. Client A keeps being served the whole time.
+  std::uint64_t ShedBefore = shedFrames();
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_TRUE(isError(Reply, proto::ErrorCode::Overloaded))
+      << "past MaxSessions a new session must be shed";
+  EXPECT_EQ(shedFrames() - ShedBefore, 1u);
+  ASSERT_TRUE(proto::roundTrip(PairA[0], PairA[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply));
+
+  // A resumable-open handshake is admission too: shed the same way.
+  ShedBefore = shedFrames();
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeResume(0, 0),
+                               Reply));
+  EXPECT_TRUE(isError(Reply, proto::ErrorCode::Overloaded));
+  EXPECT_EQ(shedFrames() - ShedBefore, 1u);
+  EXPECT_EQ(Server.sessions().activeSessions(), 1);
+
+  // Client A leaves; once its session closes, B's retry is admitted.
+  ::close(PairA[0]);
+  SideA.join();
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply))
+      << "a freed slot must admit the waiting client";
+  ::close(PairB[0]);
+  SideB.join();
+}
+
+// The cap check and the slot reservation are one atomic step: eight
+// threads released together at MaxSessions = 1 must open at most one
+// session between them, and the live count may never pass the cap.
+TEST(ServerOverload, SessionCapIsExactUnderConcurrentAdmission) {
+  server::ServerConfig Cfg;
+  Cfg.MaxSessions = 1;
+  server::SessionManager Mgr(Cfg);
+  constexpr unsigned Threads = 8;
+  for (unsigned Round = 0; Round != 200; ++Round) {
+    Gate Start;
+    std::atomic<unsigned> Ready{0};
+    std::atomic<std::int64_t> MaxLive{0};
+    std::vector<std::unique_ptr<server::Session>> Opened(Threads);
+    std::vector<std::thread> Ts;
+    for (unsigned I = 0; I != Threads; ++I)
+      Ts.emplace_back([&, I] {
+        Start.wait();
+        // The gate wakes threads microseconds apart; spinning until all
+        // are awake lines their admissions up within nanoseconds.
+        Ready.fetch_add(1);
+        while (Ready.load() != Threads)
+          std::this_thread::yield();
+        Opened[I] = I % 2 ? Mgr.tryCreateResumableSession()
+                          : Mgr.tryCreateSession();
+        std::int64_t Live = Mgr.activeSessions();
+        std::int64_t Seen = MaxLive.load();
+        while (Live > Seen && !MaxLive.compare_exchange_weak(Seen, Live)) {
+        }
+      });
+    Start.open();
+    for (std::thread &T : Ts)
+      T.join();
+    unsigned Admitted = 0;
+    for (const auto &S : Opened)
+      Admitted += S != nullptr;
+    EXPECT_EQ(Admitted, 1u) << "round " << Round;
+    EXPECT_LE(MaxLive.load(), 1) << "round " << Round;
+    EXPECT_EQ(Mgr.activeSessions(), 1) << "round " << Round;
+  }
+  EXPECT_EQ(Mgr.activeSessions(), 0);
+}
+
 //===----------------------------------------------------------------------===//
 // The resume plane, driven in-process through SessionManager.
 //===----------------------------------------------------------------------===//
@@ -356,7 +466,7 @@ TEST(SessionResume, UnknownIdsAndBadHighWaterMarksAreRefused) {
   EXPECT_EQ(Unknown.S, nullptr);
   EXPECT_TRUE(isError(Unknown.Reply, proto::ErrorCode::UnknownSession));
 
-  auto S = Mgr.createResumableSession();
+  auto S = Mgr.tryCreateResumableSession();
   std::uint64_t Id = S->sessionId();
   ASSERT_NE(Id, 0u);
   EXPECT_EQ(S->handle(proto::encodeStats())[0],
@@ -418,7 +528,7 @@ TEST(SessionResume, ReplayRebuildsByteIdenticalSessionAndPendingReplies) {
   for (const auto &Req : Requests)
     Expected.push_back(OracleS->handle(Req));
 
-  auto S = Mgr.createResumableSession();
+  auto S = Mgr.tryCreateResumableSession();
   std::uint64_t Id = S->sessionId();
   for (std::size_t I = 0; I != Requests.size(); ++I)
     EXPECT_EQ(S->handle(Requests[I]), Expected[I]) << "request " << I;
@@ -457,7 +567,7 @@ TEST(SessionResume, JournalOverflowLatchesTheSessionUnresumable) {
   server::ServerConfig Cfg;
   Cfg.MaxJournalBytes = 16; // Tiny on purpose.
   server::SessionManager Mgr(Cfg);
-  auto S = Mgr.createResumableSession();
+  auto S = Mgr.tryCreateResumableSession();
   std::uint64_t Id = S->sessionId();
   EXPECT_TRUE(S->resumable());
   // 1-byte Stats frames fit; the first frame past the cap latches.
@@ -482,7 +592,7 @@ TEST(SessionResume, OldestParkedJournalsAreEvictedPastTheCaps) {
   server::SessionManager Mgr(Cfg);
   std::uint64_t Ids[3];
   for (int I = 0; I != 3; ++I) {
-    auto S = Mgr.createResumableSession();
+    auto S = Mgr.tryCreateResumableSession();
     Ids[I] = S->sessionId();
     S->handle(proto::encodeStats());
     Mgr.parkSession(std::move(S));
@@ -500,7 +610,7 @@ TEST(SessionResume, OldestParkedJournalsAreEvictedPastTheCaps) {
   server::SessionManager BMgr(BCfg);
   std::uint64_t BIds[2];
   for (int I = 0; I != 2; ++I) {
-    auto S = BMgr.createResumableSession();
+    auto S = BMgr.tryCreateResumableSession();
     BIds[I] = S->sessionId();
     for (int J = 0; J != 5; ++J)
       S->handle(proto::encodeStats()); // 5 journal bytes each.
@@ -514,7 +624,7 @@ TEST(SessionResume, OldestParkedJournalsAreEvictedPastTheCaps) {
 
 TEST(SessionResume, ShutdownSessionsAreNeverParked) {
   server::SessionManager Mgr({});
-  auto S = Mgr.createResumableSession();
+  auto S = Mgr.tryCreateResumableSession();
   std::uint64_t Id = S->sessionId();
   EXPECT_EQ(S->handle(proto::encodeShutdown()), proto::encodeOk());
   Mgr.parkSession(std::move(S));

@@ -6,8 +6,7 @@
 //
 // Front end of the liveness query server. Two transports:
 //
-//   ssalive-server --socket=/path/sock [--threads=N] [--shards=N]
-//                  [--max-frame=BYTES]
+//   ssalive-server --socket=/path/sock [--threads=N] [--max-frame=BYTES]
 //       Accepts any number of concurrent clients on a unix-domain
 //       socket; runs until a client sends the Shutdown command (or the
 //       process is signalled).
@@ -69,7 +68,6 @@ struct CliOptions {
   std::string PortFilePath;
   bool Stdio = false;
   unsigned Threads = 1;
-  unsigned Shards = 1;
   std::size_t MaxFrame = protocol::DefaultMaxFrameBytes;
   unsigned MetricsIntervalSecs = 0; ///< 0 = no periodic dumps.
   std::string MetricsOutPath;       ///< Empty = stderr.
@@ -109,9 +107,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--threads=", 0) == 0 &&
                parseUnsigned(Arg.c_str() + 10, N)) {
       Opts.Threads = static_cast<unsigned>(N);
-    } else if (Arg.rfind("--shards=", 0) == 0 &&
-               parseUnsigned(Arg.c_str() + 9, N) && N != 0) {
-      Opts.Shards = static_cast<unsigned>(N);
     } else if (Arg.rfind("--max-frame=", 0) == 0 &&
                parseUnsigned(Arg.c_str() + 12, N) && N != 0) {
       Opts.MaxFrame = N;
@@ -225,7 +220,6 @@ int main(int Argc, char **Argv) {
 
   ServerConfig Cfg;
   Cfg.Threads = Opts.Threads;
-  Cfg.Shards = Opts.Shards;
   Cfg.MaxFrameBytes = Opts.MaxFrame;
   int Exit = 0;
   {
@@ -242,9 +236,8 @@ int main(int Argc, char **Argv) {
           return 1;
         }
         std::fprintf(stderr,
-                     "ssalive-server: listening on %s (%u shard(s) x %u "
-                     "pool threads)\n",
-                     Opts.SocketPath.c_str(), Server.router().numShards(),
+                     "ssalive-server: listening on %s (%u pool threads)\n",
+                     Opts.SocketPath.c_str(),
                      Server.sessions().pool().numThreads());
       }
       if (Opts.Tcp) {
@@ -253,11 +246,10 @@ int main(int Argc, char **Argv) {
           return 1;
         }
         std::fprintf(stderr,
-                     "ssalive-server: listening on %s:%u (%u shard(s) x %u "
-                     "pool threads)\n",
+                     "ssalive-server: listening on %s:%u (%u pool threads)\n",
                      Opts.TcpHost.empty() ? "127.0.0.1"
                                           : Opts.TcpHost.c_str(),
-                     Server.boundTcpPort(), Server.router().numShards(),
+                     Server.boundTcpPort(),
                      Server.sessions().pool().numThreads());
         if (!Opts.PortFilePath.empty() &&
             !writePortFile(Opts.PortFilePath, Server.boundTcpPort())) {

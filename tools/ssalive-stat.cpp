@@ -9,7 +9,8 @@
 // counters, gauges, and latency histograms with p50/p95/p99 — without
 // loading a module or perturbing any session state. A frame-latency
 // summary line derives the server's request-service percentiles from the
-// ssalive_server_frame_ns log2 histogram.
+// ssalive_server_frame_ns log2 histogram; a session line counts live,
+// opened and parked sessions and shed frames.
 //
 //   ssalive-stat --connect=/path/sock      human-readable summary
 //   ssalive-stat --connect=/path/sock --prometheus
@@ -175,29 +176,19 @@ std::uint64_t valueOf(const std::vector<telemetry::Metric> &Metrics,
   return 0;
 }
 
-/// The router summary: shard count, per-shard live sessions, and the
-/// routed/migrated/shed totals — the at-a-glance view of how the
-/// consistent-hash placement is spreading load.
-void printRouterSummary(const std::vector<telemetry::Metric> &Metrics) {
-  std::uint64_t Shards = valueOf(Metrics, "ssalive_router_shards");
-  if (Shards == 0)
-    return; // Pre-router server; nothing to summarize.
-  std::printf("router: %llu shard(s), %llu session(s) routed, "
-              "%llu migration(s), %llu shed\n",
-              static_cast<unsigned long long>(Shards),
+/// The session summary: live, opened and parked sessions, plus the frames
+/// the overload guards shed.
+void printSessionSummary(const std::vector<telemetry::Metric> &Metrics) {
+  std::printf("sessions: %lld active, %llu opened, %lld parked; "
+              "%llu frame(s) shed\n",
+              static_cast<long long>(
+                  valueOf(Metrics, "ssalive_server_sessions_active")),
               static_cast<unsigned long long>(
-                  valueOf(Metrics, "ssalive_router_sessions_routed_total")),
+                  valueOf(Metrics, "ssalive_server_sessions_opened_total")),
+              static_cast<long long>(
+                  valueOf(Metrics, "ssalive_server_resume_parked_sessions")),
               static_cast<unsigned long long>(
-                  valueOf(Metrics, "ssalive_router_migrations_total")),
-              static_cast<unsigned long long>(
-                  valueOf(Metrics, "ssalive_router_sheds_total")));
-  for (std::uint64_t I = 0; I != Shards; ++I) {
-    std::string Name =
-        "ssalive_router_shard" + std::to_string(I) + "_sessions";
-    std::printf("  shard %llu: %lld live session(s)\n",
-                static_cast<unsigned long long>(I),
-                static_cast<long long>(valueOf(Metrics, Name.c_str())));
-  }
+                  valueOf(Metrics, "ssalive_server_shed_frames_total")));
 }
 
 } // namespace
@@ -229,7 +220,7 @@ int main(int Argc, char **Argv) {
 
   printHuman(Metrics);
   printFrameLatencySummary(Metrics);
-  printRouterSummary(Metrics);
+  printSessionSummary(Metrics);
 
   // --watch: repoll on the same connection and report the query rate the
   // registry observed between snapshots.
