@@ -7,9 +7,11 @@
 /// \file
 /// Reducibility test per the paper's Section 2.1 (after Hecht & Ullman): a
 /// CFG is reducible iff every DFS back edge's target dominates its source.
-/// The query algorithm has a single-test fast path on reducible graphs
-/// (Theorem 2), and Section 6.1 reports how rare irreducibility is in
-/// practice (60 of 238427 edges, 7 of 4823 functions).
+/// Section 6.1 reports how rare irreducibility is in practice (60 of 238427
+/// edges, 7 of 4823 functions); the CFG mutator's reducibility-preserving
+/// mode and the Table-1 bench rely on this test. The paper's Theorem-2
+/// single-test fast path for reducible graphs is not used by LiveCheck
+/// (see the soundness note in core/LiveCheck.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

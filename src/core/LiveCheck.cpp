@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Soundness note on TMode::Propagated (referenced from LiveCheck.h):
+// Soundness note on the propagated T sets (referenced from LiveCheck.h):
 //
 // Definition 5 builds T_q from chains q -> t1 -> t2 -> ... where each link
 // t_{i+1} ∈ T↑_{t_i} requires (a) a back edge (s,t_{i+1}) with s reduced
@@ -18,20 +18,19 @@
 // precondition that def(a) strictly dominates q (checked before the scan),
 // exactly as the proof covers it "by thinking of the node q as t_0". Hence
 // the propagated supersets answer every query identically; the tests verify
-// this equivalence exhaustively on random CFGs. What the supersets do break
-// is Lemma 3 (elements of T_q need not be totally ordered by dominance), so
-// the Theorem-2 single-test fast path demands TMode::Filtered.
+// this equivalence exhaustively on random CFGs. There is no Theorem-2
+// single-test fast path: the supersets break Lemma 3 (elements of T_q need
+// not be totally ordered by dominance), and exact Definition-5 sets cost
+// about twice the precompute with no measured gain per query.
 //
 // Implementation note on the arenas: R and T are computed and stored in
-// BitMatrix arenas (the recurrences are then linear sweeps over contiguous
-// memory); bindKernels() picks the scan kernels once, so the query path
-// never consults Opts again.
+// BitMatrix arenas, so the recurrences are linear sweeps over contiguous
+// memory.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/LiveCheck.h"
 
-#include "analysis/Reducibility.h"
 #include "support/Debug.h"
 #include "support/Pool.h"
 #include "support/Telemetry.h"
@@ -98,23 +97,17 @@ struct MaskUses {
 // Scan kernels
 //===----------------------------------------------------------------------===//
 
-template <bool Skip, bool FP, class Uses>
-bool LiveCheck::scanImpl(const LiveCheck &LC, unsigned DefNum,
-                         unsigned MaxDom, unsigned QNum, Uses U,
-                         bool ExcludeTrivialQ, LiveCheckStats *Sink) {
+template <class Uses>
+bool LiveCheck::scanImpl(unsigned DefNum, unsigned MaxDom, unsigned QNum,
+                         Uses U, bool ExcludeTrivialQ,
+                         LiveCheckStats *Sink) const {
   // Algorithm 3. The dominance-preorder numbering makes T_q ∩ sdom(def)
   // the set bits of T_q in [DefNum + 1, MaxDom]; scanning from index 0
-  // upwards visits "more dominating" targets first (Section 5.1 item 2).
-  // The row pointer is resolved once and the word scan is clamped to the
-  // interval, so a scan never reads past bit MaxDom.
-  //
-  // FP compiles in Theorem 2: on reducible CFGs with exact Definition-5
-  // sets, the most dominating target decides the query alone. One
-  // refinement: the trivial-path exclusion can suppress the q-use at
-  // t = q, in which case a *less* dominating target could still certify a
-  // non-trivial path, so the fast path only applies when nothing was
-  // excluded.
-  const std::uint64_t *TRow = LC.TMat.row(QNum);
+  // upwards visits "more dominating" targets first, and a failed target's
+  // dominance subtree is skipped (Section 5.1 item 2). The row pointer is
+  // resolved once and the word scan is clamped to the interval, so a scan
+  // never reads past bit MaxDom.
+  const std::uint64_t *TRow = TMat.row(QNum);
   unsigned Limit = MaxDom + 1;
   unsigned WordLen = (Limit + BitMatrix::WordBits - 1) / BitMatrix::WordBits;
   unsigned TNum = BitMatrix::wordsFindNextSet(TRow, WordLen, DefNum + 1,
@@ -122,33 +115,26 @@ bool LiveCheck::scanImpl(const LiveCheck &LC, unsigned DefNum,
   while (TNum != BitMatrix::npos) {
     if (Sink)
       ++Sink->TargetsVisited;
-    if (U.test(LC.RMat.row(TNum), TNum, QNum, ExcludeTrivialQ, Sink))
+    if (U.test(RMat.row(TNum), TNum, QNum, ExcludeTrivialQ, Sink))
       return true;
-    if constexpr (FP)
-      if (!(ExcludeTrivialQ && TNum == QNum))
-        return false;
-    TNum = BitMatrix::wordsFindNextSet(
-        TRow, WordLen, Skip ? LC.MaxNumByNum[TNum] + 1 : TNum + 1, Limit);
+    TNum = BitMatrix::wordsFindNextSet(TRow, WordLen, MaxNumByNum[TNum] + 1,
+                                       Limit);
   }
   return false;
 }
 
-template <bool Skip, bool FP>
-bool LiveCheck::numSpanKernel(const LiveCheck &LC, unsigned DefNum,
-                              unsigned MaxDom, unsigned QNum,
+bool LiveCheck::numSpanKernel(unsigned DefNum, unsigned MaxDom, unsigned QNum,
                               const unsigned *Begin, const unsigned *End,
-                              bool ExcludeTrivialQ, LiveCheckStats *Sink) {
-  return scanImpl<Skip, FP>(LC, DefNum, MaxDom, QNum,
-                            NumUses{Begin, End, LC.BackTargetByNum.data()},
-                            ExcludeTrivialQ, Sink);
+                              bool ExcludeTrivialQ, LiveCheckStats *Sink) const {
+  return scanImpl(DefNum, MaxDom, QNum,
+                  NumUses{Begin, End, BackTargetByNum.data()},
+                  ExcludeTrivialQ, Sink);
 }
 
-template <bool Skip, bool FP>
-bool LiveCheck::renumberingKernel(const LiveCheck &LC, unsigned DefNum,
-                                  unsigned MaxDom, unsigned QNum,
-                                  const unsigned *Begin, const unsigned *End,
-                                  bool ExcludeTrivialQ,
-                                  LiveCheckStats *Sink) {
+bool LiveCheck::renumberingKernel(unsigned DefNum, unsigned MaxDom,
+                                  unsigned QNum, const unsigned *Begin,
+                                  const unsigned *End, bool ExcludeTrivialQ,
+                                  LiveCheckStats *Sink) const {
   // Block-id entry: number the span once up front — O(uses) instead of
   // O(targets x uses) — then run the numbered kernel. Small spans (the
   // overwhelming majority, per the paper's Table 1 use distribution) stay
@@ -164,46 +150,23 @@ bool LiveCheck::renumberingKernel(const LiveCheck &LC, unsigned DefNum,
     Buf = Heap.data();
   }
   for (std::size_t I = 0; I != Count; ++I)
-    Buf[I] = LC.DT.num(Begin[I]);
+    Buf[I] = DT.num(Begin[I]);
   unsigned *NewEnd = Buf + Count;
   if (Count > 8) {
     std::sort(Buf, NewEnd);
     NewEnd = std::unique(Buf, NewEnd);
   }
-  return numSpanKernel<Skip, FP>(LC, DefNum, MaxDom, QNum, Buf, NewEnd,
-                                 ExcludeTrivialQ, Sink);
+  return numSpanKernel(DefNum, MaxDom, QNum, Buf, NewEnd, ExcludeTrivialQ,
+                       Sink);
 }
 
-template <bool Skip, bool FP>
-bool LiveCheck::maskKernel(const LiveCheck &LC, unsigned DefNum,
-                           unsigned MaxDom, unsigned QNum,
+bool LiveCheck::maskKernel(unsigned DefNum, unsigned MaxDom, unsigned QNum,
                            const std::uint64_t *MaskWords,
                            unsigned MaskNumWords, bool ExcludeTrivialQ,
-                           LiveCheckStats *Sink) {
-  return scanImpl<Skip, FP>(LC, DefNum, MaxDom, QNum,
-                            MaskUses{MaskWords, MaskNumWords,
-                                     LC.BackTargetByNum.data()},
-                            ExcludeTrivialQ, Sink);
-}
-
-void LiveCheck::bindKernels() {
-  if (Opts.SubtreeSkip)
-    bindKernelsSkip<true>();
-  else
-    bindKernelsSkip<false>();
-}
-
-template <bool Skip> void LiveCheck::bindKernelsSkip() {
-  if (FastPath)
-    bindKernelsFull<Skip, true>();
-  else
-    bindKernelsFull<Skip, false>();
-}
-
-template <bool Skip, bool FP> void LiveCheck::bindKernelsFull() {
-  BlockScan = &LiveCheck::renumberingKernel<Skip, FP>;
-  NumScan = &LiveCheck::numSpanKernel<Skip, FP>;
-  MaskScan = &LiveCheck::maskKernel<Skip, FP>;
+                           LiveCheckStats *Sink) const {
+  return scanImpl(DefNum, MaxDom, QNum,
+                  MaskUses{MaskWords, MaskNumWords, BackTargetByNum.data()},
+                  ExcludeTrivialQ, Sink);
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,16 +201,7 @@ void LiveCheck::computeAll() {
   }
 
   computeR();
-  if (Opts.Mode == TMode::Propagated)
-    computeTPropagated();
-  else
-    computeTFiltered();
-
-  FastPath = false;
-  if (Opts.ReducibleFastPath && Opts.Mode == TMode::Filtered)
-    FastPath = analyzeReducibility(D, DT).Reducible;
-
-  bindKernels();
+  computeT();
   captureSnapshots();
 
   RTBytes.inc(memoryBytes());
@@ -402,32 +356,12 @@ void LiveCheck::propagateT(const std::vector<BitVector> &AtSource) {
     TMat.set(Num, Num);
 }
 
-void LiveCheck::computeTPropagated() {
+void LiveCheck::computeT() {
   // The target sets and source unions go into the retained members: the
   // incremental update dirty-tracks against exactly this state.
   computeTargetSets(UpdTargetT);
   computeAtSource(UpdTargetT, UpdAtSource);
   propagateT(UpdAtSource);
-}
-
-void LiveCheck::computeTFiltered() {
-  computeTargetSets(UpdTargetT);
-
-  // Definition 5 verbatim at every node: the first chain link also applies
-  // the t' ∉ R_q filter.
-  const auto &BackEdges = D.backEdges();
-  for (unsigned Q = 0; Q != NumNodes; ++Q) {
-    unsigned QNum = DT.num(Q);
-    const BitMatrix::Word *R = RMat.row(QNum);
-    TMat.set(QNum, QNum);
-    for (auto [S, Tgt] : BackEdges) {
-      if (!BitMatrix::testBit(R, DT.num(S)))
-        continue;
-      if (BitMatrix::testBit(R, DT.num(Tgt)))
-        continue;
-      TMat.orRowWith(QNum, UpdTargetT[Tgt]);
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -463,10 +397,8 @@ void LiveCheck::captureSnapshots() {
     TargetContrib.clear();
     return;
   }
+  // The T-input members were already filled by computeT().
   captureCoordSnapshots();
-  // The T-input members were already filled by the compute pass
-  // (computeTPropagated/computeTFiltered route through them); for the
-  // Propagated mode the AtSource rows exist, for Filtered only TargetT.
 }
 
 bool LiveCheck::permuteInterval(unsigned Lo, unsigned Hi) {
@@ -737,7 +669,7 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
   // a grown target gains exactly it, and every T row reaching a changed
   // source gains exactly it. Three subset-checked union sweeps replace
   // the whole generic repair. ---
-  if (Opts.Mode == TMode::Propagated && SeedR.empty() &&
+  if (SeedR.empty() &&
       PLo == BitVector::npos && OnlyOld.empty() && OnlyNew.size() == 1 &&
       DE - DB == 1 && DB->K == CFGDelta::Kind::EdgeInsert) {
     const unsigned U = DB->From, V = DB->To;
@@ -886,8 +818,7 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
     }
   }
 
-  if (Opts.Mode == TMode::Propagated && (TargetDirty.any() ||
-                                         AnyBackChange)) {
+  if (TargetDirty.any() || AnyBackChange) {
     // Sources to refresh: those incident to a back-edge toggle or
     // feeding a dirty target set. Changed unions become T seeds.
     auto SrcNeedH = pool::scratchBitset(N);
@@ -915,14 +846,6 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
       if (OldSet != Row)
         addSeedT(S);
     }
-  } else if (Opts.Mode == TMode::Filtered) {
-    // Filtered rows consume the target sets directly, gated per back edge
-    // by the querying row's R bits: a changed target set re-seeds every
-    // source that can deliver it.
-    if (TargetDirty.any())
-      for (auto [S, Tgt] : NewBE)
-        if (TargetDirty.test(Tgt))
-          addSeedT(S);
   }
 
   // --- T repair. ---
@@ -935,9 +858,8 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
   // Worth it only while few source unions changed: with long T↑ chains
   // the per-source broadcasts overlap heavily and the compare-bounded
   // ripple below is cheaper.
-  bool PureGrowth = Opts.Mode == TMode::Propagated && SeedR.empty() &&
-                    PLo == BitVector::npos && OnlyOld.empty() &&
-                    SeedT.size() <= 4;
+  bool PureGrowth = SeedR.empty() && PLo == BitVector::npos &&
+                    OnlyOld.empty() && SeedT.size() <= 4;
   for (const CFGDelta *Dp = DB; PureGrowth && Dp != DE; ++Dp)
     PureGrowth = Dp->K == CFGDelta::Kind::EdgeInsert;
   if (PureGrowth) {
@@ -955,98 +877,56 @@ bool LiveCheck::tryIncrementalUpdate(const CFGDelta *DB, const CFGDelta *DE) {
         ++UStats.TRowsRepatched;
       }
     }
-  } else if (Opts.Mode == TMode::Propagated) {
+  } else {
     // Same exact dirty propagation as R: the propagated recurrence is
     // prop_v = AtSource[v] ∪ ⋃ prop_succ over reduced successors, so a
     // row needs recomputing only when its own AtSource changed, its
     // reduced out-edges changed, or a successor's prop genuinely changed.
     auto DirtyTH = pool::scratchBitset(N);
     BitVector &DirtyT = *DirtyTH;
-    {
-      for (unsigned V : D.postorderSequence()) {
-        const unsigned *RB = D.reducedBegin(V), *RE = D.reducedEnd(V);
-        bool Need = SeedTSet.test(V);
-        for (const unsigned *S = RB; !Need && S != RE; ++S)
-          Need = DirtyT.test(*S);
-        if (!Need)
-          continue;
-        unsigned VNum = DT.num(V);
-        BitMatrix::Word *Row = TMat.row(VNum);
-        std::memcpy(OldRow.data(), Row, Stride * sizeof(BitMatrix::Word));
-        std::memset(Row, 0, Stride * sizeof(BitMatrix::Word));
-        if (!UpdAtSource[V].empty())
-          TMat.orRowWith(VNum, UpdAtSource[V]);
-        for (const unsigned *SP = RB; SP != RE; ++SP) {
-          unsigned S = *SP;
-          unsigned SNum = DT.num(S);
-          // A stored successor row is prop ∪ {self}; subtract the self
-          // bit unless the successor genuinely propagates itself, and
-          // unless the bit was already present from earlier
-          // contributions.
-          bool Had = BitMatrix::testBit(Row, SNum);
-          TMat.unionRows(VNum, SNum);
-          if (!SelfInPropNode.test(S) && !Had)
-            Row[SNum / BitMatrix::WordBits] &=
-                ~(BitMatrix::Word(1) << (SNum % BitMatrix::WordBits));
-        }
-        bool OldSelf = SelfInPropNode.test(V);
-        bool NewSelf = BitMatrix::testBit(Row, VNum);
-        if (NewSelf)
-          SelfInPropNode.set(V);
-        else
-          SelfInPropNode.reset(V);
-        TMat.set(VNum, VNum);
-        ++UStats.TRowsRepatched;
-        // Dirty means the row's *contribution* to predecessors changed:
-        // either the stored bits, or the self-membership flag that decides
-        // whether the forced self bit is part of the propagated content.
-        if (OldSelf != NewSelf ||
-            std::memcmp(Row, OldRow.data(),
-                        Stride * sizeof(BitMatrix::Word)) != 0)
-          DirtyT.set(V);
-      }
-    }
-  } else {
-    // Filtered rows have no inter-row recurrence: recompute exactly the
-    // rows whose R content changed (DirtyR) or that can see a changed
-    // back edge / changed target set (an R-column probe per seed; a node
-    // whose *old* reach differed from its new reach has a changed R row
-    // and is caught by DirtyR).
-    for (unsigned V = 0; V != N; ++V) {
-      unsigned VNum = DT.num(V);
-      bool Need = DirtyR.test(V);
-      if (!Need) {
-        const BitMatrix::Word *R = RMat.row(VNum);
-        for (unsigned S : SeedT)
-          if (BitMatrix::testBit(R, DT.num(S))) {
-            Need = true;
-            break;
-          }
-      }
+    for (unsigned V : D.postorderSequence()) {
+      const unsigned *RB = D.reducedBegin(V), *RE = D.reducedEnd(V);
+      bool Need = SeedTSet.test(V);
+      for (const unsigned *S = RB; !Need && S != RE; ++S)
+        Need = DirtyT.test(*S);
       if (!Need)
         continue;
-      std::memset(TMat.row(VNum), 0, Stride * sizeof(BitMatrix::Word));
-      TMat.set(VNum, VNum);
-      const BitMatrix::Word *R = RMat.row(VNum);
-      for (auto [S, Tgt] : D.backEdges()) {
-        if (!BitMatrix::testBit(R, DT.num(S)))
-          continue;
-        if (BitMatrix::testBit(R, DT.num(Tgt)))
-          continue;
-        TMat.orRowWith(VNum, UpdTargetT[Tgt]);
+      unsigned VNum = DT.num(V);
+      BitMatrix::Word *Row = TMat.row(VNum);
+      std::memcpy(OldRow.data(), Row, Stride * sizeof(BitMatrix::Word));
+      std::memset(Row, 0, Stride * sizeof(BitMatrix::Word));
+      if (!UpdAtSource[V].empty())
+        TMat.orRowWith(VNum, UpdAtSource[V]);
+      for (const unsigned *SP = RB; SP != RE; ++SP) {
+        unsigned S = *SP;
+        unsigned SNum = DT.num(S);
+        // A stored successor row is prop ∪ {self}; subtract the self
+        // bit unless the successor genuinely propagates itself, and
+        // unless the bit was already present from earlier
+        // contributions.
+        bool Had = BitMatrix::testBit(Row, SNum);
+        TMat.unionRows(VNum, SNum);
+        if (!SelfInPropNode.test(S) && !Had)
+          Row[SNum / BitMatrix::WordBits] &=
+              ~(BitMatrix::Word(1) << (SNum % BitMatrix::WordBits));
       }
+      bool OldSelf = SelfInPropNode.test(V);
+      bool NewSelf = BitMatrix::testBit(Row, VNum);
+      if (NewSelf)
+        SelfInPropNode.set(V);
+      else
+        SelfInPropNode.reset(V);
+      TMat.set(VNum, VNum);
       ++UStats.TRowsRepatched;
+      // Dirty means the row's *contribution* to predecessors changed:
+      // either the stored bits, or the self-membership flag that decides
+      // whether the forced self bit is part of the propagated content.
+      if (OldSelf != NewSelf ||
+          std::memcmp(Row, OldRow.data(),
+                      Stride * sizeof(BitMatrix::Word)) != 0)
+        DirtyT.set(V);
     }
   }
-
-  // --- Fast path and kernels: reducibility can flip with the back-edge
-  // set; rebinding is one switch. ---
-  bool OldFastPath = FastPath;
-  FastPath = false;
-  if (Opts.ReducibleFastPath && Opts.Mode == TMode::Filtered)
-    FastPath = analyzeReducibility(D, DT).Reducible;
-  if (FastPath != OldFastPath)
-    bindKernels();
 
   // Refresh the snapshot: the retained T inputs are already current (the
   // dirty tracking repaired them in place); only the coordinate system
@@ -1087,8 +967,8 @@ bool LiveCheck::isLiveIn(unsigned DefBlock, unsigned Q,
   // strictness.
   if (QNum <= DefNum || MaxDom < QNum)
     return false;
-  return BlockScan(*this, DefNum, MaxDom, QNum, UsesBegin, UsesEnd,
-                   /*ExcludeTrivialQ=*/false, Sink);
+  return renumberingKernel(DefNum, MaxDom, QNum, UsesBegin, UsesEnd,
+                           /*ExcludeTrivialQ=*/false, Sink);
 }
 
 bool LiveCheck::isLiveOut(unsigned DefBlock, unsigned Q,
@@ -1112,8 +992,8 @@ bool LiveCheck::isLiveOut(unsigned DefBlock, unsigned Q,
     return false;
   // Algorithm 2 case 2: as live-in, but the witness path must be
   // non-trivial; only the (t = q, use at q) combination is affected.
-  return BlockScan(*this, DefNum, MaxDom, QNum, UsesBegin, UsesEnd,
-                   /*ExcludeTrivialQ=*/true, Sink);
+  return renumberingKernel(DefNum, MaxDom, QNum, UsesBegin, UsesEnd,
+                           /*ExcludeTrivialQ=*/true, Sink);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1160,9 +1040,7 @@ void LiveCheck::liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
   //
   // Pass 2 answers every q at once: q is live iff T_q meets a good target
   // inside the interval — a masked word-sweep intersection per row. The
-  // existential formulation matches the scan kernels including the
-  // Theorem-2 fast path: on reducible CFGs the most-dominating target's
-  // verdict agrees with the disjunction over all targets.
+  // existential formulation matches the scan kernels.
   unsigned Lo = DefNum + 1;
   unsigned Stride = RMat.strideWords();
   const BitMatrix::Word *MaskW = UseMask.words();
@@ -1235,9 +1113,8 @@ void LiveCheck::answerPreparedRun(const PreparedVar &V,
   // back-edge targets — shared by every probe — and at the probed blocks
   // themselves for the self bit. The rest of the interval can never be
   // read through any T_q ∩ Good intersection. The existential form matches
-  // the scan kernels including the Theorem-2 fast path. Nums-backed
-  // variables with few uses probe the use numbers directly instead of
-  // sweeping a mask row.
+  // the scan kernels. Nums-backed variables with few uses probe the use
+  // numbers directly instead of sweeping a mask row.
   unsigned Lo = V.DefNum + 1;
   unsigned Stride = RMat.strideWords();
   std::size_t NumUses = std::size_t(V.NumsEnd - V.NumsBegin);

@@ -24,6 +24,17 @@
 /// uses, or whole instructions never invalidates it — the property that
 /// motivates the paper.
 ///
+/// T is computed by the practical two-pass scheme of Section 5.2: exact
+/// Definition-5 sets for back-edge targets (Equation 1, in DFS preorder per
+/// Theorem 3), then back-edge-source unions propagated through the reduced
+/// graph. The resulting sets are supersets of Definition 5 (the `t' ∉ R_q`
+/// filter is not applied at the first chain link), which is sound because
+/// queries only run when def(a) strictly dominates q; see the soundness
+/// note in LiveCheck.cpp.
+///
+/// The scan visits targets in dominance order and, when a target fails,
+/// skips that target's dominance subtree (Section 5.1 item 2).
+///
 /// ## Memory layout
 ///
 /// The R and T sets are logically N x N bit matrices indexed by dominance
@@ -31,10 +42,9 @@
 /// each (support/BitMatrix): row t of R is `base + t * stride` with no
 /// per-row heap object, so the precomputation sweeps are linear passes and
 /// a query's row access is offset arithmetic instead of a pointer chase.
-/// The scan loop is not branched per query: the constructor binds
-/// function-pointer kernels specialized (by template instantiation) for
-/// the subtree-skip and fast-path settings, so `Opts.SubtreeSkip` is
-/// consulted exactly once.
+/// The scan loop has no per-query branches on settings: the entry points
+/// call the numbered-span, use-mask and renumbering kernels directly, and
+/// the one scan template is instantiated per use representation.
 ///
 /// ## The renumbered query plane
 ///
@@ -63,32 +73,8 @@
 
 namespace ssalive {
 
-/// How the T sets are precomputed.
-enum class TMode {
-  /// The practical two-pass scheme of Section 5.2: exact Definition-5 sets
-  /// for back-edge targets (Equation 1, in DFS preorder per Theorem 3),
-  /// then back-edge-source unions propagated through the reduced graph.
-  /// The resulting sets are supersets of Definition 5 — the `t' ∉ R_q`
-  /// filter is not applied at the first chain link — which is sound
-  /// because queries only run when def(a) strictly dominates q (see the
-  /// soundness note in LiveCheck.cpp), but it voids Lemma 3's total
-  /// dominance order, so the reducible single-test fast path stays off.
-  Propagated,
-  /// Exact Definition 5 at every node: slightly costlier precomputation,
-  /// but Lemma 3 holds and reducible CFGs can use the Theorem-2 fast path
-  /// (test only the most-dominating surviving target).
-  Filtered,
-};
-
-/// Tuning/ablation switches.
+/// Engine settings.
 struct LiveCheckOptions {
-  TMode Mode = TMode::Propagated;
-  /// Skip the dominance subtree of a failed target (Section 5.1 item 2).
-  /// Disabling this is ablation-only; the scan then visits every set bit.
-  bool SubtreeSkip = true;
-  /// Allow the Theorem-2 single-test fast path when the CFG is reducible
-  /// and Mode == Filtered.
-  bool ReducibleFastPath = true;
   /// Retain the (small) snapshot state that lets update() repatch R/T rows
   /// in place after CFG edits instead of recomputing everything. Costs a
   /// few per-node side arrays plus node-space copies of the back-edge
@@ -247,10 +233,10 @@ public:
     if (QNum <= V.DefNum || V.MaxDom < QNum)
       return false;
     if (V.MaskWords)
-      return MaskScan(*this, V.DefNum, V.MaxDom, QNum, V.MaskWords,
-                      V.MaskNumWords, /*ExcludeTrivialQ=*/false, Sink);
-    return NumScan(*this, V.DefNum, V.MaxDom, QNum, V.NumsBegin, V.NumsEnd,
-                   /*ExcludeTrivialQ=*/false, Sink);
+      return maskKernel(V.DefNum, V.MaxDom, QNum, V.MaskWords,
+                        V.MaskNumWords, /*ExcludeTrivialQ=*/false, Sink);
+    return numSpanKernel(V.DefNum, V.MaxDom, QNum, V.NumsBegin, V.NumsEnd,
+                         /*ExcludeTrivialQ=*/false, Sink);
   }
   bool isLiveOutPrepared(const PreparedVar &V, unsigned Q,
                          LiveCheckStats *Sink = nullptr) const {
@@ -270,10 +256,10 @@ public:
     if (QNum <= V.DefNum || V.MaxDom < QNum)
       return false;
     if (V.MaskWords)
-      return MaskScan(*this, V.DefNum, V.MaxDom, QNum, V.MaskWords,
-                      V.MaskNumWords, /*ExcludeTrivialQ=*/true, Sink);
-    return NumScan(*this, V.DefNum, V.MaxDom, QNum, V.NumsBegin, V.NumsEnd,
-                   /*ExcludeTrivialQ=*/true, Sink);
+      return maskKernel(V.DefNum, V.MaxDom, QNum, V.MaskWords,
+                        V.MaskNumWords, /*ExcludeTrivialQ=*/true, Sink);
+    return numSpanKernel(V.DefNum, V.MaxDom, QNum, V.NumsBegin, V.NumsEnd,
+                         /*ExcludeTrivialQ=*/true, Sink);
   }
 
   /// One point query of a same-value run: the block asked about and the
@@ -358,9 +344,6 @@ public:
     return TMat.test(DT.num(Of), DT.num(T));
   }
 
-  /// Whether the single-test fast path is active.
-  bool usesReducibleFastPath() const { return FastPath; }
-
   /// The cached scan side tables, by preorder number — what the subtree
   /// skip and the Algorithm-2 line-8 exclusion actually read. The
   /// differential fuzz suite compares them against a fresh engine's: a
@@ -384,16 +367,6 @@ public:
   /// @}
 
 private:
-  using SpanScanFn = bool (*)(const LiveCheck &, unsigned DefNum,
-                              unsigned MaxDom, unsigned QNum,
-                              const unsigned *Begin, const unsigned *End,
-                              bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  using MaskScanFn = bool (*)(const LiveCheck &, unsigned DefNum,
-                              unsigned MaxDom, unsigned QNum,
-                              const std::uint64_t *MaskWords,
-                              unsigned MaskNumWords, bool ExcludeTrivialQ,
-                              LiveCheckStats *Sink);
-
   /// From-scratch build of everything (the constructor body); also the
   /// fallback path of update().
   void computeAll();
@@ -420,11 +393,10 @@ private:
   /// edge source" of Section 5.2); rows are empty for non-sources.
   void computeAtSource(const std::vector<BitVector> &TargetT,
                        std::vector<BitVector> &AtSource) const;
-  /// The increasing-postorder reduced-graph propagation of TMode::
-  /// Propagated, including the SelfInProp capture and the final self bits.
+  /// The increasing-postorder reduced-graph propagation of the Section-5.2
+  /// T sets, including the SelfInProp capture and the final self bits.
   void propagateT(const std::vector<BitVector> &AtSource);
-  void computeTPropagated();
-  void computeTFiltered();
+  void computeT();
 
   /// \name Incremental update machinery (see update()).
   /// @{
@@ -440,31 +412,22 @@ private:
   /// the interval.
   bool permuteInterval(unsigned Lo, unsigned Hi);
   /// @}
-  /// Binds the scan kernels for the current SubtreeSkip/FastPath settings.
-  void bindKernels();
-  template <bool Skip> void bindKernelsSkip();
-  template <bool Skip, bool FP> void bindKernelsFull();
-
-  template <bool Skip, bool FP, class Uses>
-  static bool scanImpl(const LiveCheck &LC, unsigned DefNum, unsigned MaxDom,
-                       unsigned QNum, Uses U, bool ExcludeTrivialQ,
-                       LiveCheckStats *Sink);
-  template <bool Skip, bool FP>
-  static bool renumberingKernel(const LiveCheck &LC, unsigned DefNum,
-                                unsigned MaxDom, unsigned QNum,
-                                const unsigned *Begin, const unsigned *End,
-                                bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  template <bool Skip, bool FP>
-  static bool numSpanKernel(const LiveCheck &LC, unsigned DefNum,
-                            unsigned MaxDom, unsigned QNum,
-                            const unsigned *Begin, const unsigned *End,
-                            bool ExcludeTrivialQ, LiveCheckStats *Sink);
-  template <bool Skip, bool FP>
-  static bool maskKernel(const LiveCheck &LC, unsigned DefNum,
-                         unsigned MaxDom, unsigned QNum,
-                         const std::uint64_t *MaskWords,
-                         unsigned MaskNumWords, bool ExcludeTrivialQ,
-                         LiveCheckStats *Sink);
+  /// \name Scan kernels (Algorithm 3 over the interval (DefNum, MaxDom]).
+  /// @{
+  template <class Uses>
+  bool scanImpl(unsigned DefNum, unsigned MaxDom, unsigned QNum, Uses U,
+                bool ExcludeTrivialQ, LiveCheckStats *Sink) const;
+  /// Block-id use span: numbered once, then the numbered-span kernel.
+  bool renumberingKernel(unsigned DefNum, unsigned MaxDom, unsigned QNum,
+                         const unsigned *Begin, const unsigned *End,
+                         bool ExcludeTrivialQ, LiveCheckStats *Sink) const;
+  bool numSpanKernel(unsigned DefNum, unsigned MaxDom, unsigned QNum,
+                     const unsigned *Begin, const unsigned *End,
+                     bool ExcludeTrivialQ, LiveCheckStats *Sink) const;
+  bool maskKernel(unsigned DefNum, unsigned MaxDom, unsigned QNum,
+                  const std::uint64_t *MaskWords, unsigned MaskNumWords,
+                  bool ExcludeTrivialQ, LiveCheckStats *Sink) const;
+  /// @}
 
   /// Shared body of the batch sweeps; \p In / \p Out may each be null.
   void liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
@@ -476,7 +439,6 @@ private:
   const DomTree &DT;
   LiveCheckOptions Opts;
   unsigned NumNodes = 0;
-  bool FastPath = false;
 
   /// R and T as contiguous matrices (row == preorder number).
   BitMatrix RMat;
@@ -512,17 +474,10 @@ private:
   std::vector<std::vector<unsigned>> TargetContrib;
   /// Bit v set iff v is in its own *propagated* T set before the final
   /// self-bit pass — needed to subtract a successor's self bit correctly
-  /// when re-running the propagation for a single row (Propagated mode).
+  /// when re-running the propagation for a single row.
   BitVector SelfInPropNode;
   LiveCheckUpdateStats UStats;
   /// @}
-
-  /// Scan kernels bound once at construction — the per-query dispatch is
-  /// one indirect call, never an Opts branch. BlockScan takes block-id
-  /// spans; it numbers the span once and forwards to NumScan's kernel.
-  SpanScanFn BlockScan = nullptr;
-  SpanScanFn NumScan = nullptr;
-  MaskScanFn MaskScan = nullptr;
 };
 
 } // namespace ssalive

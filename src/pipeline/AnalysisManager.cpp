@@ -31,8 +31,8 @@ struct CacheTelemetry {
 
 } // namespace
 
-FunctionAnalyses::FunctionAnalyses(const Function &F, LiveCheckOptions Opts)
-    : F(F), Epoch(F.cfgVersion()), Opts(Opts) {}
+FunctionAnalyses::FunctionAnalyses(const Function &F)
+    : F(F), Epoch(F.cfgVersion()) {}
 
 void FunctionAnalyses::ensureCFG() {
   if (!Graph)
@@ -80,8 +80,11 @@ const LoopForest &FunctionAnalyses::loopForest() {
 const LiveCheck &FunctionAnalyses::liveCheck() {
   std::lock_guard<std::mutex> Lock(Mutex);
   ensureDomTree();
+  // The engine retains its incremental update state: applyDeltas() is the
+  // consumer of the in-place repatch path.
   if (!Engine)
-    Engine = std::make_unique<LiveCheck>(*Graph, *Dfs, *Tree, Opts);
+    Engine = std::make_unique<LiveCheck>(
+        *Graph, *Dfs, *Tree, LiveCheckOptions{/*Incremental=*/true});
   return *Engine;
 }
 
@@ -144,13 +147,13 @@ FunctionAnalyses &AnalysisManager::get(const Function &F) {
     // Structural edit since the snapshot: rebuild this function's entry.
     ++Counters.Invalidations;
     CacheTelemetry::get().Invalidations.inc();
-    It->second = std::make_unique<FunctionAnalyses>(F, Opts);
+    It->second = std::make_unique<FunctionAnalyses>(F);
     return *It->second;
   }
   ++Counters.Misses;
   CacheTelemetry::get().Misses.inc();
   auto Inserted =
-      Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F, Opts));
+      Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F));
   return *Inserted.first->second;
 }
 
@@ -161,7 +164,7 @@ FunctionAnalyses &AnalysisManager::refresh(const Function &F) {
     ++Counters.Misses;
     CacheTelemetry::get().Misses.inc();
     auto Inserted =
-        Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F, Opts));
+        Cache.emplace(&F, std::make_unique<FunctionAnalyses>(F));
     return *Inserted.first->second;
   }
   if (It->second->epoch() == F.cfgVersion()) {
@@ -183,7 +186,7 @@ FunctionAnalyses &AnalysisManager::refresh(const Function &F) {
   ++Counters.JournalGaps;
   CacheTelemetry::get().Invalidations.inc();
   CacheTelemetry::get().JournalGaps.inc();
-  It->second = std::make_unique<FunctionAnalyses>(F, Opts);
+  It->second = std::make_unique<FunctionAnalyses>(F);
   return *It->second;
 }
 

@@ -44,7 +44,7 @@ class Function;
 /// to caller-owned sinks).
 class FunctionAnalyses {
 public:
-  FunctionAnalyses(const Function &F, LiveCheckOptions Opts);
+  explicit FunctionAnalyses(const Function &F);
 
   FunctionAnalyses(const FunctionAnalyses &) = delete;
   FunctionAnalyses &operator=(const FunctionAnalyses &) = delete;
@@ -89,7 +89,6 @@ private:
 
   const Function &F;
   std::uint64_t Epoch;
-  const LiveCheckOptions Opts;
 
   std::mutex Mutex;
   std::unique_ptr<CFG> Graph;
@@ -110,11 +109,6 @@ private:
 /// exactly this way).
 class AnalysisManager {
 public:
-  /// The manager opts its engines into LiveCheck's incremental update
-  /// state: refresh() is the consumer of the in-place repatch path.
-  explicit AnalysisManager(LiveCheckOptions Opts = {})
-      : Opts(withIncremental(Opts)) {}
-
   /// Cache-miss/hit counters, for tests and throughput reports. The same
   /// events also stream into the process-wide telemetry registry (the
   /// `ssalive_analysis_*` series), which is what the server's Metrics
@@ -160,15 +154,7 @@ public:
   unsigned numCachedFunctions() const;
   CacheCounters counters() const;
 
-  const LiveCheckOptions &liveCheckOptions() const { return Opts; }
-
 private:
-  static LiveCheckOptions withIncremental(LiveCheckOptions O) {
-    O.Incremental = true;
-    return O;
-  }
-
-  const LiveCheckOptions Opts;
   mutable std::mutex Mutex;
   std::unordered_map<const Function *, std::unique_ptr<FunctionAnalyses>>
       Cache;

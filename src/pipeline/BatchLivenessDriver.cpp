@@ -55,8 +55,6 @@ const char *ssalive::batchBackendName(BatchBackend B) {
   switch (B) {
   case BatchBackend::LiveCheckPropagated:
     return "propagated";
-  case BatchBackend::LiveCheckFiltered:
-    return "filtered";
   case BatchBackend::Dataflow:
     return "dataflow";
   case BatchBackend::PathExploration:
@@ -109,17 +107,8 @@ LiveCheckStats BatchResult::totalEngineStats() const {
   return Total;
 }
 
-LiveCheckOptions
-BatchLivenessDriver::liveCheckOptionsFor(BatchBackend B) {
-  LiveCheckOptions Opts;
-  if (B == BatchBackend::LiveCheckFiltered)
-    Opts.Mode = TMode::Filtered;
-  return Opts;
-}
-
 bool ssalive::batchBackendUsesLiveCheck(BatchBackend B) {
-  return B == BatchBackend::LiveCheckPropagated ||
-         B == BatchBackend::LiveCheckFiltered;
+  return B == BatchBackend::LiveCheckPropagated;
 }
 
 bool BatchLivenessDriver::usesLiveCheck() const {
@@ -129,14 +118,12 @@ bool BatchLivenessDriver::usesLiveCheck() const {
 BatchLivenessDriver::BatchLivenessDriver(std::vector<const Function *> Funcs,
                                          BatchOptions Opts)
     : Funcs(std::move(Funcs)), Opts(Opts),
-      Manager(liveCheckOptionsFor(Opts.Backend)),
       OwnedPool(std::make_unique<ThreadPool>(Opts.Threads)),
       Pool(OwnedPool.get()) {}
 
 BatchLivenessDriver::BatchLivenessDriver(std::vector<const Function *> Funcs,
                                          BatchOptions Opts, ThreadPool &Pool)
-    : Funcs(std::move(Funcs)), Opts(Opts),
-      Manager(liveCheckOptionsFor(Opts.Backend)), Pool(&Pool) {}
+    : Funcs(std::move(Funcs)), Opts(Opts), Pool(&Pool) {}
 
 BatchLivenessDriver::~BatchLivenessDriver() = default;
 

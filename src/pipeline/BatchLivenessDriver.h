@@ -42,25 +42,24 @@ class LivenessQueries;
 class ThreadPool;
 
 /// Which engine answers the workload. The values are the LoadModule wire
-/// ids of the liveness server; ids 2-4 belonged to removed storage-layout
-/// and block-sweep variants and stay unassigned, so a client that sends one
-/// gets Error(BadBackend) instead of a different engine.
+/// ids of the liveness server; ids 1-4 belonged to removed T-set,
+/// storage-layout and block-sweep variants and stay unassigned, so a client
+/// that sends one gets Error(BadBackend) instead of a different engine.
 enum class BatchBackend : std::uint8_t {
   LiveCheckPropagated = 0, ///< The paper's engine, Section-5.2 T sets.
-  LiveCheckFiltered = 1,   ///< Exact Definition-5 sets + reducible fast path.
   Dataflow = 5,            ///< Iterative data-flow baseline ("Native").
   PathExploration = 6,     ///< Appel-Palsberg per-variable backwalk baseline.
 };
 
 /// Every backend, in wire-id order.
 inline constexpr BatchBackend AllBatchBackends[] = {
-    BatchBackend::LiveCheckPropagated, BatchBackend::LiveCheckFiltered,
-    BatchBackend::Dataflow, BatchBackend::PathExploration};
+    BatchBackend::LiveCheckPropagated, BatchBackend::Dataflow,
+    BatchBackend::PathExploration};
 
 const char *batchBackendName(BatchBackend B);
 
-/// Parses "propagated", "filtered", "dataflow", "path-exploration"
-/// (returns false on anything else).
+/// Parses "propagated", "dataflow", "path-exploration" (returns false on
+/// anything else, including the retired "filtered").
 bool parseBatchBackend(const std::string &Name, BatchBackend &Out);
 
 /// Which LiveCheck entry point answers each query (the LiveCheck backends;
@@ -240,7 +239,6 @@ public:
                    std::uint64_t Seed, std::size_t Count);
 
 private:
-  static LiveCheckOptions liveCheckOptionsFor(BatchBackend B);
   bool usesLiveCheck() const;
   /// Fills \p Engines (and \p Trees when non-null) for every function,
   /// building missing engines across the pool.

@@ -13,10 +13,10 @@
 ///
 /// Requests:
 ///   LoadModule   u8 backend | u8 plane | <rest: .ssair module text>;
-///                backend ids: 0 propagated, 1 filtered, 5 dataflow,
-///                6 path-exploration (BatchBackend); plane ids: 0 block-id,
-///                3 prepared (QueryPlane). Every other id, including the
-///                retired backends 2-4 and planes 1-2, is refused with
+///                backend ids: 0 propagated, 5 dataflow, 6 path-exploration
+///                (BatchBackend); plane ids: 0 block-id, 3 prepared
+///                (QueryPlane). Every other id, including the retired
+///                backends 1-4 and planes 1-2, is refused with
 ///                Error(BadBackend) / Error(BadPlane)
 ///   QueryBatch   u32 count | count x (u32 func | u32 value | u32 block |
 ///                u8 flags; bit0 = live-out)

@@ -17,7 +17,7 @@
 ///
 /// Two modes: the reducibility-preserving mode only applies edits that
 /// provably or verifiably keep the CFG reducible (the regime of the
-/// paper's corpus and of the Theorem-2 fast path), while the general mode
+/// paper's corpus), while the general mode
 /// admits arbitrary edits including irreducibility-creating ones. Both
 /// modes maintain the one invariant every analysis requires: all nodes
 /// stay reachable from the entry (candidate edits that would break it are

@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every LiveCheck entry point under both T modes must match the
-// brute-force oracle on random reducible and irreducible CFGs: classic
+// Every LiveCheck entry point, with and without incremental update state,
+// must match the brute-force oracle on random reducible and irreducible
+// CFGs: classic
 // block-id spans, prepared variables over an unsorted duplicate-bearing
 // use-number span, over the sorted/deduped span, and over a use mask, and
 // the liveInBlocks/liveOutBlocks batch sweeps.
@@ -79,11 +80,9 @@ TEST_P(EntryPoints, EveryEntryPointMatchesOracle) {
     unsigned N = G.numNodes();
 
     std::vector<std::unique_ptr<LiveCheck>> Engines;
-    for (TMode Mode : {TMode::Propagated, TMode::Filtered}) {
-      LiveCheckOptions EOpts;
-      EOpts.Mode = Mode;
-      Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, EOpts));
-    }
+    for (bool Incremental : {false, true})
+      Engines.push_back(std::make_unique<LiveCheck>(
+          G, D, DT, LiveCheckOptions{Incremental}));
 
     auto Vars = placeVariables(G, DT, Rng, 10);
     BitVector InSweep, OutSweep, Mask(N);
@@ -127,8 +126,8 @@ TEST_P(EntryPoints, EveryEntryPointMatchesOracle) {
           auto Ctx = [&](const char *Entry) {
             return ::testing::Message()
                    << C.Name << " seed " << Seed << " def " << V.Def
-                   << " q " << Q << " entry " << Entry << " mode "
-                   << static_cast<int>(E->options().Mode);
+                   << " q " << Q << " entry " << Entry << " incremental "
+                   << E->options().Incremental;
           };
           EXPECT_EQ(E->isLiveIn(V.Def, Q, V.Uses), WantIn) << Ctx("blocks");
           EXPECT_EQ(E->isLiveOut(V.Def, Q, V.Uses), WantOut)

@@ -27,11 +27,10 @@ namespace {
 /// Paper node numbers are 1-based; node ids are paper - 1.
 constexpr unsigned P(unsigned PaperNode) { return PaperNode - 1; }
 
-class Figure3 : public ::testing::TestWithParam<TMode> {
+class Figure3 : public ::testing::Test {
 protected:
   Figure3()
-      : G(buildGraph()), D(G), DT(G, D),
-        Check(G, D, DT, LiveCheckOptions{GetParam(), true, true}) {}
+      : G(buildGraph()), D(G), DT(G, D), Check(G, D, DT) {}
 
   static CFG buildGraph() {
     CFG G(11);
@@ -73,14 +72,14 @@ protected:
 
 } // namespace
 
-TEST_P(Figure3, NodeNumbersAreDominancePreorder) {
+TEST_F(Figure3, NodeNumbersAreDominancePreorder) {
   // "The example graph of Figure 3 exhibits such a numeration": paper node
   // numbers equal dominance preorder numbers (+1 for our 0-based ids).
   for (unsigned Paper = 1; Paper <= 11; ++Paper)
     EXPECT_EQ(DT.num(P(Paper)), Paper - 1);
 }
 
-TEST_P(Figure3, BackEdgeTargetsAreExactly_8_5_2) {
+TEST_F(Figure3, BackEdgeTargetsAreExactly_8_5_2) {
   // "All back edge targets (8, 5, 2)".
   EXPECT_TRUE(D.isBackEdgeTarget(P(8)));
   EXPECT_TRUE(D.isBackEdgeTarget(P(5)));
@@ -88,26 +87,26 @@ TEST_P(Figure3, BackEdgeTargetsAreExactly_8_5_2) {
   EXPECT_EQ(D.backEdges().size(), 3u);
 }
 
-TEST_P(Figure3, UseOfXReducedReachableFrom8) {
+TEST_F(Figure3, UseOfXReducedReachableFrom8) {
   // "the use of x at 9 is reduced reachable from node 8".
   EXPECT_TRUE(Check.isReducedReachable(P(8), P(9)));
   // "no use of x is reduced reachable from 10".
   EXPECT_FALSE(Check.isReducedReachable(P(10), P(9)));
 }
 
-TEST_P(Figure3, XLiveInAt10ViaBackEdge) {
+TEST_F(Figure3, XLiveInAt10ViaBackEdge) {
   // First worked query: "is x live-in at node 10?" — yes.
   EXPECT_TRUE(liveIn(DefX, UseX, 10));
 }
 
-TEST_P(Figure3, YLiveInAt10ViaChainedBackEdges) {
+TEST_F(Figure3, YLiveInAt10ViaChainedBackEdges) {
   // Second worked query: "is y live-in at 10?" — "yes, but requires more
   // indirection": back edge to 8, tree+cross to 6, back edge to the use
   // in 5.
   EXPECT_TRUE(liveIn(DefY, UseY, 10));
 }
 
-TEST_P(Figure3, WNotLiveAt10DespiteReachableTarget) {
+TEST_F(Figure3, WNotLiveAt10DespiteReachableTarget) {
   // "if we pick 2 ... we get yes, but obviously w is not live at 10":
   // target 2 is not strictly dominated by def(w) = 2, so the dominance
   // filter must reject it.
@@ -116,7 +115,7 @@ TEST_P(Figure3, WNotLiveAt10DespiteReachableTarget) {
   EXPECT_TRUE(Check.isReducedReachable(P(2), P(4)));
 }
 
-TEST_P(Figure3, XNotLiveInAt4DespiteSubtreeTarget) {
+TEST_F(Figure3, XNotLiveInAt4DespiteSubtreeTarget) {
   // "Assume we want to test for x being live-in at 4 ... However, x is not
   // at all live at 4": the path 4,5,6,7,2,3,8 leaves def(x)'s dominance
   // subtree, so 8 must not be considered for queries at 4.
@@ -125,7 +124,7 @@ TEST_P(Figure3, XNotLiveInAt4DespiteSubtreeTarget) {
       << "T_4 must not contain 8 (Definition 5 filter)";
 }
 
-TEST_P(Figure3, TSetOf10ChainsThroughTargets) {
+TEST_F(Figure3, TSetOf10ChainsThroughTargets) {
   // T_10 per Definition 5: {10} then 8 (via (10,8)), then 5 and 2 from
   // T_8's chain.
   EXPECT_TRUE(Check.isInT(P(10), P(10)));
@@ -134,7 +133,7 @@ TEST_P(Figure3, TSetOf10ChainsThroughTargets) {
   EXPECT_TRUE(Check.isInT(P(10), P(2)));
 }
 
-TEST_P(Figure3, GraphIsIrreducibleAtEdge65) {
+TEST_F(Figure3, GraphIsIrreducibleAtEdge65) {
   // The reconstruction contains the multi-entry loop {5,6} entered both
   // from 4 and (via the cross edge) from 9; edge (6,5) is irreducible.
   ReducibilityInfo Info = analyzeReducibility(D, DT);
@@ -144,7 +143,7 @@ TEST_P(Figure3, GraphIsIrreducibleAtEdge65) {
             (std::pair<unsigned, unsigned>{P(6), P(5)}));
 }
 
-TEST_P(Figure3, AllQueriesMatchOracleForAllVariables) {
+TEST_F(Figure3, AllQueriesMatchOracleForAllVariables) {
   struct Var {
     unsigned Def;
     unsigned Use;
@@ -162,12 +161,3 @@ TEST_P(Figure3, AllQueriesMatchOracleForAllVariables) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothTModes, Figure3,
-                         ::testing::Values(TMode::Propagated,
-                                           TMode::Filtered),
-                         [](const auto &Info) {
-                           return Info.param == TMode::Propagated
-                                      ? "Propagated"
-                                      : "Filtered";
-                         });

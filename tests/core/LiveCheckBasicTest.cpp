@@ -156,34 +156,6 @@ TEST(LiveCheckBasic, ReducedReachabilityExcludesBackEdges) {
   EXPECT_TRUE(E.Check.isReducedReachable(2, 2)) << "trivial path";
 }
 
-TEST(LiveCheckBasic, FastPathOnlyWithFilteredReducible) {
-  CFG Loop = makeCFG(4, {{0, 1}, {1, 2}, {2, 1}, {1, 3}});
-  Engines Propagated(Loop, LiveCheckOptions{TMode::Propagated, true, true});
-  EXPECT_FALSE(Propagated.Check.usesReducibleFastPath());
-  Engines Filtered(Loop, LiveCheckOptions{TMode::Filtered, true, true});
-  EXPECT_TRUE(Filtered.Check.usesReducibleFastPath());
-
-  CFG Irred = makeCFG(3, {{0, 1}, {0, 2}, {1, 2}, {2, 1}});
-  Engines FilteredIrred(Irred, LiveCheckOptions{TMode::Filtered, true, true});
-  EXPECT_FALSE(FilteredIrred.Check.usesReducibleFastPath());
-}
-
-TEST(LiveCheckBasic, FastPathAnswersOnReducibleLoop) {
-  // The Theorem-2 single-test scan decides each query from the most
-  // dominating target alone, including the Algorithm-2 live-out case at
-  // the use block itself (the back edge 2 -> 1 carries the value around).
-  Engines E(makeCFG(4, {{0, 1}, {1, 2}, {2, 1}, {1, 3}}),
-            LiveCheckOptions{TMode::Filtered, true, true});
-  ASSERT_TRUE(E.Check.usesReducibleFastPath());
-  std::vector<unsigned> Uses{2};
-  LiveCheckStats Stats;
-  EXPECT_TRUE(E.Check.isLiveIn(0, 1, Uses, &Stats));
-  EXPECT_TRUE(E.Check.isLiveOut(0, 2, Uses));
-  EXPECT_FALSE(E.Check.isLiveIn(0, 3, Uses));
-  EXPECT_EQ(Stats.LiveInQueries, 1u);
-  EXPECT_GT(Stats.TargetsVisited, 0u);
-}
-
 TEST(LiveCheckBasic, StatsCountQueries) {
   Engines E(makeCFG(3, {{0, 1}, {1, 2}}));
   std::vector<unsigned> Uses{2};

@@ -143,19 +143,14 @@ TEST(LiveCheckEdgeCases, AllOptionCombinationsOnIrreducibleClique) {
   // legitimately part ways (the variable could be read uninitialized).
   CFG G = makeCFG(5, {{0, 1}, {0, 2}, {1, 2}, {2, 1}, {1, 3}, {3, 1},
                       {2, 3}, {3, 2}, {3, 4}});
-  for (TMode Mode : {TMode::Propagated, TMode::Filtered}) {
-    for (bool Skip : {true, false}) {
-      LiveCheckOptions Opts;
-      Opts.Mode = Mode;
-      Opts.SubtreeSkip = Skip;
-      Engines E(G, Opts);
-      for (unsigned Def = 0; Def != 5; ++Def) {
-        for (unsigned UseB = 0; UseB != 5; ++UseB) {
-          if (!E.DT.dominates(Def, UseB))
-            continue;
-          std::vector<unsigned> Uses{UseB};
-          E.expectOracleAgreement(Def, Uses);
-        }
+  for (bool Incremental : {false, true}) {
+    Engines E(G, LiveCheckOptions{Incremental});
+    for (unsigned Def = 0; Def != 5; ++Def) {
+      for (unsigned UseB = 0; UseB != 5; ++UseB) {
+        if (!E.DT.dominates(Def, UseB))
+          continue;
+        std::vector<unsigned> Uses{UseB};
+        E.expectOracleAgreement(Def, Uses);
       }
     }
   }

@@ -6,9 +6,9 @@
 //
 // The load-bearing correctness tests: on random CFGs (structured reducible
 // and goto-mangled irreducible) with random variable placements, every
-// (variable, block) live-in and live-out answer of the fast engine — in
-// all option combinations — must equal the brute-force oracle that
-// implements the paper's Definitions 2 and 3 by graph search.
+// (variable, block) live-in and live-out answer of the fast engine — with
+// and without incremental update state — must equal the brute-force oracle
+// that implements the paper's Definitions 2 and 3 by graph search.
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,12 +76,10 @@ TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
     DFS D(G);
     DomTree DT(G, D);
 
-    // Every option combination: both T modes, with and without the
-    // subtree skip and the reducible fast path.
-    const LiveCheckOptions Variants[] = {{TMode::Propagated, true, true},
-                                         {TMode::Filtered, true, true},
-                                         {TMode::Propagated, false, false},
-                                         {TMode::Filtered, true, false}};
+    // Every option combination: with and without the retained
+    // incremental update state.
+    const LiveCheckOptions Variants[] = {{/*Incremental=*/false},
+                                         {/*Incremental=*/true}};
     std::vector<std::unique_ptr<LiveCheck>> Engines;
     for (const LiveCheckOptions &O : Variants)
       Engines.push_back(std::make_unique<LiveCheck>(G, D, DT, O));
@@ -104,8 +102,51 @@ TEST_P(LiveCheckProperty, AllQueriesMatchOracle) {
   }
 }
 
-/// Definition-5 invariants of the precomputed sets themselves, checked
-/// structurally on random graphs.
+namespace {
+
+/// Definition 4 by brute force: the nodes reachable from \p From over the
+/// reduced graph (the DFS's non-back edges), as a per-node flag vector.
+std::vector<bool> reducedReach(const DFS &D, unsigned N, unsigned From) {
+  std::vector<bool> Seen(N, false);
+  std::vector<unsigned> Work{From};
+  Seen[From] = true;
+  while (!Work.empty()) {
+    unsigned V = Work.back();
+    Work.pop_back();
+    for (const unsigned *S = D.reducedBegin(V), *E = D.reducedEnd(V); S != E;
+         ++S)
+      if (!Seen[*S]) {
+        Seen[*S] = true;
+        Work.push_back(*S);
+      }
+  }
+  return Seen;
+}
+
+/// Definition 5 by brute force: T_q is {q} closed under t -> t' for every
+/// back edge (s, t') with s ∈ R_t and t' ∉ R_t.
+std::vector<bool> definition5(const LiveCheck &LC, const DFS &D, unsigned N,
+                              unsigned Q) {
+  std::vector<bool> InT(N, false);
+  std::vector<unsigned> Work{Q};
+  InT[Q] = true;
+  while (!Work.empty()) {
+    unsigned T = Work.back();
+    Work.pop_back();
+    for (auto [S, Tgt] : D.backEdges())
+      if (!InT[Tgt] && LC.isReducedReachable(T, S) &&
+          !LC.isReducedReachable(T, Tgt)) {
+        InT[Tgt] = true;
+        Work.push_back(Tgt);
+      }
+  }
+  return InT;
+}
+
+} // namespace
+
+/// Definition-4/5 invariants of the precomputed sets themselves, checked
+/// against brute-force references on random graphs.
 TEST_P(LiveCheckProperty, PrecomputedSetInvariants) {
   const Config &C = GetParam();
   for (std::uint64_t Seed = 0; Seed != std::min(C.Seeds, 8u); ++Seed) {
@@ -117,27 +158,28 @@ TEST_P(LiveCheckProperty, PrecomputedSetInvariants) {
     CFG G = generateCFG(Opts, Rng);
     DFS D(G);
     DomTree DT(G, D);
-    LiveCheck Propagated(G, D, DT, {TMode::Propagated, true, true});
-    LiveCheck Filtered(G, D, DT, {TMode::Filtered, true, true});
+    LiveCheck Check(G, D, DT);
+    const unsigned N = G.numNodes();
 
-    for (unsigned V = 0; V != G.numNodes(); ++V) {
-      // v ∈ R_v and v ∈ T_v.
-      EXPECT_TRUE(Propagated.isReducedReachable(V, V));
-      EXPECT_TRUE(Propagated.isInT(V, V));
-      EXPECT_TRUE(Filtered.isInT(V, V));
-      for (unsigned W = 0; W != G.numNodes(); ++W) {
-        // Filtered sets are Definition 5; propagated sets may only add.
-        if (Filtered.isInT(V, W)) {
-          EXPECT_TRUE(Propagated.isInT(V, W))
-              << "propagated must be a superset, seed " << Seed;
+    for (unsigned V = 0; V != N; ++V) {
+      std::vector<bool> WantR = reducedReach(D, N, V);
+      std::vector<bool> WantT = definition5(Check, D, N, V);
+      EXPECT_TRUE(Check.isInT(V, V)) << "seed " << Seed << " v " << V;
+      for (unsigned W = 0; W != N; ++W) {
+        EXPECT_EQ(Check.isReducedReachable(V, W), WantR[W])
+            << "R differs from Definition 4, seed " << Seed << " v " << V
+            << " w " << W;
+        // The propagated sets are supersets of Definition 5 ...
+        if (WantT[W]) {
+          EXPECT_TRUE(Check.isInT(V, W))
+              << "T misses a Definition-5 member, seed " << Seed << " v "
+              << V << " w " << W;
+        } else if (Check.isInT(V, W)) {
+          // ... whose extra members are all back-edge targets.
+          EXPECT_TRUE(D.isBackEdgeTarget(W))
+              << "T holds a non-target extra, seed " << Seed << " v " << V
+              << " w " << W;
         }
-        // Every T member other than the node itself is a back-edge target.
-        if (W != V && Propagated.isInT(V, W)) {
-          EXPECT_TRUE(D.isBackEdgeTarget(W)) << "seed " << Seed;
-        }
-        // R agrees between modes (it does not depend on the T mode).
-        EXPECT_EQ(Propagated.isReducedReachable(V, W),
-                  Filtered.isReducedReachable(V, W));
       }
     }
   }

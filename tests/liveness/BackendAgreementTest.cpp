@@ -46,7 +46,6 @@ TEST_P(BackendAgreement, AllBackendsAgreeOnAllQueries) {
     auto F = randomSSAFunction(Seed * 31 + S.Blocks, Cfg);
 
     FunctionLiveness Fast(*F);
-    FunctionLiveness FastFiltered(*F, {TMode::Filtered, true, true});
     DataflowLiveness Dataflow(*F);
     BitVectorDataflowLiveness BitDataflow(*F);
     PathExplorationLiveness PathExp(*F);
@@ -68,9 +67,6 @@ TEST_P(BackendAgreement, AllBackendsAgreeOnAllQueries) {
         EXPECT_EQ(Fast.isLiveIn(V, *B), WantIn)
             << S.Name << " seed " << Seed << " %" << V.name() << " in "
             << B->name();
-        EXPECT_EQ(FastFiltered.isLiveIn(V, *B), WantIn)
-            << S.Name << " seed " << Seed << " %" << V.name() << " in "
-            << B->name();
         EXPECT_EQ(Dataflow.isLiveIn(V, *B), WantIn)
             << S.Name << " seed " << Seed << " %" << V.name() << " in "
             << B->name();
@@ -78,9 +74,6 @@ TEST_P(BackendAgreement, AllBackendsAgreeOnAllQueries) {
             << S.Name << " seed " << Seed << " %" << V.name() << " in "
             << B->name();
         EXPECT_EQ(Fast.isLiveOut(V, *B), WantOut)
-            << S.Name << " seed " << Seed << " %" << V.name() << " out "
-            << B->name();
-        EXPECT_EQ(FastFiltered.isLiveOut(V, *B), WantOut)
             << S.Name << " seed " << Seed << " %" << V.name() << " out "
             << B->name();
         EXPECT_EQ(Dataflow.isLiveOut(V, *B), WantOut)

@@ -78,16 +78,9 @@ struct Rig {
   DomTree DT;
   LiveCheck LC;
 
-  Rig(const CFG &G, std::string Name, TMode Mode, bool Incremental)
+  Rig(const CFG &G, std::string Name, bool Incremental)
       : Name(std::move(Name)), D(G), DT(G, D),
-        LC(G, D, DT, options(Mode, Incremental)) {}
-
-  static LiveCheckOptions options(TMode Mode, bool Incremental) {
-    LiveCheckOptions O;
-    O.Mode = Mode;
-    O.Incremental = Incremental;
-    return O;
-  }
+        LC(G, D, DT, LiveCheckOptions{Incremental}) {}
 
   void step(const CFG &G, CFGDeltaSpan Span) {
     D.applyUpdates(Span.first, Span.second);
@@ -259,17 +252,11 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
   GOpts.GotoEdges = Reducible ? 0 : 3;
   CFG G = generateCFG(GOpts, Rng);
 
-  // Both T modes, twice: incremental rigs take the row-repatch path, the
-  // others exercise update()'s in-place full recompute fallback.
+  // The incremental rig takes the row-repatch path, the other exercises
+  // update()'s in-place full recompute fallback.
   std::vector<std::unique_ptr<Rig>> Rigs;
-  Rigs.push_back(std::make_unique<Rig>(G, "repatch/prop", TMode::Propagated,
-                                       /*Incremental=*/true));
-  Rigs.push_back(std::make_unique<Rig>(G, "repatch/filt", TMode::Filtered,
-                                       /*Incremental=*/true));
-  Rigs.push_back(std::make_unique<Rig>(G, "recompute/prop",
-                                       TMode::Propagated,
-                                       /*Incremental=*/false));
-  Rigs.push_back(std::make_unique<Rig>(G, "recompute/filt", TMode::Filtered,
+  Rigs.push_back(std::make_unique<Rig>(G, "repatch", /*Incremental=*/true));
+  Rigs.push_back(std::make_unique<Rig>(G, "recompute",
                                        /*Incremental=*/false));
 
   CFGMutatorOptions MOpts;
@@ -396,7 +383,7 @@ unsigned runFunctionFuzz(std::uint64_t Seed, unsigned Steps) {
     std::vector<unsigned> LTIdoms = computeIdomsLengauerTarjan(FreshG);
     if (!compareDomTrees(DT, FreshDT, LTIdoms, Tag))
       return Executed;
-    LiveCheck Fresh(FreshG, FreshD, FreshDT, AM.liveCheckOptions());
+    LiveCheck Fresh(FreshG, FreshD, FreshDT);
 
     // Real SSA variables: every function value with a definition, queried
     // through its Definition-1 use blocks.
@@ -502,8 +489,7 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
     std::vector<unsigned> LTIdoms = computeIdomsLengauerTarjan(FreshG);
     if (!compareDomTrees(DT, FreshDT, LTIdoms, Tag))
       return Executed;
-    LiveCheck Fresh(FreshG, FreshD, FreshDT,
-                    S->driver().analysisManager().liveCheckOptions());
+    LiveCheck Fresh(FreshG, FreshD, FreshDT);
 
     std::vector<VarSample> Vars;
     for (const auto &V : SF.values()) {

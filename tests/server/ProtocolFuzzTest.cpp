@@ -437,9 +437,10 @@ TEST(ProtocolFuzz, ZeroLengthFrameIsMalformedNotFatal) {
 }
 
 //===----------------------------------------------------------------------===//
-// Retired LoadModule ids. Backends 2-4 and planes 1-2 named removed engine
-// variants; the id spaces keep those holes, so a client that still sends
-// one gets a well-formed refusal, and its connection stays usable.
+// Retired LoadModule ids. Backends 1-4 and planes 1-2 named removed engine
+// variants (backend 1 was the exact-Definition-5 T-set engine); the id
+// spaces keep those holes, so a client that still sends one gets a
+// well-formed refusal, and its connection stays usable.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -466,6 +467,10 @@ void expectRetiredIdRefused(std::uint8_t Backend, std::uint8_t Plane,
 
 } // namespace
 
+TEST(ProtocolFuzz, RetiredBackendId1IsRefused) {
+  expectRetiredIdRefused(1, 0, proto::ErrorCode::BadBackend);
+}
+
 TEST(ProtocolFuzz, RetiredBackendId2IsRefused) {
   expectRetiredIdRefused(2, 0, proto::ErrorCode::BadBackend);
 }
@@ -483,13 +488,13 @@ TEST(ProtocolFuzz, RetiredPlaneId1IsRefused) {
 }
 
 TEST(ProtocolFuzz, RetiredPlaneId2IsRefused) {
-  expectRetiredIdRefused(1, 2, proto::ErrorCode::BadPlane);
+  expectRetiredIdRefused(5, 2, proto::ErrorCode::BadPlane);
 }
 
 TEST(ProtocolFuzz, EveryAssignedBackendAndPlaneIdLoads) {
   auto F = randomSSAFunction(7004, {/*TargetBlocks=*/10});
   std::string Text = printFunction(*F);
-  for (std::uint8_t Backend : {0, 1, 5, 6})
+  for (std::uint8_t Backend : {0, 5, 6})
     for (std::uint8_t Plane : {0, 3}) {
       server::SessionManager Mgr({});
       auto S = Mgr.createSession();

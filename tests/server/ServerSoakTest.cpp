@@ -248,15 +248,15 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
 
   // Six clients across backends and query planes; the shapes chosen so
   // the request total comfortably clears 100k. The cached prepared plane
-  // (the production default) runs under both T modes with edit streams,
-  // so stale-entry bugs in either mode's cache interaction surface as byte
-  // mismatches against the block-id oracle.
+  // (the production default) runs with edit streams, so stale-entry bugs
+  // in its cache interaction surface as byte mismatches against the
+  // block-id oracle.
   std::vector<ClientPlan> Plans = {
       {1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
        42, 8},
-      {1002, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId, 560, 42,
+      {1002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560, 42,
        6},
-      {1003, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared, 560, 42,
+      {1003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560, 42,
        8},
       {1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
        42, 6},
@@ -616,9 +616,8 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
       telemetry::Registry::global().value("ssalive_server_queries_total");
   std::atomic<std::uint64_t> QueryLedger{0};
 
-  // Three sessions concurrently: both T modes on the cached prepared
-  // plane and one on block-id — so the replayed journals rebuild every
-  // engine flavor.
+  // Three sessions concurrently: two on the cached prepared plane and one
+  // on block-id — so the replayed journals rebuild every plane.
   struct ResumePlanEntry {
     std::uint64_t Seed;
     BatchBackend Backend;
@@ -626,7 +625,7 @@ TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
   };
   std::vector<ResumePlanEntry> Plans = {
       {3001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3002, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {3002, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
       {3003, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
   };
   std::vector<std::thread> Clients;
@@ -681,11 +680,11 @@ TEST(ServerSoak, MixedDifferentialAndResumeClientsMatchOracles) {
   };
   std::vector<PlanEntry> Plans = {
       {7001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {7002, BatchBackend::LiveCheckFiltered, QueryPlane::BlockId},
-      {7003, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {7002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
+      {7003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
       {7004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
       {7005, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {7006, BatchBackend::LiveCheckFiltered, QueryPlane::Prepared},
+      {7006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
   };
   std::atomic<std::uint64_t> Frames{0};
   std::vector<std::thread> Clients;
@@ -698,8 +697,7 @@ TEST(ServerSoak, MixedDifferentialAndResumeClientsMatchOracles) {
   for (unsigned I = 0; I != 2; ++I)
     Clients.emplace_back([&, I] {
       runResumeClient(Server.boundTcpPort(), 7101 + I,
-                      I == 0 ? BatchBackend::LiveCheckPropagated
-                             : BatchBackend::LiveCheckFiltered,
+                      BatchBackend::LiveCheckPropagated,
                       QueryPlane::Prepared, I);
     });
   for (std::thread &T : Clients)

@@ -10,10 +10,10 @@
 // report.
 //
 //   ssalive-batch [options] [module.ssair]
-//     --backend=propagated|filtered|dataflow|path-exploration
-//                 propagated/filtered are the paper's engine with the
-//                 Section-5.2 and the exact Definition-5 T sets;
-//                 dataflow and path-exploration are independent baselines
+//     --backend=propagated|dataflow|path-exploration
+//                 propagated is the paper's engine with the Section-5.2
+//                 T sets (default); dataflow and path-exploration are
+//                 independent baselines
 //     --plane=block-id|prepared
 //                 LiveCheck entry point per query (default prepared — the
 //                 cached per-value plane; block-id re-derives the variable

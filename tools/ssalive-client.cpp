@@ -22,8 +22,7 @@
 //                             — exercises the server's park/replay plane
 //                             end to end (needs a reconnectable
 //                             transport, i.e. not pipe)
-//     --backend=NAME          propagated|filtered|dataflow|
-//                             path-exploration
+//     --backend=NAME          propagated|dataflow|path-exploration
 //     --plane=NAME            block-id|prepared (LiveCheck entry point
 //                             used per query; default prepared — the
 //                             server-side cached plane)
