@@ -19,6 +19,14 @@
 // must match bit for bit — a mismatch aborts the bench. Medians are
 // reported per tier; acceptance is refresh >= 5x cheaper at 1024 blocks.
 //
+// A second measurement follows the edit to the query plane: after each
+// edit, a fixed prepared query set (every queryable value, probed live-in
+// and live-out at fixed blocks) is re-answered through a PreparedCache
+// synced to the repaired numbering (entries remapped) and through one that
+// is never synced (every entry epoch-dropped and rebuilt on first touch).
+// Both answer streams must checksum identically; the record reports
+// speedup_remap_vs_rebuild on a 256-block procedure.
+//
 // Emits BENCH_incremental.json next to the binary.
 //
 //===----------------------------------------------------------------------===//
@@ -26,6 +34,7 @@
 #include "Harness.h"
 
 #include "core/LiveCheck.h"
+#include "core/PreparedCache.h"
 #include "core/UseInfo.h"
 #include "pipeline/AnalysisManager.h"
 #include "ssa/SSAConstruction.h"
@@ -239,6 +248,121 @@ TierResult runTier(unsigned Blocks, unsigned Edits, unsigned Reps,
   return R;
 }
 
+struct RequeryResult {
+  unsigned Blocks = 0;
+  unsigned Edits = 0;
+  unsigned Queries = 0; ///< Per edit.
+  double RemapUs = 0;   ///< syncNumbering() + the query set.
+  double RebuildUs = 0; ///< The query set on a never-synced cache.
+  double Speedup = 0;
+  std::uint64_t Remaps = 0;
+  std::uint64_t EpochDrops = 0;
+};
+
+/// One prepared query of the fixed post-edit set.
+struct Probe {
+  const Value *V;
+  unsigned Block;
+  bool IsLiveOut;
+};
+
+std::uint64_t answerProbes(PreparedCache &Cache,
+                           const std::vector<Probe> &Probes) {
+  std::uint64_t Sum = 0xcbf29ce484222325ull;
+  const LiveCheck &E = Cache.engine();
+  for (const Probe &P : Probes) {
+    const LiveCheck::PreparedVar &PV = Cache.ensure(*P.V);
+    bool Live = P.IsLiveOut ? E.isLiveOutPrepared(PV, P.Block)
+                            : E.isLiveInPrepared(PV, P.Block);
+    Sum = (Sum ^ (Live ? 0x9e37u : 0x7f4au)) * 0x100000001b3ull;
+  }
+  return Sum;
+}
+
+RequeryResult runRequery(unsigned Blocks, unsigned Edits, unsigned Reps,
+                         bool &AnswersAgree) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> RemapBest, RebuildBest;
+  RequeryResult R;
+  R.Blocks = Blocks;
+  for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+    RandomEngine Rng(Blocks * 7717ull + 23);
+    CFGGenOptions GOpts;
+    GOpts.TargetBlocks = Blocks;
+    CFG G0 = generateCFG(GOpts, Rng);
+    ProgramGenOptions POpts;
+    auto F = generateProgram(G0, POpts, Rng);
+    constructSSA(*F);
+
+    AnalysisManager AM;
+    FunctionAnalyses *FA = &AM.get(*F);
+    PreparedCache Synced(*F, FA->liveCheck(), FA->domTree());
+    PreparedCache Dropped(*F, FA->liveCheck(), FA->domTree());
+    std::vector<Probe> Probes;
+    RandomEngine QRng(Blocks + 11);
+    for (const auto &V : F->values())
+      if (V->defs().size() == 1 && V->hasUses())
+        for (bool Out : {false, true})
+          Probes.push_back({V.get(), QRng.nextBelow(F->numBlocks()), Out});
+    R.Queries = static_cast<unsigned>(Probes.size());
+    Synced.syncNumbering();
+    answerProbes(Synced, Probes);
+    answerProbes(Dropped, Probes);
+
+    // The edit-storm shape: localized, reducibility-preserving edits,
+    // block splits included.
+    CFGMutatorOptions MOpts;
+    MOpts.PreserveReducibility = true;
+    MOpts.LocalityWindow = 8;
+    unsigned Measured = 0;
+    for (unsigned Edit = 0; Edit != Edits; ++Edit) {
+      if (!mutateFunctionCFG(*F, Rng, MOpts))
+        continue;
+      AM.refresh(*F);
+      // Alternate which path runs first, so neither always finds the
+      // engine rows the other just pulled into cache.
+      double Us[2];
+      std::uint64_t Sums[2];
+      for (unsigned K = 0; K != 2; ++K) {
+        bool Remap = (K + Edit) % 2 == 0;
+        auto T0 = Clock::now();
+        if (Remap)
+          Synced.syncNumbering();
+        std::uint64_t Sum = answerProbes(Remap ? Synced : Dropped, Probes);
+        auto T1 = Clock::now();
+        Us[Remap ? 0 : 1] =
+            std::chrono::duration<double, std::micro>(T1 - T0).count();
+        Sums[Remap ? 0 : 1] = Sum;
+      }
+      if (Sums[0] != Sums[1]) {
+        std::fprintf(stderr,
+                     "FATAL: remapped/rebuilt prepared answers diverge at "
+                     "requery edit %u\n",
+                     Edit);
+        AnswersAgree = false;
+        return R;
+      }
+      if (Measured == RemapBest.size()) {
+        RemapBest.push_back(Us[0]);
+        RebuildBest.push_back(Us[1]);
+      } else {
+        RemapBest[Measured] = std::min(RemapBest[Measured], Us[0]);
+        RebuildBest[Measured] = std::min(RebuildBest[Measured], Us[1]);
+      }
+      ++Measured;
+    }
+    if (Rep + 1 == Reps) {
+      R.Edits = Measured;
+      R.Remaps = Synced.stats().Remaps;
+      R.EpochDrops = Dropped.stats().EpochDrops;
+    }
+  }
+  R.RemapUs = medianUs(RemapBest);
+  R.RebuildUs = medianUs(RebuildBest);
+  R.Speedup = R.RemapUs > 0 ? R.RebuildUs / R.RemapUs : 0;
+  return R;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -309,6 +433,29 @@ int main(int Argc, char **Argv) {
   }
 
   Table.print();
+
+  if (AnswersAgree) {
+    RequeryResult Q = runRequery(256, Edits, Reps + 1, AnswersAgree);
+    if (AnswersAgree) {
+      std::printf("\nPost-edit requery, 256 blocks (%u edits, %u prepared "
+                  "queries each; medians):\n  synced cache (remap) "
+                  "%.1f us, never-synced cache (rebuild) %.1f us: %.2fx\n"
+                  "  (%llu entries remapped, %llu epoch-dropped)\n",
+                  Q.Edits, Q.Queries, Q.RemapUs, Q.RebuildUs, Q.Speedup,
+                  static_cast<unsigned long long>(Q.Remaps),
+                  static_cast<unsigned long long>(Q.EpochDrops));
+      Records.push_back(JsonRecord()
+                            .str("record", "post_edit_requery")
+                            .num("blocks", std::uint64_t(Q.Blocks))
+                            .num("edits", std::uint64_t(Q.Edits))
+                            .num("queries_per_edit", std::uint64_t(Q.Queries))
+                            .num("remap_us", Q.RemapUs)
+                            .num("rebuild_us", Q.RebuildUs)
+                            .num("speedup_remap_vs_rebuild", Q.Speedup)
+                            .num("remaps", Q.Remaps)
+                            .num("epoch_drops", Q.EpochDrops));
+    }
+  }
   std::printf("\nAnswers byte-identical across both paths: %s\n",
               AnswersAgree ? "yes" : "NO - FAILURE");
   if (!Smoke) {

@@ -185,13 +185,17 @@ public:
   /// numbering of the DomTree the engine was built (or last update()d)
   /// against, so a PreparedVar is valid only while that numbering stands —
   /// i.e. until the next structural CFG edit. It must never be held across
-  /// an edit/refresh boundary: after a renumbering the stale coordinates
-  /// silently select the wrong interval and the wrong use bits. Consumers
-  /// should not manage this by hand — core/PreparedCache caches one
-  /// prepared entry per value, keyed to the function's CFG epoch and the
-  /// value's def-use epoch, drops stale entries instead of serving them
-  /// (debug-asserted), and is the production path of FunctionLiveness, the
-  /// batch driver, and the server sessions.
+  /// an edit/refresh boundary as is: after a renumbering the stale
+  /// coordinates silently select the wrong interval and the wrong use
+  /// bits. Because a CFG edit moves no def and (without a def-use edit)
+  /// no use block, the variable itself survives the edit; only its
+  /// coordinates need translating. Consumers should not manage this by
+  /// hand — core/PreparedCache caches one prepared entry per value, keyed
+  /// to the function's CFG epoch and the value's def-use epoch, remaps
+  /// entries onto the repaired numbering when synced
+  /// (PreparedCache::syncNumbering), drops the rest instead of serving
+  /// them (debug-asserted), and is the production path of
+  /// FunctionLiveness, the batch driver, and the server sessions.
   struct PreparedVar {
     unsigned DefNum = 0;            ///< DT.num(def block).
     unsigned MaxDom = 0;            ///< DT.maxnum(def block).

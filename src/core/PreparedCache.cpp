@@ -51,6 +51,63 @@ void PreparedCache::rebind(const LiveCheck &NewEngine, const DomTree &NewDT) {
     S.MaskFree.fill(NoSlice);
     S.LiveSlices = 0;
   }
+  SyncedNodeAtNum.clear();
+}
+
+void PreparedCache::syncNumbering() {
+  std::uint64_t Epoch = F.cfgVersion();
+  if (!SyncedNodeAtNum.empty() && SyncedEpoch == Epoch)
+    return;
+  unsigned OldN = static_cast<unsigned>(SyncedNodeAtNum.size());
+  unsigned N = DT->numNodes();
+  if (OldN != 0 && N >= OldN) {
+    // Old number -> new number, through the node each old number named.
+    auto PermH = pool::scratchArray();
+    std::vector<unsigned> &Perm = *PermH;
+    Perm.resize(OldN);
+    bool Identity = true;
+    for (unsigned I = 0; I != OldN; ++I) {
+      Perm[I] = DT->num(SyncedNodeAtNum[I]);
+      Identity &= Perm[I] == I;
+    }
+    // build()'s form choice at the new node count.
+    unsigned Words = (N + 63) / 64;
+    unsigned Threshold = std::max(8u, Words);
+    std::uint64_t Carried = 0;
+    for (std::size_t I = 0; I != Entries.size(); ++I) {
+      Entry &E = Entries[I];
+      if (!E.Built || E.CFGEpoch != SyncedEpoch ||
+          E.DefUseEpoch != F.value(static_cast<unsigned>(I))->defUseEpoch())
+        continue;
+      unsigned Len = static_cast<unsigned>(E.Prep.NumsEnd - E.Prep.NumsBegin);
+      bool Mask = E.Prep.MaskWords != nullptr;
+      if (Mask != (Len >= Threshold) || (Mask && E.Prep.MaskNumWords != Words))
+        continue; // A fresh build would pick another form: rebuild lazily.
+      unsigned DefNode = SyncedNodeAtNum[E.Prep.DefNum];
+      E.Prep.DefNum = DT->num(DefNode);
+      E.Prep.MaxDom = DT->maxnum(DefNode);
+      if (!Identity) {
+        ArenaStripe &S = Stripes[stripeOf(static_cast<std::uint32_t>(I))];
+        unsigned *Span = S.Spans.data() + E.NumsOff;
+        for (unsigned K = 0; K != Len; ++K)
+          Span[K] = Perm[Span[K]];
+        std::sort(Span, Span + Len);
+        if (Mask) {
+          std::uint64_t *MW = S.MaskWords.data() + E.MaskOff;
+          std::memset(MW, 0, Words * sizeof(std::uint64_t));
+          for (unsigned K = 0; K != Len; ++K)
+            MW[Span[K] / 64] |= std::uint64_t(1) << (Span[K] % 64);
+        }
+      }
+      E.CFGEpoch = Epoch;
+      ++Carried;
+    }
+    Remaps.fetch_add(Carried, std::memory_order_relaxed);
+  }
+  SyncedNodeAtNum.resize(N);
+  for (unsigned I = 0; I != N; ++I)
+    SyncedNodeAtNum[I] = DT->nodeAtNum(I);
+  SyncedEpoch = Epoch;
 }
 
 void PreparedCache::growTo(std::size_t Count) {
@@ -245,6 +302,7 @@ PreparedCacheStats PreparedCache::stats() const {
   S.Builds = Builds.load(std::memory_order_relaxed);
   S.Rebuilds = Rebuilds.load(std::memory_order_relaxed);
   S.EpochDrops = EpochDrops.load(std::memory_order_relaxed);
+  S.Remaps = Remaps.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -253,6 +311,7 @@ void PreparedCache::publishTelemetry() {
   static telemetry::Counter BuildsC("ssalive_prepared_builds_total");
   static telemetry::Counter RebuildsC("ssalive_prepared_rebuilds_total");
   static telemetry::Counter DropsC("ssalive_prepared_epoch_drops_total");
+  static telemetry::Counter RemapsC("ssalive_prepared_remaps_total");
   // Gauges are process-wide levels; each cache publishes the *change* in
   // its own footprint since its last publish, so the gauge reads as the
   // sum across live caches and never needs locking.
@@ -267,6 +326,8 @@ void PreparedCache::publishTelemetry() {
     RebuildsC.inc(S.Rebuilds - Published.Rebuilds);
   if (S.EpochDrops > Published.EpochDrops)
     DropsC.inc(S.EpochDrops - Published.EpochDrops);
+  if (S.Remaps > Published.Remaps)
+    RemapsC.inc(S.Remaps - Published.Remaps);
   Published = S;
   auto CurBytes = static_cast<std::int64_t>(arenaBytes());
   auto CurSlices = static_cast<std::int64_t>(liveSlices());

@@ -419,6 +419,9 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       else
         Prepared[I]->rebind(*Engines[I], *Trees[I]);
       Prepared[I]->sizeToFunction();
+      // Carry entries across CFG edits since the last run onto the
+      // refreshed numbering while this thread is still the only writer.
+      Prepared[I]->syncNumbering();
     }
     // Cold-fill sharding gate: sample the workload for values without a
     // fresh entry. A cold *giant* batch is the one place build cost

@@ -211,8 +211,9 @@ public:
   /// until a prepared-plane run() touched that function). Entries persist
   /// across run() calls — the "skip per-query use-block collection" regime
   /// the server's long-lived sessions amortize into — and survive CFG
-  /// edits through the PreparedCache epoch contract (stale values are
-  /// dropped and rebuilt lazily against the refreshed analyses).
+  /// edits: run() remaps them onto the refreshed numbering
+  /// (PreparedCache::syncNumbering) before answering, and the entries the
+  /// remap cannot carry are rebuilt lazily.
   const PreparedCache *preparedCache(std::size_t FuncIndex) const {
     return FuncIndex < Prepared.size() ? Prepared[FuncIndex].get() : nullptr;
   }

@@ -388,8 +388,8 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
     // Baseline sessions (dataflow/path-exploration) never read the
     // manager's analyses — their engines are simply rebuilt — so the
     // in-place repair is LiveCheck-only work. The session's prepared
-    // caches ride the same epoch contract: stale per-value entries are
-    // dropped and rebuilt lazily against the repaired analyses.
+    // caches follow at the next query frame: the driver remaps their
+    // entries onto the repaired numbering before answering.
     if (batchBackendUsesLiveCheck(Driver->backend()))
       for (std::size_t I = 0; I != Module.size(); ++I)
         if (Touched[I])

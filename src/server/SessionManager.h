@@ -29,10 +29,11 @@
 ///
 /// Sessions default to the driver's cached prepared plane: each value's
 /// use blocks are collected and renumbered once (core/PreparedCache) and
-/// reused across every later query batch of the connection; CFG edits
-/// invalidate the affected entries through the cache's epoch contract, so
-/// a long-lived session pays the chain walk once per value per edit, not
-/// once per query.
+/// reused across every later query batch of the connection. After CFG
+/// edits the next query batch remaps the entries onto the repaired
+/// numbering (PreparedCache::syncNumbering), so a long-lived session pays
+/// the chain walk again only for values whose def-use chain changed (or,
+/// rarely, whose mask width a block split changed).
 ///
 /// The resume plane rides the same purity: a resumable session journals
 /// every dispatched request payload (bounded), the manager parks the

@@ -17,26 +17,35 @@ using namespace ssalive;
 
 namespace {
 
-/// All nodes reachable from the entry?
-bool allReachable(const CFG &G) {
-  unsigned N = G.numNodes();
-  if (N == 0)
-    return true;
+/// Are all \p N nodes reachable from \p Entry? \p Succs(V, Visit) calls
+/// Visit on each successor of V.
+template <class SuccFn>
+bool allReachable(unsigned N, unsigned Entry, SuccFn Succs) {
   std::vector<bool> Seen(N, false);
-  std::vector<unsigned> Work{G.entry()};
-  Seen[G.entry()] = true;
+  std::vector<unsigned> Work{Entry};
+  Seen[Entry] = true;
   unsigned Count = 1;
+  auto Visit = [&](unsigned S) {
+    if (!Seen[S]) {
+      Seen[S] = true;
+      ++Count;
+      Work.push_back(S);
+    }
+  };
   while (!Work.empty()) {
     unsigned V = Work.back();
     Work.pop_back();
-    for (unsigned S : G.successors(V))
-      if (!Seen[S]) {
-        Seen[S] = true;
-        ++Count;
-        Work.push_back(S);
-      }
+    Succs(V, Visit);
   }
   return Count == N;
+}
+
+bool allReachable(const CFG &G) {
+  return G.numNodes() == 0 ||
+         allReachable(G.numNodes(), G.entry(), [&G](unsigned V, auto &Visit) {
+           for (unsigned S : G.successors(V))
+             Visit(S);
+         });
 }
 
 bool isReducible(const CFG &G) {
@@ -229,15 +238,20 @@ bool ssalive::applyFunctionMutation(Function &F, const Mutation &M) {
     break;
   }
   // Edge removals can orphan nodes, and every analysis assumes all nodes
-  // reachable; simulate the edit on a scratch graph before committing.
-  // AddEdge and SplitBlock cannot hurt reachability.
+  // reachable; walk the function's own successor lists as if the edit were
+  // applied (a scratch CFG copy would cost far more than the walk). AddEdge
+  // and SplitBlock cannot hurt reachability.
   if (M.Kind == MutationKind::RemoveEdge ||
       M.Kind == MutationKind::RetargetBranch) {
-    CFG Scratch = CFG::fromFunction(F);
-    Scratch.removeEdge(M.From, M.To);
-    if (M.Kind == MutationKind::RetargetBranch)
-      Scratch.addEdge(M.From, M.To2);
-    if (!allReachable(Scratch))
+    bool Retarget = M.Kind == MutationKind::RetargetBranch;
+    auto EditedSuccs = [&](unsigned V, auto &Visit) {
+      for (const BasicBlock *S : F.block(V)->successors())
+        if (V != M.From || S->id() != M.To)
+          Visit(S->id());
+      if (V == M.From && Retarget)
+        Visit(M.To2);
+    };
+    if (!allReachable(N, F.entry()->id(), EditedSuccs))
       return false;
   }
 

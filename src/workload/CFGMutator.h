@@ -99,8 +99,9 @@ std::optional<Mutation> mutateFunctionCFG(Function &F, RandomEngine &Rng,
 /// command and the differential soak/fuzz clients rely on exactly this to
 /// keep a remote session and a local oracle in lockstep. Returns false
 /// (leaving \p F untouched) when \p M does not apply — an edge endpoint out
-/// of range, a RemoveEdge/RetargetBranch naming a non-edge, an AddEdge that
-/// already exists, or a SplitBlock whose new-block id is not numBlocks().
+/// of range, a RemoveEdge/RetargetBranch naming a non-edge or leaving a
+/// block unreachable from the entry, an AddEdge that already exists, or a
+/// SplitBlock whose new-block id is not numBlocks().
 bool applyFunctionMutation(Function &F, const Mutation &M);
 
 } // namespace ssalive

@@ -9,7 +9,10 @@
 // pinned forever — the stale-after-renumbering scenario the CFG-epoch key
 // exists to forbid: a PreparedVar held across a structural edit answers
 // queries *wrongly* against the repaired engine, so the cache must drop
-// (and rebuild) the entry, never serve it.
+// (and rebuild) the entry, never serve it. A synced cache instead remaps
+// entries onto the new numbering: the directed cases below pin a split's
+// number shift, the mask-width fallback, and the use-block invariant the
+// remap rests on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <thread>
 
@@ -36,6 +40,51 @@ std::unique_ptr<Function> parse(const char *Text) {
   ParseResult R = parseFunction(Text);
   EXPECT_TRUE(R.Func) << R.Error;
   return std::move(R.Func);
+}
+
+std::vector<const Value *> queryableValues(const Function &F) {
+  std::vector<const Value *> Out;
+  for (const auto &V : F.values())
+    if (V->defs().size() == 1 && V->hasUses())
+      Out.push_back(V.get());
+  return Out;
+}
+
+/// The fields of a prepared entry, owned.
+struct EntryImage {
+  unsigned DefNum = 0, MaxDom = 0;
+  std::vector<unsigned> Nums;
+  std::vector<std::uint64_t> Mask;
+  bool operator==(const EntryImage &O) const {
+    return DefNum == O.DefNum && MaxDom == O.MaxDom && Nums == O.Nums &&
+           Mask == O.Mask;
+  }
+};
+
+EntryImage imageOf(const LiveCheck::PreparedVar &P) {
+  EntryImage I;
+  I.DefNum = P.DefNum;
+  I.MaxDom = P.MaxDom;
+  I.Nums.assign(P.NumsBegin, P.NumsEnd);
+  if (P.MaskWords)
+    I.Mask.assign(P.MaskWords, P.MaskWords + P.MaskNumWords);
+  return I;
+}
+
+/// Every (block, direction) answer of \p Cache's entry for \p V agrees
+/// with a fresh block-id engine.
+void expectAgreesWithOracle(PreparedCache &Cache, const Function &F,
+                            const Value &V) {
+  BlockIdLiveness Oracle(F);
+  const LiveCheck::PreparedVar &P = Cache.ensure(V);
+  for (const auto &B : F.blocks()) {
+    EXPECT_EQ(Cache.engine().isLiveInPrepared(P, B->id()),
+              Oracle.isLiveIn(V, *B))
+        << "%" << V.name() << " in b" << B->id();
+    EXPECT_EQ(Cache.engine().isLiveOutPrepared(P, B->id()),
+              Oracle.isLiveOut(V, *B))
+        << "%" << V.name() << " out b" << B->id();
+  }
 }
 
 } // namespace
@@ -500,6 +549,178 @@ TEST(PreparedCache, ConcurrentDistinctStripeEnsuresStayCoherent) {
           << "%" << V->name() << " out b" << B->id();
     }
   }
+}
+
+TEST(PreparedCache, SplitBlockNumberShiftsAreRemappedNotRebuilt) {
+  // Splitting the entry inserts the new block at preorder number 1, so
+  // every other block's number (and every maxnum) shifts by one. A synced
+  // cache must carry each entry to the new numbering — DefNum, MaxDom and
+  // the re-sorted span equal to a from-scratch build — without a single
+  // rebuild.
+  auto F = parse(R"(
+func @split {
+e:
+  %p = param 0
+  %a = const 1
+  %b = const 2
+  branch %p, l, r
+l:
+  %s = opaque %a
+  jump x
+r:
+  %t = opaque %b
+  %u = opaque %a
+  jump x
+x:
+  %w = opaque %b
+  %y = opaque %p
+  %z = opaque %y
+  ret %p
+}
+)");
+  ASSERT_TRUE(F);
+  AnalysisManager AM;
+  FunctionAnalyses &FA = AM.get(*F);
+  PreparedCache Cache(*F, FA.liveCheck(), FA.domTree());
+  Cache.syncNumbering();
+  std::vector<const Value *> Vals = queryableValues(*F);
+  ASSERT_EQ(Vals.size(), 4u); // %p, %a, %b, %y.
+  std::vector<EntryImage> Before;
+  for (const Value *V : Vals)
+    Before.push_back(imageOf(Cache.ensure(*V)));
+
+  Mutation M{MutationKind::SplitBlock, /*From=*/0, /*To=*/4, 0};
+  ASSERT_TRUE(applyFunctionMutation(*F, M));
+  ASSERT_EQ(&AM.refresh(*F), &FA) << "refresh must repair in place";
+  Cache.syncNumbering();
+  EXPECT_EQ(Cache.stats().Remaps, Vals.size());
+
+  AnalysisManager FreshAM;
+  FunctionAnalyses &FreshFA = FreshAM.get(*F);
+  PreparedCache Ref(*F, FreshFA.liveCheck(), FreshFA.domTree());
+  unsigned Shifted = 0;
+  for (std::size_t I = 0; I != Vals.size(); ++I) {
+    const Value &V = *Vals[I];
+    ASSERT_TRUE(Cache.isFresh(V)) << "%" << V.name();
+    EntryImage After = imageOf(Cache.cached(V));
+    EXPECT_TRUE(After == imageOf(Ref.ensure(V)))
+        << "%" << V.name() << ": remapped entry differs from a fresh build";
+    Shifted += !(After == Before[I]);
+    expectAgreesWithOracle(Cache, *F, V);
+  }
+  EXPECT_EQ(Shifted, Vals.size()) << "the split must renumber every entry";
+  PreparedCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Builds, Vals.size());
+  EXPECT_EQ(S.Rebuilds, 0u);
+  EXPECT_EQ(S.EpochDrops, 0u);
+}
+
+TEST(PreparedCache, MaskEntryCrossingSixtyFourNodesIsRebuilt) {
+  // A 64-block chain: %h is used in 10 blocks (a one-word mask entry),
+  // %k in two (a span entry). Splitting the entry makes 65 blocks, so a
+  // fresh build of %h takes a two-word mask: the remap must leave %h
+  // stale for a lazy rebuild and still carry %k and %p.
+  std::string Text = "func @wide {\ne:\n  %p = param 0\n  %h = const 1\n"
+                     "  %k = const 2\n  jump b0\n";
+  for (unsigned I = 0; I != 63; ++I) {
+    Text += "b" + std::to_string(I) + ":\n";
+    if (I < 10)
+      Text += "  %th" + std::to_string(I) + " = opaque %h\n";
+    if (I == 20 || I == 40)
+      Text += "  %tk" + std::to_string(I) + " = opaque %k\n";
+    Text += I + 1 != 63 ? "  jump b" + std::to_string(I + 1) + "\n"
+                        : std::string("  ret %p\n");
+  }
+  Text += "}\n";
+  auto F = parse(Text.c_str());
+  ASSERT_TRUE(F);
+  ASSERT_EQ(F->numBlocks(), 64u);
+  AnalysisManager AM;
+  FunctionAnalyses &FA = AM.get(*F);
+  PreparedCache Cache(*F, FA.liveCheck(), FA.domTree());
+  Cache.syncNumbering();
+  const Value *H = nullptr;
+  std::vector<const Value *> Vals = queryableValues(*F);
+  for (const Value *V : Vals) {
+    const LiveCheck::PreparedVar &P = Cache.ensure(*V);
+    if (V->name() == "h") {
+      H = V;
+      ASSERT_NE(P.MaskWords, nullptr);
+      EXPECT_EQ(P.MaskNumWords, 1u);
+    }
+  }
+  ASSERT_NE(H, nullptr);
+  ASSERT_EQ(Vals.size(), 3u);
+
+  Mutation M{MutationKind::SplitBlock, /*From=*/0, /*To=*/64, 0};
+  ASSERT_TRUE(applyFunctionMutation(*F, M));
+  AM.refresh(*F);
+  Cache.syncNumbering();
+  EXPECT_EQ(Cache.stats().Remaps, 2u);
+  EXPECT_FALSE(Cache.isFresh(*H)) << "a 2-word mask needs a rebuild";
+  for (const Value *V : Vals) {
+    if (V != H)
+      EXPECT_TRUE(Cache.isFresh(*V)) << "%" << V->name();
+  }
+
+  const LiveCheck::PreparedVar &P = Cache.ensure(*H);
+  ASSERT_NE(P.MaskWords, nullptr);
+  EXPECT_EQ(P.MaskNumWords, 2u);
+  EXPECT_EQ(Cache.stats().EpochDrops, 1u);
+  for (const Value *V : Vals)
+    expectAgreesWithOracle(Cache, *F, *V);
+}
+
+TEST(PreparedCache, UnchangedDefUseEpochMeansUnchangedUseBlocks) {
+  // The invariant the remap rests on, over all four mutation kinds: a
+  // structural edit that leaves a value's def-use epoch alone leaves its
+  // def block and its Definition-1 use-block set alone too.
+  std::set<MutationKind> Kinds;
+  unsigned Bumped = 0;
+  for (std::uint64_t Seed = 7300; Seed != 7306; ++Seed) {
+    RandomFunctionConfig Cfg;
+    Cfg.TargetBlocks = 20;
+    Cfg.GotoEdges = Seed % 2;
+    auto F = randomSSAFunction(Seed, Cfg);
+    RandomEngine Rng(Seed * 31 + 7);
+    CFGMutatorOptions MOpts;
+    MOpts.MaxNodes = 48;
+    for (unsigned Step = 0; Step != 150; ++Step) {
+      struct Seen {
+        std::uint64_t Epoch;
+        std::vector<unsigned> DefBlocks;
+        std::vector<unsigned> Uses;
+      };
+      auto defBlocks = [](const Value &V) {
+        std::vector<unsigned> Out;
+        for (const Instruction *D : V.defs())
+          Out.push_back(D->parent()->id());
+        return Out;
+      };
+      std::vector<Seen> Old;
+      for (const auto &V : F->values())
+        Old.push_back({V->defUseEpoch(), defBlocks(*V), liveUseBlocks(*V)});
+      auto M = mutateFunctionCFG(*F, Rng, MOpts);
+      if (!M)
+        continue;
+      Kinds.insert(M->Kind);
+      ASSERT_EQ(F->numValues(), Old.size());
+      for (unsigned I = 0; I != Old.size(); ++I) {
+        const Value &V = *F->value(I);
+        if (V.defUseEpoch() != Old[I].Epoch) {
+          ++Bumped;
+          continue;
+        }
+        EXPECT_EQ(defBlocks(V), Old[I].DefBlocks)
+            << "seed " << Seed << " %" << V.name();
+        EXPECT_EQ(liveUseBlocks(V), Old[I].Uses)
+            << "seed " << Seed << " step " << Step << " %" << V.name()
+            << ": use blocks changed without a def-use epoch bump";
+      }
+    }
+  }
+  EXPECT_EQ(Kinds.size(), 4u) << "every mutation kind must be exercised";
+  EXPECT_GT(Bumped, 0u) << "no edit touched a φ operand";
 }
 
 #ifndef NDEBUG

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -310,12 +311,52 @@ unsigned runCFGFuzz(std::uint64_t Seed, bool Reducible, unsigned Steps) {
   return Executed;
 }
 
-/// Compares the persistent prepared cache — entries surviving from before
-/// the edit, epoch-dropped and rebuilt lazily — against the fresh engine's
-/// block-id entries, bit for bit over every block, for the function's real
-/// SSA values. This is the production query path of the refresh plane: a
-/// stale span served here is exactly the wrong-answer class the cache's
-/// epoch contract forbids.
+std::string describeMutations(const std::vector<Mutation> &Ms) {
+  std::string Out;
+  for (const Mutation &M : Ms)
+    Out += (Out.empty() ? "" : "; ") + describeMutation(M);
+  return Out;
+}
+
+/// Field-by-field equality of every fresh entry of \p Cache — remapped
+/// across the edit or built since — with a from-scratch build over the
+/// fresh analyses: DefNum, MaxDom, the use span and the mask words.
+/// \p Compared counts the entries checked.
+bool compareCacheEntries(const PreparedCache &Cache, const Function &F,
+                         const LiveCheck &Fresh, const DomTree &FreshDT,
+                         const std::string &Tag, std::uint64_t &Compared) {
+  PreparedCache Ref(F, Fresh, FreshDT);
+  for (const auto &V : F.values()) {
+    if (!Cache.isFresh(*V))
+      continue;
+    const LiveCheck::PreparedVar &Got = Cache.cached(*V);
+    const LiveCheck::PreparedVar &Want = Ref.ensure(*V);
+    auto maskOf = [](const LiveCheck::PreparedVar &P) {
+      return P.MaskWords ? std::vector<std::uint64_t>(
+                               P.MaskWords, P.MaskWords + P.MaskNumWords)
+                         : std::vector<std::uint64_t>();
+    };
+    if (Got.DefNum != Want.DefNum || Got.MaxDom != Want.MaxDom ||
+        !std::equal(Got.NumsBegin, Got.NumsEnd, Want.NumsBegin,
+                    Want.NumsEnd) ||
+        maskOf(Got) != maskOf(Want)) {
+      ADD_FAILURE() << Tag << ": prepared entry of %" << V->name()
+                    << " differs from a fresh build (DefNum " << Got.DefNum
+                    << " vs " << Want.DefNum << ", MaxDom " << Got.MaxDom
+                    << " vs " << Want.MaxDom << ")";
+      return false;
+    }
+    ++Compared;
+  }
+  return true;
+}
+
+/// Compares the persistent prepared cache — entries remapped across the
+/// edit, or rebuilt lazily where the remap could not carry them — against
+/// the fresh engine's block-id entries, bit for bit over every block, for
+/// the function's real SSA values. This is the production query path of
+/// the refresh plane: a stale span served here is exactly the wrong-answer
+/// class the cache's epoch contract forbids.
 bool comparePreparedCache(PreparedCache &Cache, const LiveCheck &LC,
                           const Function &F, const LiveCheck &Fresh,
                           const std::string &Tag, unsigned MaxValues = 10) {
@@ -353,28 +394,36 @@ unsigned runFunctionFuzz(std::uint64_t Seed, unsigned Steps) {
   FunctionAnalyses &FA0 = AM.get(*F);
   (void)FA0.liveCheck(); // Materialize the cached stack.
   // The prepared cache lives across the whole edit campaign, like a
-  // long-lived session's: every step's entries go stale and must be
-  // epoch-dropped, never served.
+  // long-lived session's, and is synced after every refresh: each step's
+  // entries are remapped onto the repaired numbering (or left stale and
+  // rebuilt), never served under the old one.
   PreparedCache Cache(*F, FA0.liveCheck(), FA0.domTree());
 
   RandomEngine Rng(Seed * 977 + 5);
   CFGMutatorOptions MOpts;
   MOpts.MaxNodes = 72;
   unsigned Executed = 0;
+  std::uint64_t EntriesCompared = 0;
   for (unsigned Step = 0; Step != Steps; ++Step) {
-    auto M = mutateFunctionCFG(*F, Rng, MOpts);
-    if (!M)
+    // Every third step is a 4-edit frame: one refresh and one remap then
+    // span several CFG epochs.
+    std::vector<Mutation> Ms;
+    for (unsigned K = 0, E = Step % 3 == 2 ? 4 : 1; K != E; ++K)
+      if (auto M = mutateFunctionCFG(*F, Rng, MOpts))
+        Ms.push_back(*M);
+    if (Ms.empty())
       continue;
     FunctionAnalyses &FA = AM.refresh(*F);
     EXPECT_EQ(FA.epoch(), F->cfgVersion());
     const LiveCheck &LC = FA.liveCheck();
     const DomTree &DT = FA.domTree();
     Cache.rebind(LC, DT); // No-op while refresh repairs in place.
+    Cache.syncNumbering();
     ++Executed;
 
     std::ostringstream OS;
     OS << "function-fuzz replay: seed=" << Seed << " step=" << Step
-       << " mutation={" << describeMutation(*M) << "}";
+       << " mutations={" << describeMutations(Ms) << "}";
     std::string Tag = OS.str();
 
     CFG FreshG = CFG::fromFunction(*F);
@@ -384,6 +433,9 @@ unsigned runFunctionFuzz(std::uint64_t Seed, unsigned Steps) {
     if (!compareDomTrees(DT, FreshDT, LTIdoms, Tag))
       return Executed;
     LiveCheck Fresh(FreshG, FreshD, FreshDT);
+    if (!compareCacheEntries(Cache, *F, Fresh, FreshDT, Tag,
+                             EntriesCompared))
+      return Executed;
 
     // Real SSA variables: every function value with a definition, queried
     // through its Definition-1 use blocks.
@@ -405,15 +457,22 @@ unsigned runFunctionFuzz(std::uint64_t Seed, unsigned Steps) {
       return Executed;
     if (!comparePreparedCache(Cache, LC, *F, Fresh, Tag))
       return Executed;
+    // Fill the whole cache, so the next step remaps every queryable value.
+    for (const auto &V : F->values())
+      if (V->defs().size() == 1 && V->hasUses())
+        Cache.ensure(*V);
   }
 
   // The refresh path, not the invalidation path, must have served the
   // campaign: the journal covered every step.
   EXPECT_EQ(AM.counters().Invalidations, 0u) << "seed=" << Seed;
   EXPECT_EQ(AM.counters().Refreshes, Executed) << "seed=" << Seed;
-  // Every step invalidated the previous step's entries: the campaign must
-  // have exercised the epoch-drop path, not just first-time builds.
+  // Every step moved the previous step's entries to a new epoch: the
+  // campaign must have exercised both the remap and the rebuild fallback
+  // (def-use edits of φ operands, mask word counts crossing 64 blocks).
+  EXPECT_GT(Cache.stats().Remaps, 0u) << "seed=" << Seed;
   EXPECT_GT(Cache.stats().EpochDrops, 0u) << "seed=" << Seed;
+  EXPECT_GT(EntriesCompared, 0u) << "seed=" << Seed;
   return Executed;
 }
 
@@ -455,19 +514,32 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
   CFGMutatorOptions MOpts;
   MOpts.MaxNodes = 72;
   unsigned Executed = 0;
+  std::uint64_t EntriesCompared = 0;
   for (unsigned Step = 0; Step != Steps; ++Step) {
-    auto M = mutateFunctionCFG(MF, Rng, MOpts);
-    if (!M)
+    // Every third frame carries 4 edits, so the session's next query
+    // frame remaps its entries across several CFG epochs at once.
+    std::vector<protocol::EditItem> Edits;
+    std::vector<std::pair<std::uint8_t, std::uint64_t>> Applied;
+    std::vector<Mutation> Ms;
+    for (unsigned K = 0, E = Step % 3 == 2 ? 4 : 1; K != E; ++K) {
+      auto M = mutateFunctionCFG(MF, Rng, MOpts);
+      if (!M)
+        continue;
+      Ms.push_back(*M);
+      Edits.push_back(
+          {static_cast<std::uint8_t>(M->Kind), 0, M->From, M->To, M->To2});
+      Applied.emplace_back(1, MF.cfgVersion());
+    }
+    if (Edits.empty())
       continue;
-    std::vector<std::uint8_t> Reply = S->handle(protocol::encodeEditBatch(
-        {{static_cast<std::uint8_t>(M->Kind), 0, M->From, M->To, M->To2}}));
-    std::vector<std::uint8_t> Want =
-        protocol::encodeEditApplied({{1, MF.cfgVersion()}});
+    std::vector<std::uint8_t> Reply =
+        S->handle(protocol::encodeEditBatch(Edits));
+    std::vector<std::uint8_t> Want = protocol::encodeEditApplied(Applied);
     ++Executed;
 
     std::ostringstream OS;
     OS << "server-routed replay: seed=" << Seed << " step=" << Step
-       << " mutation={" << describeMutation(*M) << "}";
+       << " mutations={" << describeMutations(Ms) << "}";
     std::string Tag = OS.str();
 
     if (Reply != Want) {
@@ -541,6 +613,12 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
         return Executed;
       }
     }
+    // The query frame synced the session's cache: every fresh entry must
+    // equal a from-scratch build.
+    if (const PreparedCache *SC = S->driver().preparedCache(0))
+      if (!compareCacheEntries(*SC, SF, Fresh, FreshDT, Tag,
+                               EntriesCompared))
+        return Executed;
   }
 
   // Every edit must have ridden the journaled refresh plane, never the
@@ -548,8 +626,8 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
   AnalysisManager::CacheCounters C = S->driver().analysisManager().counters();
   EXPECT_EQ(C.Invalidations, 0u) << "seed=" << Seed;
   EXPECT_EQ(C.Refreshes, Executed) << "seed=" << Seed;
-  // The session's prepared cache must have both served and dropped
-  // entries across the edit stream.
+  // The session's prepared cache must have both built entries and carried
+  // them across the edit stream.
   const PreparedCache *SC = S->driver().preparedCache(0);
   if (!SC) {
     ADD_FAILURE() << "seed=" << Seed
@@ -557,7 +635,8 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
     return Executed;
   }
   EXPECT_GT(SC->stats().Builds, 0u) << "seed=" << Seed;
-  EXPECT_GT(SC->stats().EpochDrops, 0u) << "seed=" << Seed;
+  EXPECT_GT(SC->stats().Remaps, 0u) << "seed=" << Seed;
+  EXPECT_GT(EntriesCompared, 0u) << "seed=" << Seed;
   return Executed;
 }
 

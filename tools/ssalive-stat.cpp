@@ -10,7 +10,8 @@
 // loading a module or perturbing any session state. A frame-latency
 // summary line derives the server's request-service percentiles from the
 // ssalive_server_frame_ns log2 histogram; a session line counts live,
-// opened and parked sessions and shed frames.
+// opened and parked sessions and shed frames; a prepared-plane line counts
+// cache hits, builds, rebuilds, epoch drops and remaps.
 //
 //   ssalive-stat --connect=/path/sock      human-readable summary
 //   ssalive-stat --connect=/path/sock --prometheus
@@ -191,6 +192,21 @@ void printSessionSummary(const std::vector<telemetry::Metric> &Metrics) {
                   valueOf(Metrics, "ssalive_server_shed_frames_total")));
 }
 
+/// The prepared plane: how queries found their cached entries, and what
+/// CFG edits cost the cache (epoch drops rebuild, remaps carry entries).
+void printPreparedSummary(const std::vector<telemetry::Metric> &Metrics) {
+  auto Get = [&](const char *Name) {
+    return static_cast<unsigned long long>(valueOf(Metrics, Name));
+  };
+  std::printf("prepared: %llu hits, %llu builds, %llu rebuilds, "
+              "%llu epoch drops, %llu remaps\n",
+              Get("ssalive_prepared_hits_total"),
+              Get("ssalive_prepared_builds_total"),
+              Get("ssalive_prepared_rebuilds_total"),
+              Get("ssalive_prepared_epoch_drops_total"),
+              Get("ssalive_prepared_remaps_total"));
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -221,6 +237,7 @@ int main(int Argc, char **Argv) {
   printHuman(Metrics);
   printFrameLatencySummary(Metrics);
   printSessionSummary(Metrics);
+  printPreparedSummary(Metrics);
 
   // --watch: repoll on the same connection and report the query rate the
   // registry observed between snapshots.
