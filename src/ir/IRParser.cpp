@@ -9,24 +9,41 @@
 #include "ir/Function.h"
 #include "support/Debug.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <optional>
 #include <tuple>
+#include <unordered_map>
 
 using namespace ssalive;
 
 namespace {
 
+// Character classes of the "C" locale, inlined: the lexer calls them once
+// per input byte.
+bool isSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r');
+}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlnum(char C) {
+  return isDigit(C) || (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
+}
+
 /// Recursive-descent parser over a single function body. Blocks and values
 /// are created lazily on first mention, so forward references (loop φs,
 /// forward jumps) need no second pass; terminators record pending successor
-/// labels that are wired into CFG edges once all blocks exist.
+/// labels that are wired into CFG edges once all blocks exist. Names are
+/// views into the text, which outlives the parse; a std::string is made
+/// only when a Value, a BasicBlock or a diagnostic keeps one.
 class Parser {
 public:
-  explicit Parser(const std::string &Text) : Text(Text) {}
+  explicit Parser(std::string_view Text) : Text(Text) {
+    // Printed IR spends roughly 45 bytes per value and 300 per block; a
+    // slightly denser guess keeps the tables from rehashing as they fill.
+    ValuesByName.reserve(Text.size() / 32);
+    BlocksByName.reserve(Text.size() / 256);
+  }
 
   ParseResult run();
 
@@ -43,7 +60,7 @@ private:
       }
       if (C == '\n')
         ++Line;
-      if (!std::isspace(static_cast<unsigned char>(C)))
+      if (!isSpace(C))
         break;
       ++Pos;
     }
@@ -58,68 +75,69 @@ private:
     return false;
   }
 
-  bool consumeWord(const char *W) {
+  bool consumeWord(std::string_view W) {
     skipSpace();
-    size_t Len = std::strlen(W);
-    if (Text.compare(Pos, Len, W) != 0)
+    if (!Text.substr(Pos).starts_with(W))
       return false;
-    size_t After = Pos + Len;
-    if (After < Text.size() &&
-        (std::isalnum(static_cast<unsigned char>(Text[After])) ||
-         Text[After] == '_'))
+    size_t After = Pos + W.size();
+    if (After < Text.size() && (isAlnum(Text[After]) || Text[After] == '_'))
       return false;
     Pos = After;
     return true;
   }
 
-  std::optional<std::string> parseIdent() {
+  /// The identifier at the cursor, or an empty view if there is none.
+  std::string_view parseIdent() {
     skipSpace();
     size_t Start = Pos;
     while (Pos < Text.size() &&
-           (std::isalnum(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '_' || Text[Pos] == '.'))
+           (isAlnum(Text[Pos]) || Text[Pos] == '_' || Text[Pos] == '.'))
       ++Pos;
-    if (Pos == Start)
-      return std::nullopt;
     return Text.substr(Start, Pos - Start);
   }
 
-  std::optional<std::int64_t> parseInt() {
+  /// Parses the signed decimal immediate of \p OpName into \p Out.
+  bool parseImmediate(std::string_view OpName, std::int64_t &Out) {
     skipSpace();
     size_t Start = Pos;
     if (Pos < Text.size() && (Text[Pos] == '-' || Text[Pos] == '+'))
       ++Pos;
     size_t DigitsStart = Pos;
-    while (Pos < Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Text[Pos])))
+    while (Pos < Text.size() && isDigit(Text[Pos]))
       ++Pos;
     if (Pos == DigitsStart)
-      return std::nullopt;
-    return std::stoll(Text.substr(Start, Pos - Start));
+      return fail("expected immediate after '" + std::string(OpName) + "'");
+    // from_chars takes a '-' but not a '+'.
+    const char *First =
+        Text.data() + (Text[Start] == '+' ? DigitsStart : Start);
+    auto [End, Ec] = std::from_chars(First, Text.data() + Pos, Out);
+    if (Ec != std::errc())
+      return fail("immediate out of range");
+    return true;
   }
 
   // Entity lookup with lazy creation.
-  Value *getValue(const std::string &Name) {
+  Value *getValue(std::string_view Name) {
     auto [It, New] = ValuesByName.try_emplace(Name, nullptr);
     if (New)
-      It->second = F->createValue(Name);
+      It->second = F->createValue(std::string(Name));
     return It->second;
   }
 
-  BasicBlock *getBlock(const std::string &Name) {
+  BasicBlock *getBlock(std::string_view Name) {
     auto [It, New] = BlocksByName.try_emplace(Name, nullptr);
     if (New)
-      It->second = F->createBlock(Name);
+      It->second = F->createBlock(std::string(Name));
     return It->second;
   }
 
   std::optional<Value *> parseValueRef() {
     if (!consume('%'))
       return std::nullopt;
-    auto Name = parseIdent();
-    if (!Name)
+    std::string_view Name = parseIdent();
+    if (Name.empty())
       return std::nullopt;
-    return getValue(*Name);
+    return getValue(Name);
   }
 
   bool fail(const std::string &Msg) {
@@ -128,21 +146,22 @@ private:
   }
 
   bool parseBody();
-  bool parseBlock(const std::string &Label);
+  bool parseBlock(std::string_view Label);
   bool parseInstruction(BasicBlock *B, bool &SawTerminator);
 
-  const std::string &Text;
+  std::string_view Text;
   size_t Pos = 0;
   unsigned Line = 1;
   std::string Error;
   std::unique_ptr<Function> F;
-  std::map<std::string, Value *> ValuesByName;
-  std::map<std::string, BasicBlock *> BlocksByName;
+  std::unordered_map<std::string_view, Value *> ValuesByName;
+  std::unordered_map<std::string_view, BasicBlock *> BlocksByName;
   /// Deferred (block, successor-label) pairs; resolved after parsing so the
   /// successor order matches the terminator operand order.
-  std::vector<std::pair<BasicBlock *, std::string>> PendingEdges;
+  std::vector<std::pair<BasicBlock *, std::string_view>> PendingEdges;
   /// Deferred φ incoming labels: (phi, operand index, label).
-  std::vector<std::tuple<Instruction *, unsigned, std::string>> PendingPhis;
+  std::vector<std::tuple<Instruction *, unsigned, std::string_view>>
+      PendingPhis;
 };
 
 } // namespace
@@ -150,12 +169,12 @@ private:
 bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
   // Terminators.
   if (consumeWord("jump")) {
-    auto Label = parseIdent();
-    if (!Label)
+    std::string_view Label = parseIdent();
+    if (Label.empty())
       return fail("expected jump target label");
     B->append(std::make_unique<Instruction>(Opcode::Jump, nullptr,
                                             std::vector<Value *>{}));
-    PendingEdges.emplace_back(B, *Label);
+    PendingEdges.emplace_back(B, Label);
     SawTerminator = true;
     return true;
   }
@@ -165,16 +184,16 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
       return fail("expected branch condition value");
     if (!consume(','))
       return fail("expected ',' after branch condition");
-    auto TrueLabel = parseIdent();
-    if (!TrueLabel || !consume(','))
+    std::string_view TrueLabel = parseIdent();
+    if (TrueLabel.empty() || !consume(','))
       return fail("expected two branch target labels");
-    auto FalseLabel = parseIdent();
-    if (!FalseLabel)
+    std::string_view FalseLabel = parseIdent();
+    if (FalseLabel.empty())
       return fail("expected second branch target label");
     B->append(std::make_unique<Instruction>(Opcode::Branch, nullptr,
                                             std::vector<Value *>{*Cond}));
-    PendingEdges.emplace_back(B, *TrueLabel);
-    PendingEdges.emplace_back(B, *FalseLabel);
+    PendingEdges.emplace_back(B, TrueLabel);
+    PendingEdges.emplace_back(B, FalseLabel);
     SawTerminator = true;
     return true;
   }
@@ -204,22 +223,21 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
                                  {"cmplt", Opcode::CmpLt},
                                  {"cmpeq", Opcode::CmpEq}};
 
-  skipSpace();
-  auto OpName = parseIdent();
-  if (!OpName)
+  std::string_view OpName = parseIdent();
+  if (OpName.empty())
     return fail("expected opcode mnemonic");
 
-  if (*OpName == "param" || *OpName == "const") {
-    auto Imm = parseInt();
-    if (!Imm)
-      return fail("expected immediate after '" + *OpName + "'");
-    Opcode Op = *OpName == "param" ? Opcode::Param : Opcode::Const;
+  if (OpName == "param" || OpName == "const") {
+    std::int64_t Imm = 0;
+    if (!parseImmediate(OpName, Imm))
+      return false;
+    Opcode Op = OpName == "param" ? Opcode::Param : Opcode::Const;
     B->append(std::make_unique<Instruction>(Op, *Result,
-                                            std::vector<Value *>{}, *Imm));
+                                            std::vector<Value *>{}, Imm));
     return true;
   }
 
-  if (*OpName == "copy") {
+  if (OpName == "copy") {
     auto Src = parseValueRef();
     if (!Src)
       return fail("expected copy source value");
@@ -229,7 +247,7 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
   }
 
   for (const BinOp &BO : BinOps) {
-    if (*OpName != BO.Word)
+    if (OpName != BO.Word)
       continue;
     auto LHS = parseValueRef();
     if (!LHS || !consume(','))
@@ -242,7 +260,7 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
     return true;
   }
 
-  if (*OpName == "select") {
+  if (OpName == "select") {
     auto C = parseValueRef();
     if (!C || !consume(','))
       return fail("expected select operands");
@@ -257,7 +275,7 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
     return true;
   }
 
-  if (*OpName == "opaque") {
+  if (OpName == "opaque") {
     std::vector<Value *> Ops;
     if (auto First = parseValueRef()) {
       Ops.push_back(*First);
@@ -272,7 +290,7 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
     return true;
   }
 
-  if (*OpName == "phi") {
+  if (OpName == "phi") {
     auto *Phi = new Instruction(Opcode::Phi, *Result, {});
     B->append(std::unique_ptr<Instruction>(Phi));
     unsigned Idx = 0;
@@ -282,24 +300,24 @@ bool Parser::parseInstruction(BasicBlock *B, bool &SawTerminator) {
       auto V = parseValueRef();
       if (!V || !consume(','))
         return fail("expected phi operand value");
-      auto Label = parseIdent();
-      if (!Label || !consume(']'))
+      std::string_view Label = parseIdent();
+      if (Label.empty() || !consume(']'))
         return fail("expected phi incoming label");
       Phi->addOperand(*V);
       Phi->addIncomingBlock(nullptr); // Patched after edges resolve.
-      PendingPhis.emplace_back(Phi, Idx, *Label);
+      PendingPhis.emplace_back(Phi, Idx, Label);
       ++Idx;
     } while (consume(','));
     return true;
   }
 
-  return fail("unknown opcode '" + *OpName + "'");
+  return fail("unknown opcode '" + std::string(OpName) + "'");
 }
 
-bool Parser::parseBlock(const std::string &Label) {
+bool Parser::parseBlock(std::string_view Label) {
   BasicBlock *B = getBlock(Label);
   if (!B->empty())
-    return fail("redefinition of block '" + Label + "'");
+    return fail("redefinition of block '" + std::string(Label) + "'");
   bool SawTerminator = false;
   while (true) {
     skipSpace();
@@ -310,7 +328,7 @@ bool Parser::parseBlock(const std::string &Label) {
     // A label introduces the next block: ident ':'.
     size_t Save = Pos;
     unsigned SaveLine = Line;
-    if (auto Ident = parseIdent()) {
+    if (!parseIdent().empty()) {
       if (consume(':')) {
         Pos = Save;
         Line = SaveLine;
@@ -325,7 +343,7 @@ bool Parser::parseBlock(const std::string &Label) {
       return false;
   }
   if (!SawTerminator)
-    return fail("block '" + Label + "' lacks a terminator");
+    return fail("block '" + std::string(Label) + "' lacks a terminator");
   return true;
 }
 
@@ -334,10 +352,10 @@ bool Parser::parseBody() {
     return fail("expected 'func'");
   if (!consume('@'))
     return fail("expected '@' before function name");
-  auto Name = parseIdent();
-  if (!Name)
+  std::string_view Name = parseIdent();
+  if (Name.empty())
     return fail("expected function name");
-  F = std::make_unique<Function>(*Name);
+  F = std::make_unique<Function>(std::string(Name));
   if (!consume('{'))
     return fail("expected '{'");
 
@@ -345,25 +363,31 @@ bool Parser::parseBody() {
     skipSpace();
     if (consume('}'))
       break;
-    auto Label = parseIdent();
-    if (!Label || !consume(':'))
+    std::string_view Label = parseIdent();
+    if (Label.empty() || !consume(':'))
       return fail("expected block label");
-    if (!parseBlock(*Label))
+    if (!parseBlock(Label))
       return false;
   }
 
-  // Wire deferred CFG edges in terminator order.
+  // Wire deferred CFG edges in terminator order. The IR has no parallel
+  // edges (a branch with both targets equal), so such input is refused
+  // here rather than tripping BasicBlock::addSuccessor.
   for (auto &[Block, Label] : PendingEdges) {
     auto It = BlocksByName.find(Label);
     if (It == BlocksByName.end() || It->second->empty())
-      return fail("jump to undefined block '" + Label + "'");
+      return fail("jump to undefined block '" + std::string(Label) + "'");
+    const auto &Succs = Block->successors();
+    if (std::find(Succs.begin(), Succs.end(), It->second) != Succs.end())
+      return fail("duplicate edge to block '" + std::string(Label) + "'");
     Block->addSuccessor(It->second);
   }
   // Patch φ incoming blocks.
   for (auto &[Phi, Idx, Label] : PendingPhis) {
     auto It = BlocksByName.find(Label);
     if (It == BlocksByName.end())
-      return fail("phi references undefined block '" + Label + "'");
+      return fail("phi references undefined block '" + std::string(Label) +
+                  "'");
     Phi->setIncomingBlock(Idx, It->second);
   }
   return true;
@@ -385,11 +409,11 @@ ParseResult Parser::run() {
   return R;
 }
 
-ParseResult ssalive::parseFunction(const std::string &Text) {
+ParseResult ssalive::parseFunction(std::string_view Text) {
   return Parser(Text).run();
 }
 
-ModuleParseResult ssalive::parseModule(const std::string &Text) {
+ModuleParseResult ssalive::parseModule(std::string_view Text) {
   ModuleParseResult R;
   // The grammar has exactly one brace pair per function, so the module
   // splits at every top-level '}' (outside comments). Each chunk reuses the
@@ -442,7 +466,7 @@ ModuleParseResult ssalive::parseModule(const std::string &Text) {
       continue;
     else if (C == '#' || C == ';')
       InComment = true;
-    else if (!std::isspace(static_cast<unsigned char>(C))) {
+    else if (!isSpace(C)) {
       R.Funcs.clear();
       R.Error = "trailing input after last function";
       return R;

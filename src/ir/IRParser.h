@@ -6,9 +6,15 @@
 ///
 /// \file
 /// Parses the textual form produced by IRPrinter. Tests and examples use it
-/// to state programs compactly. Values may be assigned more than once in the
+/// to state programs compactly, and the server reads untrusted module text
+/// off the wire through it. Values may be assigned more than once in the
 /// input (non-SSA programs destined for SSA construction); the SSA verifier
 /// decides whether a parsed function is in SSA form.
+///
+/// Parsing is linear in the length of the text: one left-to-right pass with
+/// hash-keyed symbol tables whose keys are views into the input, so the text
+/// must outlive the call (not the result). Malformed input, including an
+/// immediate outside the int64 range, yields a diagnostic and never throws.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +23,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ssalive {
@@ -38,7 +45,7 @@ struct ParseResult {
 ///     jump label | branch %c, label, label | ret [%v]
 ///   }
 /// \endcode
-ParseResult parseFunction(const std::string &Text);
+ParseResult parseFunction(std::string_view Text);
 
 /// Result of parsing a multi-function module.
 struct ModuleParseResult {
@@ -49,7 +56,7 @@ struct ModuleParseResult {
 /// Parses a sequence of functions in the parseFunction() grammar, separated
 /// by whitespace/comments. The batch tools consume whole .ssair modules
 /// through this entry point.
-ModuleParseResult parseModule(const std::string &Text);
+ModuleParseResult parseModule(std::string_view Text);
 
 } // namespace ssalive
 

@@ -6,11 +6,14 @@
 
 #include "ir/Verifier.h"
 
+#include "analysis/DFS.h"
+#include "analysis/DomTree.h"
 #include "ir/CFG.h"
 #include "ir/Function.h"
 #include "support/BitVector.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace ssalive;
 
@@ -47,7 +50,9 @@ static BitVector reachableNodes(const CFG &G) {
   return Seen;
 }
 
-VerifyResult ssalive::verifyStructure(const Function &F) {
+/// verifyStructure() over \p G, the CFG of \p F (built by the caller so
+/// verifySSA can reuse it for dominance).
+static VerifyResult checkStructure(const Function &F, const CFG &G) {
   VerifyResult R;
   if (F.numBlocks() == 0) {
     addError(R, "function has no blocks");
@@ -125,12 +130,15 @@ VerifyResult ssalive::verifyStructure(const Function &F) {
   }
 
   // Reachability: the analyses assume every node is reachable from r.
-  CFG G = CFG::fromFunction(F);
   BitVector Reach = reachableNodes(G);
   for (const auto &B : F.blocks())
     if (!Reach.test(B->id()))
       addError(R, "block " + B->name() + " unreachable from entry");
   return R;
+}
+
+VerifyResult ssalive::verifyStructure(const Function &F) {
+  return checkStructure(F, CFG::fromFunction(F));
 }
 
 std::vector<std::vector<unsigned>>
@@ -179,24 +187,43 @@ ssalive::computeDominatorsNaive(const CFG &G) {
 }
 
 VerifyResult ssalive::verifySSA(const Function &F) {
-  VerifyResult R = verifyStructure(F);
+  CFG G = CFG::fromFunction(F);
+  VerifyResult R = checkStructure(F, G);
   if (!R.ok())
     return R;
 
-  CFG G = CFG::fromFunction(F);
-  auto Doms = computeDominatorsNaive(G);
-  auto Dominates = [&Doms](unsigned A, unsigned B) {
-    const auto &D = Doms[B];
-    return std::binary_search(D.begin(), D.end(), A);
-  };
+  // Every block is reachable, so the production dominator tree applies:
+  // dominance is the O(1) num/maxnum interval test.
+  DFS D(G);
+  DomTree DT(G, D);
 
-  // Position of each instruction within its block, for intra-block order.
-  auto instrIndex = [](const Instruction *I) {
-    const auto &List = I->parent()->instructions();
-    for (unsigned Idx = 0; Idx != List.size(); ++Idx)
-      if (List[Idx].get() == I)
-        return Idx;
-    return static_cast<unsigned>(List.size());
+  // Position of each instruction within its block, for intra-block order,
+  // filled in one pass per block. The definition of a single-def value sits
+  // at DefPos of that value; terminators end their block (verifyStructure
+  // checked this). The rest — result-less non-terminators and definitions of
+  // multiply-defined values, which strict SSA input does not contain — go
+  // to a side table.
+  std::vector<unsigned> DefPos(F.numValues());
+  std::unordered_map<const Instruction *, unsigned> OtherPos;
+  auto hasOwnDefPos = [](const Instruction *I) {
+    return I->result() && I->result()->hasSingleDef();
+  };
+  for (const auto &B : F.blocks()) {
+    const auto &List = B->instructions();
+    for (unsigned Idx = 0; Idx != List.size(); ++Idx) {
+      const Instruction *I = List[Idx].get();
+      if (hasOwnDefPos(I))
+        DefPos[I->result()->id()] = Idx;
+      else if (!I->isTerminator())
+        OtherPos.emplace(I, Idx);
+    }
+  }
+  auto position = [&](const Instruction *I) {
+    if (hasOwnDefPos(I))
+      return DefPos[I->result()->id()];
+    if (I->isTerminator())
+      return static_cast<unsigned>(I->parent()->instructions().size() - 1);
+    return OtherPos.at(I);
   };
 
   for (const auto &VP : F.values()) {
@@ -218,7 +245,7 @@ VerifyResult ssalive::verifySSA(const Function &F) {
       // Definition 1: a φ's i-th operand is used at the i-th predecessor.
       if (User->isPhi()) {
         unsigned UseBlock = User->incomingBlock(U.OperandIndex)->id();
-        if (!Dominates(DefBlock, UseBlock))
+        if (!DT.dominates(DefBlock, UseBlock))
           addError(R, "phi use of %" + V->name() + " from block " +
                           User->incomingBlock(U.OperandIndex)->name() +
                           " not dominated by definition");
@@ -226,12 +253,12 @@ VerifyResult ssalive::verifySSA(const Function &F) {
       }
       unsigned UseBlock = User->parent()->id();
       if (UseBlock == DefBlock) {
-        if (instrIndex(Def) >= instrIndex(User))
+        if (DefPos[V->id()] >= position(User))
           addError(R, "use of %" + V->name() + " before its definition in " +
                           User->parent()->name());
         continue;
       }
-      if (!Dominates(DefBlock, UseBlock))
+      if (!DT.dominates(DefBlock, UseBlock))
         addError(R, "use of %" + V->name() + " in block " +
                         User->parent()->name() +
                         " not dominated by definition");

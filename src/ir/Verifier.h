@@ -8,9 +8,12 @@
 /// Structural checks (edge/terminator/φ consistency) plus the strict-SSA
 /// invariants the paper assumes: each variable has a single definition and
 /// every use is dominated by it ("the program is in SSA form and the
-/// dominance property must hold", Section 1). The dominance check here uses
-/// a deliberately naive independent dominance computation, so it doubles as
-/// a cross-check of the production dominator tree in tests.
+/// dominance property must hold", Section 1). Both checks run in time
+/// linear in the size of the function (plus the dominator-tree build):
+/// dominance is the production DomTree's O(1) num/maxnum interval test, and
+/// intra-block order comes from a def-position table. The naive quadratic
+/// computeDominatorsNaive stays as the independent test oracle that the
+/// DomTree and verifier suites compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +44,13 @@ VerifyResult verifyStructure(const Function &F);
 
 /// Checks strict SSA form on top of the structural checks: single def per
 /// used value, defs before uses within a block, and the dominance property
-/// under the paper's Definition 1 placement of φ uses.
+/// under the paper's Definition 1 placement of φ uses. Errors are listed per
+/// value in id order, then per use in use-list order.
 VerifyResult verifySSA(const Function &F);
 
 /// Naive quadratic dominance computation by iterated set intersection;
-/// Doms[V] holds the ids of all dominators of V. Exposed for cross-checking
-/// the DomTree implementations.
+/// Doms[V] holds the ids of all dominators of V. Not used by verifySSA: it
+/// is the test oracle for the DomTree implementations and the verifier.
 std::vector<std::vector<unsigned>> computeDominatorsNaive(const CFG &G);
 
 } // namespace ssalive

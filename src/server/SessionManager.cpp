@@ -219,8 +219,12 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   if (!isId(Plane, AllQueryPlanes))
     return countedError(ErrorCode::BadPlane, "unknown query plane id");
 
-  std::string Text = R.rest();
-  ModuleParseResult P = parseModule(Text);
+  ModuleParseResult P;
+  {
+    SSALIVE_SPAN("parse");
+    std::string Text = R.rest();
+    P = parseModule(Text);
+  }
   if (!P.Error.empty())
     return countedError(ErrorCode::BadModule, P.Error);
   if (P.Funcs.empty())
@@ -229,11 +233,14 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   // functions with a warning), a server rejects the whole load — silently
   // renumbering the surviving functions would corrupt every FuncIndex the
   // client sends afterwards.
-  for (const auto &F : P.Funcs) {
-    VerifyResult V = verifySSA(*F);
-    if (!V.ok())
-      return countedError(ErrorCode::BadModule,
-                         "function @" + F->name() + ": " + V.message());
+  {
+    SSALIVE_SPAN("verify");
+    for (const auto &F : P.Funcs) {
+      VerifyResult V = verifySSA(*F);
+      if (!V.ok())
+        return countedError(ErrorCode::BadModule,
+                           "function @" + F->name() + ": " + V.message());
+    }
   }
 
   // Replace any previously loaded module wholesale (drop the old driver

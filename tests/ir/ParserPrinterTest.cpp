@@ -144,6 +144,40 @@ e:
   EXPECT_FALSE(R.Error.empty());
 }
 
+TEST(IRParser, RejectsParallelEdges) {
+  ParseResult R = parseFunction("func @f {\ne:\n  %c = param 0\n"
+                                "  branch %c, b, b\nb:\n"
+                                "  %m = phi [%c, e], [%c, e]\n  ret %m\n}\n");
+  EXPECT_FALSE(R.Func);
+  EXPECT_EQ(R.Error, "line 8: duplicate edge to block 'b'");
+}
+
+TEST(IRParser, OutOfRangeImmediateIsADiagnosticNotAnException) {
+  ParseResult R = parseFunction("func @f {\ne:\n"
+                                "  %a = const 99999999999999999999\n"
+                                "  ret %a\n}\n");
+  EXPECT_FALSE(R.Func);
+  EXPECT_EQ(R.Error, "line 3: immediate out of range");
+  R = parseFunction("func @f {\ne:\n  %a = param -99999999999999999999\n"
+                    "  ret %a\n}\n");
+  EXPECT_EQ(R.Error, "line 3: immediate out of range");
+  R = parseFunction("func @f {\ne:\n  %a = const -\n  ret %a\n}\n");
+  EXPECT_EQ(R.Error, "line 3: expected immediate after 'const'");
+
+  // The int64 extremes and an explicit '+' sign still parse.
+  R = parseFunction("func @f {\ne:\n  %a = const 9223372036854775807\n"
+                    "  %b = const -9223372036854775808\n"
+                    "  %c = const +17\n  ret %a\n}\n");
+  ASSERT_TRUE(R.Func) << R.Error;
+  const auto &Instrs = R.Func->entry()->instructions();
+  EXPECT_EQ(Instrs[0]->immediate(), INT64_MAX);
+  EXPECT_EQ(Instrs[1]->immediate(), INT64_MIN);
+  EXPECT_EQ(Instrs[2]->immediate(), 17);
+  R = parseFunction("func @f {\ne:\n  %a = const 9223372036854775808\n"
+                    "  ret %a\n}\n");
+  EXPECT_EQ(R.Error, "line 3: immediate out of range");
+}
+
 TEST(IRPrinter, InstructionRendering) {
   ParseResult R = parseFunction(R"(
 func @p {

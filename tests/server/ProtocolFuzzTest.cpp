@@ -222,6 +222,25 @@ TEST(ProtocolFuzz, BadBackendPlaneAndModuleTextAreRejected) {
             static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
 }
 
+TEST(ProtocolFuzz, OutOfRangeImmediateIsBadModuleAndSessionSurvives) {
+  server::SessionManager Mgr({});
+  auto S = Mgr.createSession();
+  std::string Huge = "func @f {\nbb0:\n  %a = const 99999999999999999999\n"
+                     "  ret %a\n}\n";
+  auto Reply = S->handle(proto::encodeLoadModule(0, 0, Huge));
+  ASSERT_TRUE(isError(Reply, proto::ErrorCode::BadModule));
+  std::string Msg(Reply.begin(), Reply.end());
+  EXPECT_NE(Msg.find("line 3: immediate out of range"), std::string::npos);
+
+  // The same session loads a valid module and answers a query.
+  auto F = randomSSAFunction(7003, {/*TargetBlocks=*/10});
+  Reply = S->handle(proto::encodeLoadModule(0, 0, printFunction(*F)));
+  ASSERT_EQ(Reply[0],
+            static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
+  Reply = S->handle(proto::encodeQueryBatch({{0, 0, 0, false}}));
+  ASSERT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::Answers));
+}
+
 TEST(ProtocolFuzz, StatsMetricsAndShutdownRejectBodies) {
   server::SessionManager Mgr({});
   auto S = Mgr.createSession();
