@@ -98,7 +98,14 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
     return writeFrame(OutFd, Reply, Cfg.MaxFrameBytes);
   };
   std::vector<std::uint8_t> Payload;
+  bool KeepPayload = false;
   for (;;) {
+    // Only a QueryBatch stream gains from a reused read buffer. After any
+    // other frame — a LoadModule above all, whose text the module registry
+    // already retains — release it, or the connection would hold a
+    // text-sized buffer for as long as it lives.
+    if (!KeepPayload)
+      std::vector<std::uint8_t>().swap(Payload);
     ReadStatus RS = readFrame(InFd, Payload, Cfg.MaxFrameBytes);
     if (RS == ReadStatus::TooLarge) {
       // The oversized frame was never consumed, so the stream cannot be
@@ -113,6 +120,10 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
     if (RS != ReadStatus::Ok)
       return; // Eof / Truncated / IoError: nothing sane left to say.
     T.RxBytes.inc(4 + Payload.size());
+    const bool IsQuery =
+        !Payload.empty() &&
+        Payload[0] == static_cast<std::uint8_t>(protocol::Opcode::QueryBatch);
+    KeepPayload = IsQuery;
 
     if (!S && !Payload.empty() &&
         Payload[0] == static_cast<std::uint8_t>(protocol::Opcode::Resume)) {
@@ -149,9 +160,6 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
     // Frame latency covers dispatch through reply encode — the request's
     // resident cost — not the peer-dependent socket I/O around it.
     std::uint64_t Start = telemetry::nowNanos();
-    bool IsQuery =
-        !Payload.empty() &&
-        Payload[0] == static_cast<std::uint8_t>(protocol::Opcode::QueryBatch);
     std::vector<std::uint8_t> Reply = S->handle(Payload);
     std::uint64_t Elapsed = telemetry::nowNanos() - Start;
     T.FrameNs.observe(Elapsed);

@@ -98,6 +98,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ssalive::protocol {
@@ -213,10 +214,10 @@ public:
   std::uint32_t u32() { return scalar<std::uint32_t>(); }
   std::uint64_t u64() { return scalar<std::uint64_t>(); }
 
-  /// The remaining bytes as a string (consumes them).
-  std::string rest() {
-    std::string S(reinterpret_cast<const char *>(P),
-                  static_cast<std::size_t>(E - P));
+  /// The remaining bytes, viewed in place (consumes them).
+  std::string_view rest() {
+    std::string_view S(reinterpret_cast<const char *>(P),
+                       static_cast<std::size_t>(E - P));
     P = E;
     return S;
   }

@@ -12,6 +12,8 @@
 #include "support/Telemetry.h"
 #include "workload/CFGMutator.h"
 
+#include <condition_variable>
+#include <functional>
 #include <sstream>
 
 using namespace ssalive;
@@ -58,6 +60,18 @@ struct ServerTelemetry {
   telemetry::Gauge ResumeParked{"ssalive_server_resume_parked_sessions"};
   telemetry::Gauge ResumeParkedBytes{
       "ssalive_server_resume_parked_journal_bytes"};
+
+  /// The module registry: entries resident and the text they retain,
+  /// loads answered by an existing entry, and the private copies sessions
+  /// re-parse on their first edit. Unlike the request totals these count
+  /// during journal replay too: a resume really does take a registry
+  /// reference and may really re-parse.
+  telemetry::Gauge ModulesResident{"ssalive_server_modules_resident"};
+  telemetry::Gauge ModuleTextBytes{"ssalive_server_module_text_bytes"};
+  telemetry::Counter ModuleSharedLoads{
+      "ssalive_server_module_shared_loads_total"};
+  telemetry::Counter ModulePrivateCopies{
+      "ssalive_server_module_private_copies_total"};
 
   static const ServerTelemetry &get() {
     static ServerTelemetry T;
@@ -111,7 +125,106 @@ std::vector<std::uint8_t> countedErrorReply(protocol::ErrorCode Code,
 }
 } // namespace ssalive::server::detail
 
+/// One loaded module text and its verdict. A registered entry's fields are
+/// written once, by the loader that registered it, before Ready is set; it
+/// is immutable from then on, until a sole owner unregisters it (only then
+/// may that owner edit the functions).
+struct ssalive::server::LoadedModule {
+  /// An unregistered module (a session's private copy).
+  LoadedModule() = default;
+  /// A registry entry retaining \p Text.
+  explicit LoadedModule(std::string_view Text)
+      : Text(Text), Registered(true) {
+    ServerTelemetry::get().ModulesResident.add(1);
+    ServerTelemetry::get().ModuleTextBytes.add(
+        static_cast<std::int64_t>(this->Text.size()));
+  }
+  ~LoadedModule() { unregister(); }
+
+  /// Parses and verifies the retained text into Funcs, or records the
+  /// BadModule message in Error.
+  void load() {
+    ModuleParseResult P;
+    {
+      SSALIVE_SPAN("parse");
+      P = parseModule(Text);
+    }
+    if (!P.Error.empty()) {
+      Error = std::move(P.Error);
+      return;
+    }
+    if (P.Funcs.empty()) {
+      Error = "module has no functions";
+      return;
+    }
+    // The engines require strict SSA; unlike the batch CLI (which skips
+    // bad functions with a warning), a server rejects the whole load —
+    // silently renumbering the surviving functions would corrupt every
+    // FuncIndex the client sends afterwards.
+    {
+      SSALIVE_SPAN("verify");
+      for (const auto &F : P.Funcs) {
+        VerifyResult V = verifySSA(*F);
+        if (!V.ok()) {
+          Error = "function @" + F->name() + ": " + V.message();
+          return;
+        }
+      }
+    }
+    adopt(std::move(P.Funcs));
+  }
+
+  void adopt(std::vector<std::unique_ptr<Function>> Parsed) {
+    Funcs = std::move(Parsed);
+    for (const auto &F : Funcs) {
+      TotalBlocks += F->numBlocks();
+      TotalValues += F->numValues();
+    }
+  }
+
+  /// Single-flight: the registering loader publishes its verdict, the
+  /// loaders that found the entry meanwhile wait for it.
+  void publish() {
+    {
+      std::lock_guard<std::mutex> Lock(ReadyMutex);
+      Ready = true;
+    }
+    ReadyCV.notify_all();
+  }
+  void waitReady() {
+    std::unique_lock<std::mutex> Lock(ReadyMutex);
+    ReadyCV.wait(Lock, [this] { return Ready; });
+  }
+
+  /// Leaves the registry's accounting and drops the retained text.
+  void unregister() {
+    if (!Registered)
+      return;
+    Registered = false;
+    ServerTelemetry::get().ModulesResident.add(-1);
+    ServerTelemetry::get().ModuleTextBytes.add(
+        -static_cast<std::int64_t>(Text.size()));
+    std::string().swap(Text);
+  }
+
+  std::string Text;
+  /// In the registry. Written only under the registry lock by a sole
+  /// owner, so any session holding a shared reference reads it unchanged.
+  bool Registered = false;
+  std::vector<std::unique_ptr<Function>> Funcs;
+  std::uint64_t TotalBlocks = 0, TotalValues = 0;
+  std::string Error; ///< Empty when the load succeeded.
+
+  std::mutex ReadyMutex;
+  std::condition_variable ReadyCV;
+  bool Ready = false;
+};
+
 Session::~Session() {
+  // The driver holds pointers into the module: drop it first.
+  Driver.reset();
+  if (Module)
+    Owner.releaseModule(Module);
   ServerTelemetry::get().SessionsClosed.inc();
   ServerTelemetry::get().SessionsActive.add(-1);
   Owner.ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
@@ -219,48 +332,70 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   if (!isId(Plane, AllQueryPlanes))
     return countedError(ErrorCode::BadPlane, "unknown query plane id");
 
-  ModuleParseResult P;
-  {
-    SSALIVE_SPAN("parse");
-    std::string Text = R.rest();
-    P = parseModule(Text);
-  }
-  if (!P.Error.empty())
-    return countedError(ErrorCode::BadModule, P.Error);
-  if (P.Funcs.empty())
-    return countedError(ErrorCode::BadModule, "module has no functions");
-  // The engines require strict SSA; unlike the batch CLI (which skips bad
-  // functions with a warning), a server rejects the whole load — silently
-  // renumbering the surviving functions would corrupt every FuncIndex the
-  // client sends afterwards.
-  {
-    SSALIVE_SPAN("verify");
-    for (const auto &F : P.Funcs) {
-      VerifyResult V = verifySSA(*F);
-      if (!V.ok())
-        return countedError(ErrorCode::BadModule,
-                           "function @" + F->name() + ": " + V.message());
-    }
+  std::shared_ptr<LoadedModule> M = Owner.acquireModule(R.rest());
+  if (!M->Error.empty()) {
+    // A failed load leaves any previously loaded module in place.
+    std::vector<std::uint8_t> Reply =
+        countedError(ErrorCode::BadModule, M->Error);
+    Owner.releaseModule(M);
+    return Reply;
   }
 
-  // Replace any previously loaded module wholesale (drop the old driver
-  // first: it holds pointers into the old functions).
+  // Replace any previously loaded module wholesale.
+  DriverOpts.Backend = static_cast<BatchBackend>(Backend);
+  DriverOpts.Plane = static_cast<QueryPlane>(Plane);
+  CounterBase = {};
+  bindModule(std::move(M));
+  return encodeModuleLoaded(static_cast<std::uint32_t>(FuncPtrs.size()),
+                            Module->TotalBlocks, Module->TotalValues);
+}
+
+void Session::bindModule(std::shared_ptr<LoadedModule> M) {
+  // The old driver holds pointers into the old functions: drop it first.
   Driver.reset();
-  Module = std::move(P.Funcs);
+  if (Module)
+    Owner.releaseModule(Module);
+  Module = std::move(M);
   FuncPtrs.clear();
-  std::uint64_t TotalBlocks = 0, TotalValues = 0;
-  for (const auto &F : Module) {
+  for (const auto &F : Module->Funcs)
     FuncPtrs.push_back(F.get());
-    TotalBlocks += F->numBlocks();
-    TotalValues += F->numValues();
-  }
-  BatchOptions DOpts;
-  DOpts.Backend = static_cast<BatchBackend>(Backend);
-  DOpts.Plane = static_cast<QueryPlane>(Plane);
-  Driver = std::make_unique<BatchLivenessDriver>(FuncPtrs, DOpts,
+  Driver = std::make_unique<BatchLivenessDriver>(FuncPtrs, DriverOpts,
                                                  Owner.pool());
-  return encodeModuleLoaded(static_cast<std::uint32_t>(Module.size()),
-                            TotalBlocks, TotalValues);
+}
+
+void Session::ensurePrivateModule() {
+  if (!Module->Registered || Owner.detachIfSole(Module))
+    return;
+  // Other sessions read this module: re-parse the retained text into a
+  // copy of our own. The text was verified when it was first loaded, and
+  // the parse reproduces ids, predecessor order and cfgVersion exactly.
+  auto Copy = std::make_shared<LoadedModule>();
+  {
+    SSALIVE_SPAN("parse");
+    Copy->adopt(parseModule(Module->Text).Funcs);
+  }
+  ServerTelemetry::get().ModulePrivateCopies.inc();
+
+  // The new driver starts cold. Re-warm it to what the old one had built —
+  // after any LiveCheck-backed query batch, every function's engine (the
+  // driver resolves them all per batch) — and carry the old counters over,
+  // net of the warm-up's own misses, so StatsReply and every later cache
+  // hit or refresh match a session that never shared.
+  const AnalysisManager::CacheCounters Old =
+      Driver->analysisManager().counters();
+  const bool Warm = Driver->analysisManager().numCachedFunctions() != 0;
+  bindModule(std::move(Copy));
+  AnalysisManager &AM = Driver->analysisManager();
+  if (Warm)
+    Owner.pool().parallelFor(0, FuncPtrs.size(), [&](std::size_t I) {
+      (void)AM.get(*FuncPtrs[I]).liveCheck();
+    });
+  const AnalysisManager::CacheCounters Warmup = AM.counters();
+  CounterBase.Hits += Old.Hits - Warmup.Hits;
+  CounterBase.Misses += Old.Misses - Warmup.Misses;
+  CounterBase.Invalidations += Old.Invalidations - Warmup.Invalidations;
+  CounterBase.Refreshes += Old.Refreshes - Warmup.Refreshes;
+  CounterBase.JournalGaps += Old.JournalGaps - Warmup.JournalGaps;
 }
 
 std::vector<std::uint8_t> Session::handleQueryBatch(WireReader &R) {
@@ -285,13 +420,13 @@ std::vector<std::uint8_t> Session::handleQueryBatch(WireReader &R) {
     Q.ValueId = R.u32();
     Q.BlockId = R.u32();
     Q.IsLiveOut = (R.u8() & 1) != 0;
-    if (Q.FuncIndex >= Module.size()) {
+    if (Q.FuncIndex >= FuncPtrs.size()) {
       std::ostringstream OS;
       OS << "query " << I << ": function index " << Q.FuncIndex
          << " out of range";
       return countedError(ErrorCode::BadQuery, OS.str());
     }
-    const Function &F = *Module[Q.FuncIndex];
+    const Function &F = *FuncPtrs[Q.FuncIndex];
     if (Q.ValueId >= F.numValues() || Q.BlockId >= F.numBlocks()) {
       std::ostringstream OS;
       OS << "query " << I << ": value/block id out of range";
@@ -341,7 +476,7 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
          << static_cast<unsigned>(E.Kind);
       return countedError(ErrorCode::BadEdit, OS.str());
     }
-    if (E.FuncIndex >= Module.size()) {
+    if (E.FuncIndex >= FuncPtrs.size()) {
       std::ostringstream OS;
       OS << "edit " << I << ": function index " << E.FuncIndex
          << " out of range";
@@ -349,6 +484,11 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
     }
     Edits.push_back(E);
   }
+
+  // Shared modules are immutable: take this session's own copy before the
+  // first edit touches it.
+  if (!Edits.empty())
+    ensurePrivateModule();
 
   // Apply in order, then repair once: every applied edit is journaled by
   // the IR mutators, and after the whole frame is in, one
@@ -363,15 +503,16 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
   // the current graph) leave the function untouched and are reported per
   // item rather than failing the batch: the client's mirror makes the
   // same accept/reject decision.
+  std::vector<std::unique_ptr<Function>> &Funcs = Module->Funcs;
   std::vector<std::pair<std::uint8_t, std::uint64_t>> &Results =
       EditResultsBuf;
   Results.clear();
   Results.reserve(Edits.size());
   std::vector<std::uint8_t> &Touched = TouchedBuf;
-  Touched.assign(Module.size(), 0);
+  Touched.assign(Funcs.size(), 0);
   bool AnyApplied = false;
   for (const EditItem &E : Edits) {
-    Function &F = *Module[E.FuncIndex];
+    Function &F = *Funcs[E.FuncIndex];
     Mutation M;
     M.Kind = static_cast<MutationKind>(E.Kind);
     M.From = E.From;
@@ -398,9 +539,9 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
     // caches follow at the next query frame: the driver remaps their
     // entries onto the repaired numbering before answering.
     if (batchBackendUsesLiveCheck(Driver->backend()))
-      for (std::size_t I = 0; I != Module.size(); ++I)
+      for (std::size_t I = 0; I != Funcs.size(); ++I)
         if (Touched[I])
-          Driver->analysisManager().refresh(*Module[I]);
+          Driver->analysisManager().refresh(*Funcs[I]);
     Driver->notifyCFGEdited();
   }
   return encodeEditApplied(Results);
@@ -408,14 +549,14 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
 
 std::vector<std::uint8_t> Session::handleStats() {
   StatsWire S = Tally;
-  S.NumFuncs = static_cast<std::uint32_t>(Module.size());
+  S.NumFuncs = static_cast<std::uint32_t>(FuncPtrs.size());
   S.Threads = Owner.pool().numThreads();
   if (Driver) {
     AnalysisManager::CacheCounters C = Driver->analysisManager().counters();
-    S.CacheHits = C.Hits;
-    S.CacheMisses = C.Misses;
-    S.Invalidations = C.Invalidations;
-    S.Refreshes = C.Refreshes;
+    S.CacheHits = CounterBase.Hits + C.Hits;
+    S.CacheMisses = CounterBase.Misses + C.Misses;
+    S.Invalidations = CounterBase.Invalidations + C.Invalidations;
+    S.Refreshes = CounterBase.Refreshes + C.Refreshes;
   }
   return encodeStatsReply(S);
 }
@@ -441,6 +582,81 @@ std::vector<std::uint8_t> Session::handleMetrics() {
   if (Driver)
     Driver->publishPreparedTelemetry();
   return encodeMetricsReply(telemetry::Registry::global().snapshot());
+}
+
+//===----------------------------------------------------------------------===//
+// SessionManager: the module registry.
+//===----------------------------------------------------------------------===//
+
+std::shared_ptr<LoadedModule>
+SessionManager::acquireModule(std::string_view Text) {
+  const std::pair<std::size_t, std::size_t> Key(
+      std::hash<std::string_view>{}(Text), Text.size());
+  std::shared_ptr<LoadedModule> M;
+  bool Shared = false;
+  {
+    // Under the lock: map work plus a byte compare per same-key entry, or
+    // the text copy of a new one. Parsing and verifying happen outside.
+    std::lock_guard<std::mutex> Lock(ModulesMutex);
+    std::erase_if(Modules,
+                  [](const auto &Slot) { return Slot.second.expired(); });
+    auto [B, E] = Modules.equal_range(Key);
+    for (auto It = B; It != E && !M; ++It) {
+      std::shared_ptr<LoadedModule> Live = It->second.lock();
+      if (Live && Live->Text == Text)
+        M = std::move(Live);
+    }
+    Shared = M != nullptr;
+    if (!Shared) {
+      M = std::make_shared<LoadedModule>(Text);
+      Modules.emplace(Key, M);
+    }
+  }
+  if (Shared) {
+    ServerTelemetry::get().ModuleSharedLoads.inc();
+    M->waitReady();
+  } else {
+    M->load();
+    M->publish();
+  }
+  return M;
+}
+
+void SessionManager::releaseModule(std::shared_ptr<LoadedModule> &M) {
+  std::shared_ptr<LoadedModule> Last;
+  {
+    std::lock_guard<std::mutex> Lock(ModulesMutex);
+    if (M.use_count() == 1)
+      Last = std::move(M);
+    else
+      M.reset();
+  }
+  // A last reference frees the module here, outside the lock; its registry
+  // slot expires and the next lookup prunes it.
+}
+
+bool SessionManager::detachIfSole(const std::shared_ptr<LoadedModule> &M) {
+  std::lock_guard<std::mutex> Lock(ModulesMutex);
+  // References are taken only under this lock (weak_ptr::lock), so a count
+  // of 1 read here proves no other holder; releaseModule drops every
+  // reference but a last one under it too, which orders the other holders'
+  // reads of the module before the edits that follow. A stale count above 1
+  // only costs a copy.
+  if (M.use_count() != 1)
+    return false;
+  std::erase_if(Modules, [&](const auto &Slot) {
+    return !Slot.second.owner_before(M) && !M.owner_before(Slot.second);
+  });
+  M->unregister();
+  return true;
+}
+
+std::size_t SessionManager::residentModules() const {
+  std::lock_guard<std::mutex> Lock(ModulesMutex);
+  std::size_t Live = 0;
+  for (const auto &Slot : Modules)
+    Live += !Slot.second.expired();
+  return Live;
 }
 
 //===----------------------------------------------------------------------===//

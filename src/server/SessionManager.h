@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Session state of the liveness query server: each connected client owns a
-/// Session — its loaded module, a BatchLivenessDriver over the process-wide
-/// ThreadPool, and request counters. Session::handle is the whole command
-/// interpreter: one decoded request payload in, the exact reply payload
-/// out, so socket handlers, in-process tests, and the protocol fuzzer all
-/// drive the identical dispatch path.
+/// Session — a reference to its loaded module, a BatchLivenessDriver over
+/// the process-wide ThreadPool, and request counters. Session::handle is the
+/// whole command interpreter: one decoded request payload in, the exact
+/// reply payload out, so socket handlers, in-process tests, and the
+/// protocol fuzzer all drive the identical dispatch path.
 ///
 /// Query batches fan out across the shared pool exactly like the batch
 /// driver's workloads: the reply's answer bytes are the driver's per-worker
@@ -27,6 +27,33 @@
 /// own copy of the module can therefore predict every reply bit, which is
 /// the contract the differential soak suite enforces.
 ///
+/// Parsed modules are shared, engines are not. The SessionManager keeps a
+/// registry of loaded modules keyed by (hash of the text, length); a load
+/// whose bytes equal a registered entry's retained text — compared in
+/// full, a hash match alone never hands a client a module it did not send
+/// — takes a reference to that entry instead of parsing its own copy.
+/// Loads are single-flight: the first loader of a text parses and verifies
+/// it outside the registry lock, and concurrent loaders of the same bytes
+/// wait for its verdict, so they all get the same ModuleLoaded reply or the
+/// same Error(BadModule). Loaders of different texts never wait on each
+/// other's parse. The registry holds weak references and sessions strong
+/// ones, so a module dies with its last session; expired entries are
+/// pruned on lookup. Each session keeps its own driver (AnalysisManager,
+/// prepared caches, baseline engines), tally, and decode buffers — the
+/// StatsReply cache counters stay a pure function of the session's own
+/// requests.
+///
+/// Shared modules are immutable; a session copies its module on its first
+/// valid EditCFG frame. A session that holds the only reference unregisters
+/// the entry, drops its retained text and edits in place (no copy — an
+/// edited module is never handed to a later loader of the original text).
+/// Otherwise it re-parses the retained text into a private copy: parsing
+/// reproduces value ids, predecessor (hence phi operand) order and
+/// cfgVersion exactly, so EditApplied epochs and answers are those of a
+/// session that never shared. The session's driver is rebuilt over the
+/// copy and re-warmed to the analyses it had, with its cache counters
+/// carried over, so StatsReply is unchanged too.
+///
 /// Sessions default to the driver's cached prepared plane: each value's
 /// use blocks are collected and renumbered once (core/PreparedCache) and
 /// reused across every later query batch of the connection. After CFG
@@ -41,9 +68,12 @@
 /// session by replaying the sequence against a fresh Session — replies are
 /// byte-identical to the uninterrupted session's, so the client is handed
 /// exactly the replies it missed and the connection continues as if the
-/// drop never happened. Parked journals are evicted oldest-first past the
-/// configured caps; the `ssalive_server_resume_*` telemetry series report
-/// attempts, replays, evictions, and the parked footprint.
+/// drop never happened. Replayed loads go through the same module
+/// registry as live ones, so a resumed session shares its module with the
+/// sessions that loaded the same text. Parked journals are evicted
+/// oldest-first past the configured caps; the `ssalive_server_resume_*`
+/// telemetry series report attempts, replays, evictions, and the parked
+/// footprint.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +89,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ssalive {
@@ -110,6 +142,7 @@ struct ServerConfig {
 };
 
 class SessionManager;
+struct LoadedModule;
 
 /// One client's state. Not thread-safe by itself — exactly one connection
 /// handler drives a session (the phase discipline of the pipeline layer);
@@ -162,9 +195,11 @@ public:
   /// @{
   bool hasModule() const { return Driver != nullptr; }
   unsigned numFunctions() const {
-    return static_cast<unsigned>(Module.size());
+    return static_cast<unsigned>(FuncPtrs.size());
   }
-  Function &function(unsigned I) { return *Module[I]; }
+  /// Read-only: the module may be shared with other sessions, and only
+  /// EditCFG (which copies it first) may change it.
+  const Function &function(unsigned I) const { return *FuncPtrs[I]; }
   BatchLivenessDriver &driver() { return *Driver; }
   /// @}
 
@@ -179,12 +214,24 @@ private:
   std::vector<std::uint8_t> handleStats();
   std::vector<std::uint8_t> handleMetrics();
 
+  /// Points the session at \p M and builds a fresh driver over it.
+  void bindModule(std::shared_ptr<LoadedModule> M);
+  /// Makes the session's module its own before an edit: unregisters it
+  /// when this session holds the only reference, else swaps in a private
+  /// re-parse of the retained text (see the file comment).
+  void ensurePrivateModule();
+
   friend class SessionManager;
 
   SessionManager &Owner;
-  std::vector<std::unique_ptr<Function>> Module;
+  std::shared_ptr<LoadedModule> Module;
   std::vector<const Function *> FuncPtrs;
+  BatchOptions DriverOpts;
   std::unique_ptr<BatchLivenessDriver> Driver;
+  /// Added to the driver's cache counters in StatsReply: what a driver
+  /// rebuilt by ensurePrivateModule carries over from the one it replaced
+  /// (modular, net of the rebuild's own warm-up misses).
+  AnalysisManager::CacheCounters CounterBase;
   /// Per-session tallies, kept in reply shape. StatsReply stays a pure
   /// function of this session's request sequence (the differential oracles
   /// byte-compare it); the process-wide registry — what the Metrics opcode
@@ -212,9 +259,9 @@ private:
 };
 
 /// Owns what every session shares: the config, the one process-wide query
-/// pool, the live-session count the session cap reads, and the
-/// parked-journal store of the resume plane. Thread-safe; sessions are
-/// created, parked, and resumed from concurrent connection handlers.
+/// pool, the live-session count the session cap reads, the module registry,
+/// and the parked-journal store of the resume plane. Thread-safe; sessions
+/// are created, parked, and resumed from concurrent connection handlers.
 /// Session ids start at 1 and count up.
 class SessionManager {
 public:
@@ -273,8 +320,24 @@ public:
   /// Parked journals currently held (tests).
   std::size_t parkedSessions() const;
 
+  /// Modules currently in the registry: alive, and not yet made private by
+  /// a sole owner's edit (tests).
+  std::size_t residentModules() const;
+
 private:
   friend class Session;
+
+  /// The registered module whose text equals \p Text, loaded and verified
+  /// by the first caller and waited for by concurrent ones. The result may
+  /// carry an error verdict instead of functions. Prunes expired entries.
+  std::shared_ptr<LoadedModule> acquireModule(std::string_view Text);
+  /// Drops a session's reference. Under the registry lock, so a later
+  /// sole-owner check that sees the reference gone is ordered after every
+  /// read the session made of the module.
+  void releaseModule(std::shared_ptr<LoadedModule> &M);
+  /// If \p M holds the only reference, unregisters the entry, drops its
+  /// text and returns true: the caller may then edit it in place.
+  bool detachIfSole(const std::shared_ptr<LoadedModule> &M);
 
   /// One parked session's replayable state.
   struct ParkedJournal {
@@ -299,6 +362,13 @@ private:
   /// eviction policy drops first.
   std::map<std::uint64_t, ParkedJournal> ParkedById;
   std::size_t ParkedBytes = 0;
+
+  mutable std::mutex ModulesMutex;
+  /// Keyed by (hash of the text, length); entries with equal keys are told
+  /// apart by their full text.
+  std::multimap<std::pair<std::size_t, std::size_t>,
+                std::weak_ptr<LoadedModule>>
+      Modules;
 };
 
 } // namespace server

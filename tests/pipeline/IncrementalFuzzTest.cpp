@@ -549,7 +549,7 @@ unsigned runServerRoutedFuzz(std::uint64_t Seed, unsigned Steps) {
 
     // Bit-equality of the session's repaired analyses against fresh
     // rebuilds of the session's own function copy.
-    Function &SF = S->function(0);
+    const Function &SF = S->function(0);
     FunctionAnalyses &FA = S->driver().analysisManager().get(SF);
     EXPECT_EQ(FA.epoch(), SF.cfgVersion());
     const LiveCheck &LC = FA.liveCheck();

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The differential soak harness of the liveness server: several concurrent
-// clients (>= 4), each with its own module, backend, and query plane,
+// clients (>= 4), each with its own module (or one shared module text),
+// backend, and query plane,
 // replay randomized query+edit streams against one LivenessServer over
 // socketpair transports — >= 100k requests in total — and every single
 // reply is compared byte for byte against an in-process oracle built from
@@ -31,6 +32,7 @@
 #include <arpa/inet.h>
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sstream>
@@ -49,7 +51,8 @@ namespace {
 
 /// One client's configuration for a soak campaign.
 struct ClientPlan {
-  std::uint64_t Seed;
+  std::uint64_t Seed;       ///< The query and edit stream.
+  std::uint64_t ModuleSeed; ///< The module text; equal seeds share a module.
   BatchBackend Backend;
   QueryPlane Plane;
   unsigned Iterations;
@@ -77,11 +80,15 @@ bool roundTrip(int Fd, const std::vector<std::uint8_t> &Request,
 
 /// Runs one client's whole stream; returns the number of requests
 /// (queries + edits) it executed, or 0 after a recorded failure.
+/// When \p AllLoaded is given, the client waits on it after its load, so
+/// every client's load lands before any stream frame.
 std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
-                        std::atomic<std::uint64_t> *QueryLedger = nullptr) {
+                        std::atomic<std::uint64_t> *QueryLedger = nullptr,
+                        std::latch *AllLoaded = nullptr) {
   auto tag = [&](const char *What, std::uint64_t Index) {
     std::ostringstream OS;
-    OS << "client " << ClientId << " seed=" << Plan.Seed << " backend="
+    OS << "client " << ClientId << " seed=" << Plan.Seed
+       << " module-seed=" << Plan.ModuleSeed << " backend="
        << batchBackendName(Plan.Backend) << " plane="
        << queryPlaneName(Plan.Plane) << ": " << What << " #" << Index
        << " (replay: rerun this client alone with this seed)";
@@ -90,7 +97,7 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
 
   // The oracle: parse the same text the server will parse, drive it with
   // a single-threaded driver of the same backend/plane.
-  std::string Text = makeModuleText(Plan.Seed, /*NumFuncs=*/4);
+  std::string Text = makeModuleText(Plan.ModuleSeed, /*NumFuncs=*/4);
   ModuleParseResult Oracle = parseModule(Text);
   if (!Oracle.Error.empty()) {
     ADD_FAILURE() << tag("module parse", 0) << ": " << Oracle.Error;
@@ -116,11 +123,14 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
   BatchLivenessDriver OracleDriver(Funcs, OOpts);
 
   std::vector<std::uint8_t> Reply;
-  if (!roundTrip(Fd,
-                 proto::encodeLoadModule(
-                     static_cast<std::uint8_t>(Plan.Backend),
-                     static_cast<std::uint8_t>(Plan.Plane), Text),
-                 Reply)) {
+  bool LoadSent = roundTrip(Fd,
+                            proto::encodeLoadModule(
+                                static_cast<std::uint8_t>(Plan.Backend),
+                                static_cast<std::uint8_t>(Plan.Plane), Text),
+                            Reply);
+  if (AllLoaded)
+    AllLoaded->arrive_and_wait();
+  if (!LoadSent) {
     ADD_FAILURE() << tag("load transport", 0);
     return 0;
   }
@@ -252,17 +262,17 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
   // in its cache interaction surface as byte mismatches against the
   // block-id oracle.
   std::vector<ClientPlan> Plans = {
-      {1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
-       42, 8},
-      {1002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560, 42,
-       6},
-      {1003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560, 42,
-       8},
-      {1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId, 560,
-       42, 6},
-      {1005, BatchBackend::Dataflow, QueryPlane::BlockId, 150, 42, 4},
-      {1006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared, 560,
-       42, 12},
+      {1001, 1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
+       560, 42, 8},
+      {1002, 1002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId,
+       560, 42, 6},
+      {1003, 1003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
+       560, 42, 8},
+      {1004, 1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId,
+       560, 42, 6},
+      {1005, 1005, BatchBackend::Dataflow, QueryPlane::BlockId, 150, 42, 4},
+      {1006, 1006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
+       560, 42, 12},
   };
 
   std::vector<int> ClientFds;
@@ -313,6 +323,77 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
 }
 
 //===----------------------------------------------------------------------===//
+// Shared modules: several concurrent clients load one module text, so they
+// share one parsed module on the server, and each runs its own query and
+// edit stream. A client's first edit copies the module (or, for the last
+// holder, unregisters it) while the others keep querying it; every reply
+// must still match the client's own oracle byte for byte.
+//===----------------------------------------------------------------------===//
+
+TEST(ServerSoak, SharedModuleClientsMatchOracleByteForByte) {
+  proto::ignoreSigpipe();
+  server::ServerConfig Cfg;
+  Cfg.Threads = 2;
+  server::LivenessServer Server(Cfg);
+
+  // Both backends on both planes, edit rates from none (a client that
+  // reads the shared module to the end) to frequent.
+  constexpr std::uint64_t Module = 3000;
+  std::vector<ClientPlan> Plans = {
+      {3001, Module, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
+       240, 42, 10},
+      {3002, Module, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId,
+       240, 42, 6},
+      {3003, Module, BatchBackend::Dataflow, QueryPlane::BlockId, 80, 42, 8},
+      {3004, Module, BatchBackend::Dataflow, QueryPlane::Prepared, 80, 42, 4},
+      {3005, Module, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
+       240, 42, 0},
+      {3006, Module, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
+       240, 42, 20},
+  };
+
+  std::vector<int> ClientFds;
+  std::vector<std::thread> ServerSide;
+  for (std::size_t I = 0; I != Plans.size(); ++I) {
+    int Pair[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);
+    ClientFds.push_back(Pair[0]);
+    int ServerFd = Pair[1];
+    ServerSide.emplace_back([&Server, ServerFd] {
+      Server.serveStream(ServerFd, ServerFd);
+      ::close(ServerFd);
+    });
+  }
+
+  const std::uint64_t SharedBefore = telemetry::Registry::global().value(
+      "ssalive_server_module_shared_loads_total");
+  std::latch AllLoaded(static_cast<std::ptrdiff_t>(Plans.size()));
+  std::atomic<std::uint64_t> TotalRequests{0};
+  std::vector<std::thread> Clients;
+  for (std::size_t I = 0; I != Plans.size(); ++I) {
+    Clients.emplace_back([&, I] {
+      TotalRequests.fetch_add(runClient(ClientFds[I], Plans[I],
+                                        static_cast<unsigned>(I), nullptr,
+                                        &AllLoaded));
+      ::close(ClientFds[I]);
+    });
+  }
+  for (std::thread &T : Clients)
+    T.join();
+  for (std::thread &T : ServerSide)
+    T.join();
+
+  EXPECT_GE(TotalRequests.load(), 20000u);
+  // Every load after the first found the registered module: all loads
+  // land before any edit can unregister it.
+  EXPECT_EQ(telemetry::Registry::global().value(
+                "ssalive_server_module_shared_loads_total") -
+                SharedBefore,
+            Plans.size() - 1);
+  EXPECT_EQ(Server.sessions().residentModules(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // The accept-loop transport: same differential client over a real
 // unix-domain socket, plus server shutdown via the protocol.
 //===----------------------------------------------------------------------===//
@@ -346,7 +427,8 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
   for (unsigned I = 0; I != 2; ++I) {
     Clients.emplace_back([&, I] {
       int Fd = connect();
-      ClientPlan Plan{2000 + I, BatchBackend::LiveCheckPropagated,
+      ClientPlan Plan{2000 + I, 2000 + I,
+                      BatchBackend::LiveCheckPropagated,
                       I == 0 ? QueryPlane::Prepared : QueryPlane::BlockId,
                       40, 32, 10};
       Requests.fetch_add(runClient(Fd, Plan, I));

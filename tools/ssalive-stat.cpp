@@ -10,8 +10,10 @@
 // loading a module or perturbing any session state. A frame-latency
 // summary line derives the server's request-service percentiles from the
 // ssalive_server_frame_ns log2 histogram; a session line counts live,
-// opened and parked sessions and shed frames; a prepared-plane line counts
-// cache hits, builds, rebuilds, epoch drops and remaps.
+// opened and parked sessions and shed frames; a modules line counts the
+// parsed modules the server keeps and how sessions shared them; a
+// prepared-plane line counts cache hits, builds, rebuilds, epoch drops and
+// remaps.
 //
 //   ssalive-stat --connect=/path/sock      human-readable summary
 //   ssalive-stat --connect=/path/sock --prometheus
@@ -192,6 +194,20 @@ void printSessionSummary(const std::vector<telemetry::Metric> &Metrics) {
                   valueOf(Metrics, "ssalive_server_shed_frames_total")));
 }
 
+/// The module registry: parsed modules resident and the text they retain,
+/// loads that shared an existing module, and private copies made on edit.
+void printModuleSummary(const std::vector<telemetry::Metric> &Metrics) {
+  auto Get = [&](const char *Name) {
+    return static_cast<unsigned long long>(valueOf(Metrics, Name));
+  };
+  std::printf("modules: %llu resident (%llu text bytes), %llu shared "
+              "load(s), %llu private copy(ies)\n",
+              Get("ssalive_server_modules_resident"),
+              Get("ssalive_server_module_text_bytes"),
+              Get("ssalive_server_module_shared_loads_total"),
+              Get("ssalive_server_module_private_copies_total"));
+}
+
 /// The prepared plane: how queries found their cached entries, and what
 /// CFG edits cost the cache (epoch drops rebuild, remaps carry entries).
 void printPreparedSummary(const std::vector<telemetry::Metric> &Metrics) {
@@ -237,6 +253,7 @@ int main(int Argc, char **Argv) {
   printHuman(Metrics);
   printFrameLatencySummary(Metrics);
   printSessionSummary(Metrics);
+  printModuleSummary(Metrics);
   printPreparedSummary(Metrics);
 
   // --watch: repoll on the same connection and report the query rate the
