@@ -57,8 +57,6 @@ std::vector<std::uint8_t> shedFrame(const char *Why) {
   return detail::countedErrorReply(ErrorCode::Overloaded, Why);
 }
 
-constexpr const char *SessionCapMessage = "session cap reached; retry later";
-
 } // namespace
 
 LivenessServer::LivenessServer(ServerConfig Cfg) : Cfg(Cfg), Sessions(Cfg) {
@@ -80,19 +78,11 @@ LivenessServer::~LivenessServer() {
 
 void LivenessServer::serveStream(int InFd, int OutFd) {
   Connections.fetch_add(1, std::memory_order_relaxed);
-  WireTelemetry::get().Connections.inc();
-  // Created lazily so the first frame can be a Resume handshake that
-  // re-attaches to a parked session instead of opening a plain one.
-  std::unique_ptr<Session> S;
-  serveFrames(InFd, OutFd, S);
-  // No-op unless the session is resumable and did not request shutdown:
-  // the journal outlives the connection, not the server.
-  Sessions.parkSession(std::move(S));
-}
-
-void LivenessServer::serveFrames(int InFd, int OutFd,
-                                 std::unique_ptr<Session> &S) {
   const WireTelemetry &T = WireTelemetry::get();
+  T.Connections.inc();
+  // Created lazily by the first dispatched frame, so a connection shed at
+  // the session cap never holds a slot.
+  std::unique_ptr<Session> S;
   auto Send = [&](const std::vector<std::uint8_t> &Reply) {
     T.TxBytes.inc(4 + Reply.size());
     return writeFrame(OutFd, Reply, Cfg.MaxFrameBytes);
@@ -125,19 +115,11 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
         Payload[0] == static_cast<std::uint8_t>(protocol::Opcode::QueryBatch);
     KeepPayload = IsQuery;
 
-    if (!S && !Payload.empty() &&
-        Payload[0] == static_cast<std::uint8_t>(protocol::Opcode::Resume)) {
-      if (!handleResume(OutFd, Payload, S))
-        return;
-      continue;
-    }
-
     // In-flight budget: a client flooding frames faster than it drains
     // replies gets them shed, not queued. The frame is answered with a
-    // well-formed Error(Overloaded) and never dispatched (and never
-    // journaled — shed frames are retryable and do not count toward the
-    // resume high-water mark), so the work per flooded frame is bounded
-    // by this check regardless of how deep the flood runs.
+    // well-formed Error(Overloaded) and never dispatched, so the work per
+    // flooded frame is bounded by this check regardless of how deep the
+    // flood runs.
     if (Cfg.InFlightBudgetBytes != 0) {
       int Queued = 0;
       if (::ioctl(InFd, FIONREAD, &Queued) == 0 && Queued > 0 &&
@@ -153,7 +135,7 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
     // NEW session is shed (existing sessions keep being served — shedding
     // admissions, not service).
     if (!S && !(S = Sessions.tryCreateSession())) {
-      if (!Send(shedFrame(SessionCapMessage)))
+      if (!Send(shedFrame("session cap reached; retry later")))
         return;
       continue;
     }
@@ -172,42 +154,6 @@ void LivenessServer::serveFrames(int InFd, int OutFd,
       return;
     }
   }
-}
-
-bool LivenessServer::handleResume(int OutFd,
-                                  const std::vector<std::uint8_t> &Payload,
-                                  std::unique_ptr<Session> &S) {
-  const WireTelemetry &T = WireTelemetry::get();
-  auto Send = [&](const std::vector<std::uint8_t> &Reply) {
-    T.TxBytes.inc(4 + Reply.size());
-    return writeFrame(OutFd, Reply, Cfg.MaxFrameBytes);
-  };
-  WireReader R(Payload.data(), Payload.size());
-  (void)R.u8(); // Opcode byte, already matched by the caller.
-  std::uint64_t Sid = R.u64();
-  std::uint64_t Hwm = R.u64();
-  if (!R.ok() || !R.atEnd())
-    return Send(detail::countedErrorReply(ErrorCode::BadResume,
-                                          "malformed Resume body"));
-  if (Sid == 0) {
-    // The open-handshake form: start journaling under a fresh id.
-    if (Hwm != 0)
-      return Send(detail::countedErrorReply(
-          ErrorCode::BadResume, "high-water mark without a session id"));
-    S = Sessions.tryCreateResumableSession();
-    return Send(S ? encodeResumed(S->sessionId(), 0, 0)
-                  : shedFrame(SessionCapMessage));
-  }
-  SessionManager::ResumeResult RR = Sessions.resumeSession(Sid, Hwm);
-  if (!Send(RR.Reply))
-    return false;
-  for (const std::vector<std::uint8_t> &P : RR.PendingReplies)
-    if (!Send(P))
-      return false;
-  // Null when the resume was refused; the connection stays open and the
-  // client may retry with another id or continue as a plain session.
-  S = std::move(RR.S);
-  return true;
 }
 
 bool LivenessServer::listenUnix(const std::string &Path, std::string &Err) {

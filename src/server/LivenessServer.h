@@ -11,20 +11,16 @@
 /// session over an arbitrary duplex fd pair — the pipe transport the
 /// --stdio mode and the in-process test/bench harnesses use. The server
 /// owns one SessionManager: every connection's session shares its query
-/// ThreadPool and parked-journal store; per-worker answer spans keep the
-/// hot path lock-free and replies byte-identical regardless of client
-/// interleaving.
+/// ThreadPool and module registry; per-worker answer spans keep the hot
+/// path lock-free and replies byte-identical regardless of client
+/// interleaving. A connection opens its session with its first dispatched
+/// frame, and the session ends when the connection does.
 ///
-/// A connection whose first frame is a Resume handshake either opens a
-/// journaling (resumable) session or re-attaches to a parked one: the
-/// manager replays the journaled request sequence against a fresh
-/// Session and the transport re-sends the replies past the client's
-/// high-water mark — reply purity makes the rebuilt connection
-/// indistinguishable from one that never dropped. Overload is shed, not
-/// queued: past the connection cap, accepted sockets get one well-formed
-/// Error(Overloaded) and a close; a frame that would open a session past
-/// the session cap, or that arrives past the per-connection in-flight
-/// budget, is answered Error(Overloaded) without dispatch.
+/// Overload is shed, not queued: past the connection cap, accepted sockets
+/// get one well-formed Error(Overloaded) and a close; a frame that would
+/// open a session past the session cap, or that arrives past the
+/// per-connection in-flight budget, is answered Error(Overloaded) without
+/// dispatch.
 ///
 /// This is the amortization story of the paper pushed to its natural
 /// habitat: one resident precomputation per loaded function, repaired in
@@ -118,17 +114,6 @@ private:
   void acceptLoop();
   void acceptOn(int Fd, bool IsTcp);
   void joinHandlers();
-
-  /// The frame loop behind serveStream; leaves the session in \p S so the
-  /// caller can park it for resume after the connection drops.
-  void serveFrames(int InFd, int OutFd, std::unique_ptr<Session> &S);
-
-  /// Handles a Resume handshake frame (first frame of a connection):
-  /// opens a fresh resumable session (id 0) or re-attaches to a parked
-  /// one, re-sending the replies past the client's high-water mark.
-  /// Returns false when the connection is dead (write failure).
-  bool handleResume(int OutFd, const std::vector<std::uint8_t> &Payload,
-                    std::unique_ptr<Session> &S);
 
   /// Sheds a just-accepted connection past the MaxConnections cap: one
   /// well-formed Error(Overloaded) frame, then close.

@@ -67,15 +67,6 @@ std::vector<std::uint8_t> protocol::encodeShutdown() {
   return {static_cast<std::uint8_t>(Opcode::Shutdown)};
 }
 
-std::vector<std::uint8_t> protocol::encodeResume(std::uint64_t SessionId,
-                                                 std::uint64_t HighWaterMark) {
-  WireWriter W;
-  W.u8(static_cast<std::uint8_t>(Opcode::Resume));
-  W.u64(SessionId);
-  W.u64(HighWaterMark);
-  return W.take();
-}
-
 std::vector<std::uint8_t>
 protocol::encodeModuleLoaded(std::uint32_t NumFuncs, std::uint64_t TotalBlocks,
                              std::uint64_t TotalValues) {
@@ -192,17 +183,6 @@ bool protocol::decodeMetrics(WireReader &R,
 
 std::vector<std::uint8_t> protocol::encodeOk() {
   return {static_cast<std::uint8_t>(Opcode::Ok)};
-}
-
-std::vector<std::uint8_t>
-protocol::encodeResumed(std::uint64_t SessionId, std::uint64_t JournalLen,
-                        std::uint64_t PendingReplies) {
-  WireWriter W;
-  W.u8(static_cast<std::uint8_t>(Opcode::Resumed));
-  W.u64(SessionId);
-  W.u64(JournalLen);
-  W.u64(PendingReplies);
-  return W.take();
 }
 
 std::vector<std::uint8_t> protocol::encodeError(ErrorCode Code,

@@ -25,18 +25,6 @@
 ///   Stats        (empty)
 ///   Metrics      (empty) — full process-wide telemetry registry dump
 ///   Shutdown     (empty)
-///   Resume       u64 sessionId | u64 highWaterMark — must be the first
-///                frame of a connection. sessionId 0 (with highWaterMark 0)
-///                opens a NEW resumable session: the server assigns an id
-///                and journals every subsequently dispatched request.
-///                A nonzero sessionId re-attaches to a parked session: the
-///                server replays the whole journaled request sequence
-///                against a fresh Session (every reply is a pure function
-///                of that sequence, so the rebuilt state is byte-identical
-///                to the uninterrupted session), answers Resumed, then
-///                re-sends the journaled replies the client never saw —
-///                those past highWaterMark, the count of replies the
-///                client acknowledges having received.
 ///
 /// Replies:
 ///   ModuleLoaded u32 numFuncs | u64 totalBlocks | u64 totalValues
@@ -52,20 +40,14 @@
 ///                histogram: u64 count | u64 sum | u16 nbuckets |
 ///                nbuckets x u64 bucket counts
 ///   Ok           (empty)
-///   Resumed      u64 sessionId | u64 journalLen | u64 pendingReplies —
-///                pendingReplies (= journalLen - highWaterMark) reply
-///                frames follow immediately, in request order
 ///   Error        u16 code | u32 msgLen | msg bytes
 ///
-/// Resume contract: only *dispatched* requests are journaled. A request
-/// answered Error(Overloaded) was shed before dispatch and is NOT in the
-/// journal — the client must treat Overloaded as retryable and must not
-/// count that reply toward its high-water mark. Resume frames themselves
-/// are transport-level and never journaled. The journal is bounded
-/// (ServerConfig::MaxJournalBytes); a session that outgrows it keeps
-/// serving but permanently loses resumability (a later Resume gets
-/// Error(UnknownSession)), and parked journals are evicted oldest-first
-/// past ServerConfig::MaxParkedSessions/MaxParkedJournalBytes.
+/// Retired ids, never reused: opcodes 0x07 and 0x87 (the session-resume
+/// handshake and its reply) and error codes 10 and 12. A 0x07 request is
+/// answered Error(UnknownOpcode) like any other unknown opcode.
+///
+/// A request answered Error(Overloaded) was shed before dispatch: it had no
+/// effect on the session, and the client may retry it.
 ///
 /// Every reply a session produces is a pure function of the request
 /// sequence it has seen (answers are thread-count independent by the batch
@@ -115,7 +97,7 @@ enum class Opcode : std::uint8_t {
   Stats = 0x04,
   Shutdown = 0x05,
   Metrics = 0x06,
-  Resume = 0x07,
+  // 0x07 is retired (see the file comment).
   // Replies.
   ModuleLoaded = 0x81,
   Answers = 0x82,
@@ -123,7 +105,7 @@ enum class Opcode : std::uint8_t {
   StatsReply = 0x84,
   Ok = 0x85,
   MetricsReply = 0x86,
-  Resumed = 0x87,
+  // 0x87 is retired (see the file comment).
   Error = 0xFF,
 };
 
@@ -137,10 +119,9 @@ enum class ErrorCode : std::uint16_t {
   BadQuery = 7,      ///< Function/value/block id out of range.
   BadEdit = 8,       ///< Unknown edit kind or function id out of range.
   FrameTooLarge = 9, ///< Declared length exceeds the cap; fatal.
-  UnknownSession = 10, ///< Resume id never issued, evicted, or overflowed.
-  Overloaded = 11,   ///< Shed: connection cap or in-flight budget exceeded.
-  BadResume = 12,    ///< Resume mid-connection, bad high-water mark, or a
-                     ///< malformed Resume body.
+  // 10 is retired (see the file comment).
+  Overloaded = 11,   ///< Shed: connection, session, or in-flight cap hit.
+  // 12 is retired (see the file comment).
 };
 
 /// One liveness query on the wire (QueryBatch body element).
@@ -257,9 +238,6 @@ std::vector<std::uint8_t> encodeEditBatch(const std::vector<EditItem> &Es);
 std::vector<std::uint8_t> encodeStats();
 std::vector<std::uint8_t> encodeMetricsRequest();
 std::vector<std::uint8_t> encodeShutdown();
-/// SessionId 0 (with HighWaterMark 0) opens a new resumable session.
-std::vector<std::uint8_t> encodeResume(std::uint64_t SessionId,
-                                       std::uint64_t HighWaterMark);
 
 std::vector<std::uint8_t> encodeModuleLoaded(std::uint32_t NumFuncs,
                                              std::uint64_t TotalBlocks,
@@ -274,10 +252,6 @@ std::vector<std::uint8_t> encodeStatsReply(const StatsWire &S);
 std::vector<std::uint8_t>
 encodeMetricsReply(const std::vector<telemetry::Metric> &Metrics);
 std::vector<std::uint8_t> encodeOk();
-/// \p PendingReplies journaled reply frames follow the Resumed frame.
-std::vector<std::uint8_t> encodeResumed(std::uint64_t SessionId,
-                                        std::uint64_t JournalLen,
-                                        std::uint64_t PendingReplies);
 std::vector<std::uint8_t> encodeError(ErrorCode Code, const std::string &Msg);
 
 /// Decodes a MetricsReply body (\p R positioned after the opcode byte).

@@ -39,33 +39,13 @@ struct ServerTelemetry {
   telemetry::Counter Positives{"ssalive_server_answers_positive_total"};
   telemetry::Counter EditsApplied{"ssalive_server_edits_applied_total"};
   telemetry::Counter EditsRejected{"ssalive_server_edits_rejected_total"};
-  telemetry::Counter ReqResume{"ssalive_server_requests_resume_total"};
   telemetry::Counter SessionsOpened{"ssalive_server_sessions_opened_total"};
   telemetry::Counter SessionsClosed{"ssalive_server_sessions_closed_total"};
   telemetry::Gauge SessionsActive{"ssalive_server_sessions_active"};
 
-  /// The resume plane: handshake outcomes, replay volume, and the parked
-  /// journal footprint the eviction policy manages.
-  telemetry::Counter ResumeOpened{
-      "ssalive_server_resume_sessions_opened_total"};
-  telemetry::Counter ResumeAttempts{"ssalive_server_resume_attempts_total"};
-  telemetry::Counter ResumeOk{"ssalive_server_resume_ok_total"};
-  telemetry::Counter ResumeUnknown{"ssalive_server_resume_unknown_total"};
-  telemetry::Counter ResumeReplayed{
-      "ssalive_server_resume_replayed_requests_total"};
-  telemetry::Counter ResumeEvictions{
-      "ssalive_server_resume_evictions_total"};
-  telemetry::Counter ResumeOverflows{
-      "ssalive_server_resume_journal_overflow_total"};
-  telemetry::Gauge ResumeParked{"ssalive_server_resume_parked_sessions"};
-  telemetry::Gauge ResumeParkedBytes{
-      "ssalive_server_resume_parked_journal_bytes"};
-
   /// The module registry: entries resident and the text they retain,
   /// loads answered by an existing entry, and the private copies sessions
-  /// re-parse on their first edit. Unlike the request totals these count
-  /// during journal replay too: a resume really does take a registry
-  /// reference and may really re-parse.
+  /// re-parse on their first edit.
   telemetry::Gauge ModulesResident{"ssalive_server_modules_resident"};
   telemetry::Gauge ModuleTextBytes{"ssalive_server_module_text_bytes"};
   telemetry::Counter ModuleSharedLoads{
@@ -79,37 +59,35 @@ struct ServerTelemetry {
   }
 };
 
-/// True while the current thread is replaying a journal (Session::replay
-/// is synchronous). Registry counters — the error taxonomy below and the
-/// request/query/edit totals in Session's handlers — must not re-count
-/// work that was already counted on first dispatch: a resume would
-/// permanently skew every reconcile read off the process-wide series. The
-/// per-session Tally is exempt: it must replay to the byte-identical
-/// StatsReply.
-thread_local bool ReplayingOnThisThread = false;
-
 /// encodeError plus the error-taxonomy counter for \p Code — every error
 /// reply the dispatcher produces routes through here.
 std::vector<std::uint8_t> countedError(ErrorCode Code,
                                        const std::string &Msg) {
-  static telemetry::Counter ByCode[] = {
-      telemetry::Counter("ssalive_server_errors_unknown_total"),
-      telemetry::Counter("ssalive_server_errors_malformed_frame_total"),
-      telemetry::Counter("ssalive_server_errors_unknown_opcode_total"),
-      telemetry::Counter("ssalive_server_errors_no_module_total"),
-      telemetry::Counter("ssalive_server_errors_bad_module_total"),
-      telemetry::Counter("ssalive_server_errors_bad_backend_total"),
-      telemetry::Counter("ssalive_server_errors_bad_plane_total"),
-      telemetry::Counter("ssalive_server_errors_bad_query_total"),
-      telemetry::Counter("ssalive_server_errors_bad_edit_total"),
-      telemetry::Counter("ssalive_server_errors_frame_too_large_total"),
-      telemetry::Counter("ssalive_server_errors_unknown_session_total"),
-      telemetry::Counter("ssalive_server_errors_overloaded_total"),
-      telemetry::Counter("ssalive_server_errors_bad_resume_total")};
-  if (!ReplayingOnThisThread) {
-    std::size_t I = static_cast<std::size_t>(Code);
-    ByCode[I < 13 ? I : 0].inc();
-  }
+  // Keyed by the code itself, not its number: a retired code (a hole in
+  // the numbering) can never shift a label.
+  using telemetry::Counter;
+  static const Counter Unlisted("ssalive_server_errors_unknown_total");
+  static const std::pair<ErrorCode, Counter> ByCode[] = {
+      {ErrorCode::MalformedFrame,
+       Counter("ssalive_server_errors_malformed_frame_total")},
+      {ErrorCode::UnknownOpcode,
+       Counter("ssalive_server_errors_unknown_opcode_total")},
+      {ErrorCode::NoModule, Counter("ssalive_server_errors_no_module_total")},
+      {ErrorCode::BadModule, Counter("ssalive_server_errors_bad_module_total")},
+      {ErrorCode::BadBackend,
+       Counter("ssalive_server_errors_bad_backend_total")},
+      {ErrorCode::BadPlane, Counter("ssalive_server_errors_bad_plane_total")},
+      {ErrorCode::BadQuery, Counter("ssalive_server_errors_bad_query_total")},
+      {ErrorCode::BadEdit, Counter("ssalive_server_errors_bad_edit_total")},
+      {ErrorCode::FrameTooLarge,
+       Counter("ssalive_server_errors_frame_too_large_total")},
+      {ErrorCode::Overloaded,
+       Counter("ssalive_server_errors_overloaded_total")}};
+  const Counter *C = &Unlisted;
+  for (const auto &[K, Counted] : ByCode)
+    if (K == Code)
+      C = &Counted;
+  C->inc();
   return encodeError(Code, Msg);
 }
 
@@ -232,80 +210,42 @@ Session::~Session() {
 
 std::vector<std::uint8_t> Session::handle(const std::uint8_t *Data,
                                           std::size_t Len) {
-  // Journal every dispatched payload of a resumable session, in order,
-  // BEFORE dispatch — replies (including error replies) are pure functions
-  // of the sequence, so replaying it rebuilds the session bit for bit.
-  // Resume frames are transport-level and never journaled. Outgrowing the
-  // bound latches the session unresumable instead of evicting a prefix:
-  // a truncated journal could not replay to the same state.
-  if (Resumable && !Replaying && !JournalOverflowed &&
-      !(Len != 0 &&
-        Data[0] == static_cast<std::uint8_t>(protocol::Opcode::Resume))) {
-    if (JournalBytes + Len > Owner.config().MaxJournalBytes) {
-      Journal.clear();
-      Journal.shrink_to_fit();
-      JournalBytes = 0;
-      JournalOverflowed = true;
-      ServerTelemetry::get().ResumeOverflows.inc();
-    } else {
-      Journal.emplace_back(Data, Data + Len);
-      JournalBytes += Len;
-    }
-  }
-
   WireReader R(Data, Len);
   std::uint8_t Op = R.u8();
   if (!R.ok())
     return countedError(ErrorCode::MalformedFrame, "empty payload");
-  // Replayed frames were counted on first dispatch; a resume must leave
-  // the process-wide request totals exactly where they were.
   const ServerTelemetry &T = ServerTelemetry::get();
-  const bool Count = !Replaying;
   switch (static_cast<protocol::Opcode>(Op)) {
   case protocol::Opcode::LoadModule:
-    if (Count)
-      T.ReqLoadModule.inc();
+    T.ReqLoadModule.inc();
     return handleLoadModule(R);
   case protocol::Opcode::QueryBatch:
-    if (Count)
-      T.ReqQueryBatch.inc();
+    T.ReqQueryBatch.inc();
     return handleQueryBatch(R);
   case protocol::Opcode::EditCFG:
-    if (Count)
-      T.ReqEditCFG.inc();
+    T.ReqEditCFG.inc();
     return handleEditCFG(R);
   case protocol::Opcode::Stats:
-    if (Count)
-      T.ReqStats.inc();
+    T.ReqStats.inc();
     if (!R.atEnd())
       return countedError(ErrorCode::MalformedFrame,
                           "stats request carries a body");
     return handleStats();
   case protocol::Opcode::Metrics:
-    if (Count)
-      T.ReqMetrics.inc();
+    T.ReqMetrics.inc();
     if (!R.atEnd())
       return countedError(ErrorCode::MalformedFrame,
                           "metrics request carries a body");
     return handleMetrics();
   case protocol::Opcode::Shutdown:
-    if (Count)
-      T.ReqShutdown.inc();
+    T.ReqShutdown.inc();
     if (!R.atEnd())
       return countedError(ErrorCode::MalformedFrame,
                           "shutdown request carries a body");
     ShutdownSeen = true;
     return encodeOk();
-  case protocol::Opcode::Resume:
-    // The transport layer handles Resume as the first frame of a
-    // connection; one that reaches a live session arrived mid-stream.
-    if (Count)
-      T.ReqResume.inc();
-    return countedError(ErrorCode::BadResume,
-                        "resume must be the first frame of a connection");
   default:
-    if (Count)
-      T.ReqUnknown.inc();
+    T.ReqUnknown.inc();
     break;
   }
   std::ostringstream OS;
@@ -441,10 +381,8 @@ std::vector<std::uint8_t> Session::handleQueryBatch(WireReader &R) {
   for (const BatchThreadStats &S : Result.PerThread)
     Positives += S.PositiveAnswers;
   Tally.Positives += Positives;
-  if (!Replaying) {
-    ServerTelemetry::get().Queries.inc(Result.Answers.size());
-    ServerTelemetry::get().Positives.inc(Positives);
-  }
+  ServerTelemetry::get().Queries.inc(Result.Answers.size());
+  ServerTelemetry::get().Positives.inc(Positives);
   return encodeAnswers(Result.Answers);
 }
 
@@ -523,12 +461,10 @@ std::vector<std::uint8_t> Session::handleEditCFG(WireReader &R) {
       AnyApplied = true;
       Touched[E.FuncIndex] = 1;
       ++Tally.EditsApplied;
-      if (!Replaying)
-        ServerTelemetry::get().EditsApplied.inc();
+      ServerTelemetry::get().EditsApplied.inc();
     } else {
       ++Tally.EditsRejected;
-      if (!Replaying)
-        ServerTelemetry::get().EditsRejected.inc();
+      ServerTelemetry::get().EditsRejected.inc();
     }
     Results.emplace_back(Applied ? 1 : 0, F.cfgVersion());
   }
@@ -559,19 +495,6 @@ std::vector<std::uint8_t> Session::handleStats() {
     S.Refreshes = CounterBase.Refreshes + C.Refreshes;
   }
   return encodeStatsReply(S);
-}
-
-std::vector<std::uint8_t>
-Session::replay(const std::vector<std::uint8_t> &Request) {
-  // The member flag gates the handlers' own registry increments; the
-  // thread-local one reaches countedError(), which has no session context
-  // (replay is synchronous on this thread, so the pairing is exact).
-  Replaying = true;
-  ReplayingOnThisThread = true;
-  std::vector<std::uint8_t> Reply = handle(Request);
-  ReplayingOnThisThread = false;
-  Replaying = false;
-  return Reply;
 }
 
 std::vector<std::uint8_t> Session::handleMetrics() {
@@ -660,7 +583,7 @@ std::size_t SessionManager::residentModules() const {
 }
 
 //===----------------------------------------------------------------------===//
-// SessionManager: admission and the resume plane.
+// SessionManager: admission.
 //===----------------------------------------------------------------------===//
 
 bool SessionManager::reserveSlot() {
@@ -687,103 +610,4 @@ std::unique_ptr<Session> SessionManager::createSession() {
 
 std::unique_ptr<Session> SessionManager::tryCreateSession() {
   return reserveSlot() ? openSession() : nullptr;
-}
-
-std::unique_ptr<Session> SessionManager::tryCreateResumableSession() {
-  std::unique_ptr<Session> S = tryCreateSession();
-  if (!S)
-    return nullptr;
-  S->markResumable(NextSessionId.fetch_add(1, std::memory_order_relaxed));
-  ServerTelemetry::get().ResumeOpened.inc();
-  return S;
-}
-
-void SessionManager::parkSession(std::unique_ptr<Session> S) {
-  if (!S || !S->resumable() || S->shutdownRequested())
-    return;
-  ParkedJournal P;
-  P.Journal = std::move(S->Journal);
-  P.Bytes = S->JournalBytes;
-  std::uint64_t Id = S->sessionId();
-  S.reset(); // The live session closes; only the replayable bytes persist.
-  const ServerTelemetry &T = ServerTelemetry::get();
-  std::lock_guard<std::mutex> Lock(ParkedMutex);
-  ParkedBytes += P.Bytes;
-  ParkedById[Id] = std::move(P); // Ids are unique; no clobber possible.
-  evictLockedPastCaps();
-  T.ResumeParked.set(static_cast<std::int64_t>(ParkedById.size()));
-  T.ResumeParkedBytes.set(static_cast<std::int64_t>(ParkedBytes));
-}
-
-void SessionManager::evictLockedPastCaps() {
-  const ServerTelemetry &T = ServerTelemetry::get();
-  while (!ParkedById.empty() &&
-         ((Cfg.MaxParkedSessions != 0 &&
-           ParkedById.size() > Cfg.MaxParkedSessions) ||
-          (Cfg.MaxParkedJournalBytes != 0 &&
-           ParkedBytes > Cfg.MaxParkedJournalBytes))) {
-    auto Oldest = ParkedById.begin(); // Monotone ids: begin() = oldest.
-    ParkedBytes -= Oldest->second.Bytes;
-    ParkedById.erase(Oldest);
-    T.ResumeEvictions.inc();
-  }
-}
-
-SessionManager::ResumeResult
-SessionManager::resumeSession(std::uint64_t SessionId,
-                              std::uint64_t HighWaterMark) {
-  const ServerTelemetry &T = ServerTelemetry::get();
-  T.ResumeAttempts.inc();
-  ResumeResult R;
-  ParkedJournal P;
-  {
-    std::lock_guard<std::mutex> Lock(ParkedMutex);
-    auto It = ParkedById.find(SessionId);
-    if (It == ParkedById.end()) {
-      T.ResumeUnknown.inc();
-      R.Reply = countedError(ErrorCode::UnknownSession,
-                             "session id was never issued, was evicted, or "
-                             "outgrew its journal");
-      return R;
-    }
-    if (HighWaterMark > It->second.Journal.size()) {
-      // The journal stays parked: a confused client must not destroy a
-      // resumable session.
-      R.Reply = countedError(ErrorCode::BadResume,
-                             "high-water mark beyond the journal");
-      return R;
-    }
-    P = std::move(It->second);
-    ParkedById.erase(It);
-    ParkedBytes -= P.Bytes;
-    T.ResumeParked.set(static_cast<std::int64_t>(ParkedById.size()));
-    T.ResumeParkedBytes.set(static_cast<std::int64_t>(ParkedBytes));
-  }
-
-  // Replay outside the lock: rebuilding a long session is real work and
-  // must not serialize unrelated park/resume traffic. Every reply is a
-  // pure function of the request prefix, so the rebuilt session — module,
-  // driver caches, tally — is byte-identical to the uninterrupted one, and
-  // the replies past the client's high-water mark are exactly the bytes it
-  // never received.
-  std::unique_ptr<Session> S = createSession();
-  S->markResumable(SessionId);
-  for (std::size_t I = 0; I != P.Journal.size(); ++I) {
-    std::vector<std::uint8_t> Reply = S->replay(P.Journal[I]);
-    if (I >= HighWaterMark)
-      R.PendingReplies.push_back(std::move(Reply));
-  }
-  T.ResumeReplayed.inc(P.Journal.size());
-  S->Journal = std::move(P.Journal);
-  S->JournalBytes = P.Bytes;
-  R.Reply = encodeResumed(SessionId, S->Journal.size(),
-                          R.PendingReplies.size());
-  T.ResumeOk.inc();
-  R.S = std::move(S);
-  return R;
-}
-
-std::size_t SessionManager::parkedSessions() const {
-  std::lock_guard<std::mutex> Lock(ParkedMutex);
-  return ParkedById.size();
 }

@@ -62,18 +62,8 @@
 /// the chain walk again only for values whose def-use chain changed (or,
 /// rarely, whose mask width a block split changed).
 ///
-/// The resume plane rides the same purity: a resumable session journals
-/// every dispatched request payload (bounded), the manager parks the
-/// journal when the connection drops, and a Resume handshake rebuilds the
-/// session by replaying the sequence against a fresh Session — replies are
-/// byte-identical to the uninterrupted session's, so the client is handed
-/// exactly the replies it missed and the connection continues as if the
-/// drop never happened. Replayed loads go through the same module
-/// registry as live ones, so a resumed session shares its module with the
-/// sessions that loaded the same text. Parked journals are evicted
-/// oldest-first past the configured caps; the `ssalive_server_resume_*`
-/// telemetry series report attempts, replays, evictions, and the parked
-/// footprint.
+/// A session lives exactly as long as its connection: when the peer hangs
+/// up, the session and every cache it built are dropped.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,27 +108,15 @@ struct ServerConfig {
   /// Error(Overloaded) WITHOUT being dispatched — bounded shed work per
   /// frame, no allocation proportional to the flood. 0 = disabled.
   std::size_t InFlightBudgetBytes = 8u << 20;
-  /// @}
-
-  /// \name Session resume.
-  /// @{
-  /// Journal cap per resumable session; outgrowing it keeps the session
-  /// serving but permanently drops resumability.
-  std::size_t MaxJournalBytes = 64u << 20;
-  /// Caps on *parked* (disconnected, resumable) sessions; past either,
-  /// the oldest parked journal is evicted.
-  std::size_t MaxParkedSessions = 64;
-  std::size_t MaxParkedJournalBytes = 256u << 20;
-  /// @}
 
   /// Session cap: when this many sessions are live, the transport answers
-  /// frames that would open a NEW session (a plain first frame or the
-  /// Resume(0, 0) handshake) with Error(Overloaded) instead; existing
+  /// a frame that would open a NEW session (a connection's first, or the
+  /// retry of a shed one) with Error(Overloaded) instead; existing
   /// sessions keep being served. The check and the slot reservation are
   /// one atomic step (SessionManager::tryCreateSession), so concurrent
-  /// admissions never overshoot. Resuming a parked session is not checked
-  /// against the cap. 0 = unlimited.
+  /// admissions never overshoot. 0 = unlimited.
   std::size_t MaxSessions = 0;
+  /// @}
 };
 
 class SessionManager;
@@ -166,29 +144,6 @@ public:
   /// True once a Shutdown request was seen (the transport layer stops the
   /// server after sending the Ok reply).
   bool shutdownRequested() const { return ShutdownSeen; }
-
-  /// \name Resume plane (driven by SessionManager and the transport).
-  /// A resumable session journals every payload handle() dispatches, in
-  /// order, so a reconnecting client can be re-served by replaying the
-  /// sequence against a fresh Session — every reply is a pure function of
-  /// it. The journal is bounded by ServerConfig::MaxJournalBytes;
-  /// overflowing drops it and latches the session unresumable (it keeps
-  /// serving, a later Resume gets Error(UnknownSession)).
-  /// @{
-  /// Nonzero once markResumable was called.
-  std::uint64_t sessionId() const { return SessionId; }
-  bool resumable() const { return Resumable && !JournalOverflowed; }
-  void markResumable(std::uint64_t Id) {
-    SessionId = Id;
-    Resumable = true;
-  }
-  /// Requests dispatched (and journaled) so far; what Resumed reports as
-  /// journalLen.
-  std::uint64_t journalLength() const { return Journal.size(); }
-  /// @}
-
-  /// Replays \p Request without re-journaling it (resume rebuilds).
-  std::vector<std::uint8_t> replay(const std::vector<std::uint8_t> &Request);
 
   /// \name Introspection for tests (the server-routed fuzz mode compares
   /// the session's repaired analyses bit for bit against fresh rebuilds).
@@ -248,21 +203,12 @@ private:
   std::vector<protocol::EditItem> EditsBuf;
   std::vector<std::pair<std::uint8_t, std::uint64_t>> EditResultsBuf;
   std::vector<std::uint8_t> TouchedBuf;
-
-  /// Resume state (see the resume-plane accessors above).
-  std::uint64_t SessionId = 0;
-  bool Resumable = false;
-  bool Replaying = false;
-  bool JournalOverflowed = false;
-  std::vector<std::vector<std::uint8_t>> Journal;
-  std::size_t JournalBytes = 0;
 };
 
 /// Owns what every session shares: the config, the one process-wide query
-/// pool, the live-session count the session cap reads, the module registry,
-/// and the parked-journal store of the resume plane. Thread-safe; sessions
-/// are created, parked, and resumed from concurrent connection handlers.
-/// Session ids start at 1 and count up.
+/// pool, the live-session count the session cap reads, and the module
+/// registry. Thread-safe; sessions are created from concurrent connection
+/// handlers.
 class SessionManager {
 public:
   explicit SessionManager(ServerConfig Cfg) : Cfg(Cfg), Pool(Cfg.Threads) {}
@@ -271,54 +217,19 @@ public:
   ThreadPool &pool() { return Pool; }
 
   /// Opens a session regardless of the session cap (in-process harnesses
-  /// and oracles; resume rebuilds go through the same path).
+  /// and oracles).
   std::unique_ptr<Session> createSession();
 
-  /// \name Capped admission.
-  /// Reserve a live-session slot with one compare-and-swap and open the
-  /// session in it; null when ServerConfig::MaxSessions sessions are
-  /// already live.
-  /// @{
+  /// Capped admission: reserves a live-session slot with one
+  /// compare-and-swap and opens the session in it; null when
+  /// ServerConfig::MaxSessions sessions are already live.
   std::unique_ptr<Session> tryCreateSession();
-  /// Same, for a session that journals its dispatched requests under a
-  /// fresh id (the Resume sessionId=0 handshake).
-  std::unique_ptr<Session> tryCreateResumableSession();
-  /// @}
-
-  /// Outcome of a Resume(sessionId != 0) handshake.
-  struct ResumeResult {
-    /// The rebuilt session; null if the resume was refused (Reply is an
-    /// Error frame then).
-    std::unique_ptr<Session> S;
-    /// The Resumed (or Error) frame to send first.
-    std::vector<std::uint8_t> Reply;
-    /// Replies to journaled requests past the client's high-water mark,
-    /// re-sent right after \p Reply, in request order.
-    std::vector<std::vector<std::uint8_t>> PendingReplies;
-  };
-
-  /// Re-attaches to a parked session: pops its journal, replays the whole
-  /// request sequence against a fresh Session, and returns the replies the
-  /// client acknowledged not having seen. Error(UnknownSession) if the id
-  /// was never issued, was evicted, or overflowed its journal bound;
-  /// Error(BadResume) if \p HighWaterMark exceeds the journal length (the
-  /// journal stays parked in that case).
-  ResumeResult resumeSession(std::uint64_t SessionId,
-                             std::uint64_t HighWaterMark);
-
-  /// Parks a disconnected session's journal for a later resume. No-op
-  /// unless the session is resumable and did not request shutdown. Evicts
-  /// the oldest parked journals past the configured caps.
-  void parkSession(std::unique_ptr<Session> S);
 
   /// Sessions currently alive (created, not yet destroyed) — the figure
   /// the session cap is checked against.
   std::int64_t activeSessions() const {
     return ActiveSessions.load(std::memory_order_relaxed);
   }
-
-  /// Parked journals currently held (tests).
-  std::size_t parkedSessions() const;
 
   /// Modules currently in the registry: alive, and not yet made private by
   /// a sole owner's edit (tests).
@@ -339,29 +250,14 @@ private:
   /// text and returns true: the caller may then edit it in place.
   bool detachIfSole(const std::shared_ptr<LoadedModule> &M);
 
-  /// One parked session's replayable state.
-  struct ParkedJournal {
-    std::vector<std::vector<std::uint8_t>> Journal;
-    std::size_t Bytes = 0;
-  };
-
   /// Claims a live-session slot unless the cap is reached.
   bool reserveSlot();
   /// Opens a session in an already reserved slot.
   std::unique_ptr<Session> openSession();
 
-  void evictLockedPastCaps();
-
   ServerConfig Cfg;
   ThreadPool Pool;
   std::atomic<std::int64_t> ActiveSessions{0};
-  std::atomic<std::uint64_t> NextSessionId{1};
-
-  mutable std::mutex ParkedMutex;
-  /// Keyed by the monotone session id: begin() is the oldest, the one the
-  /// eviction policy drops first.
-  std::map<std::uint64_t, ParkedJournal> ParkedById;
-  std::size_t ParkedBytes = 0;
 
   mutable std::mutex ModulesMutex;
   /// Keyed by (hash of the text, length); entries with equal keys are told

@@ -46,7 +46,6 @@ bool isReplyOpcode(std::uint8_t Op) {
   case proto::Opcode::StatsReply:
   case proto::Opcode::Ok:
   case proto::Opcode::MetricsReply:
-  case proto::Opcode::Resumed:
   case proto::Opcode::Error:
     return true;
   default:
@@ -97,15 +96,12 @@ TEST(ProtocolFuzz, EmptyAndUnknownOpcodesYieldErrors) {
   auto S = Mgr.createSession();
   EXPECT_TRUE(isError(S->handle(nullptr, 0),
                       proto::ErrorCode::MalformedFrame));
-  for (unsigned Op : {0x00u, 0x08u, 0x42u, 0x80u, 0x90u, 0xFEu}) {
+  // 0x07 is retired: never reused, answered like any unknown opcode.
+  for (unsigned Op : {0x00u, 0x07u, 0x08u, 0x42u, 0x80u, 0x90u, 0xFEu}) {
     std::vector<std::uint8_t> P{static_cast<std::uint8_t>(Op)};
     EXPECT_TRUE(isError(S->handle(P), proto::ErrorCode::UnknownOpcode))
         << "opcode " << Op;
   }
-  // 0x07 is Resume, legal only as a connection's first frame — dispatched
-  // mid-session it is a protocol violation, not an unknown opcode.
-  EXPECT_TRUE(isError(S->handle(proto::encodeResume(1, 0)),
-                      proto::ErrorCode::BadResume));
 }
 
 TEST(ProtocolFuzz, CommandsBeforeLoadAreRejected) {
@@ -637,6 +633,8 @@ TEST(ProtocolFuzz, FloodPastTheInFlightBudgetIsShedWellFormed) {
 
   std::uint64_t ShedBefore = telemetry::Registry::global().value(
       "ssalive_server_shed_frames_total");
+  std::uint64_t StatsBefore = telemetry::Registry::global().value(
+      "ssalive_server_requests_stats_total");
   std::thread ServerThread([&] {
     Server.serveStream(Pair[1], Pair[1]);
     ::close(Pair[1]);
@@ -660,7 +658,7 @@ TEST(ProtocolFuzz, FloodPastTheInFlightBudgetIsShedWellFormed) {
   ServerThread.join();
   EXPECT_EQ(Served + Shed, Flood);
   EXPECT_GE(Shed, Flood / 2) << "most of the flood must be shed";
-  EXPECT_GE(Served, 1u) << "draining below the budget must resume service";
+  EXPECT_GE(Served, 1u) << "draining below the budget must restore service";
   // Shed work is bounded per frame: the telemetry ledger advances by
   // exactly the shed replies — nothing queued, nothing allocated
   // proportional to the flood's depth.
@@ -668,48 +666,42 @@ TEST(ProtocolFuzz, FloodPastTheInFlightBudgetIsShedWellFormed) {
                 "ssalive_server_shed_frames_total") -
                 ShedBefore,
             Shed);
+  // Shed frames are never dispatched: only the served ones reach the
+  // session's request counter.
+  EXPECT_EQ(telemetry::Registry::global().value(
+                "ssalive_server_requests_stats_total") -
+                StatsBefore,
+            Served);
 }
 
 //===----------------------------------------------------------------------===//
-// Resume-frame fuzz over the stream transport.
+// Retired opcodes over the stream transport.
 //===----------------------------------------------------------------------===//
 
-TEST(ProtocolFuzz, ResumeHandshakeOpensAndMidConnectionResumeIsRejected) {
+TEST(ProtocolFuzz, RetiredOpcode07IsUnknownAtAnyPosition) {
+  // 0x07 is a retired request opcode. A frame of its old shape (the opcode,
+  // then two u64s: 17 bytes) must be an unknown opcode wherever it lands —
+  // as the frame that opens the session and mid-stream alike — and the
+  // stream must keep serving afterwards.
+  std::vector<std::uint8_t> Retired(17, 0);
+  Retired[0] = 0x07;
   std::vector<std::uint8_t> Stream;
-  appendFrame(Stream, proto::encodeResume(0, 0)); // Open a resumable session.
+  appendFrame(Stream, Retired);
   appendFrame(Stream, proto::encodeStats());
-  appendFrame(Stream, proto::encodeResume(0, 0)); // Mid-connection: illegal.
-  appendFrame(Stream, proto::encodeStats());      // Stream still serves.
+  appendFrame(Stream, Retired);
+  appendFrame(Stream, proto::encodeStats());
+  std::uint64_t UnknownBefore = telemetry::Registry::global().value(
+      "ssalive_server_requests_unknown_total");
   auto Replies = rawStream(Stream);
   ASSERT_EQ(Replies.size(), 4u);
-  EXPECT_EQ(Replies[0][0],
-            static_cast<std::uint8_t>(proto::Opcode::Resumed));
+  EXPECT_TRUE(isError(Replies[0], proto::ErrorCode::UnknownOpcode));
   EXPECT_EQ(Replies[1][0],
             static_cast<std::uint8_t>(proto::Opcode::StatsReply));
-  EXPECT_TRUE(isError(Replies[2], proto::ErrorCode::BadResume));
+  EXPECT_TRUE(isError(Replies[2], proto::ErrorCode::UnknownOpcode));
   EXPECT_EQ(Replies[3][0],
             static_cast<std::uint8_t>(proto::Opcode::StatsReply));
-}
-
-TEST(ProtocolFuzz, HostileResumeFramesGetWellFormedErrors) {
-  // Truncated bodies, trailing garbage, a high-water mark with no id,
-  // and an id the server never issued — every one answered well-formed,
-  // and the connection remains usable as a plain session afterwards.
-  std::vector<std::uint8_t> Stream;
-  appendFrame(Stream, {0x07});             // Opcode alone.
-  appendFrame(Stream, {0x07, 0x01, 0x02}); // Truncated id.
-  auto Trailing = proto::encodeResume(0, 0);
-  Trailing.push_back(0xAB);
-  appendFrame(Stream, Trailing);                  // Trailing garbage.
-  appendFrame(Stream, proto::encodeResume(0, 9)); // Hwm without an id.
-  appendFrame(Stream, proto::encodeResume(0xDEAD, 0)); // Never issued.
-  appendFrame(Stream, proto::encodeStats());
-  auto Replies = rawStream(Stream);
-  ASSERT_EQ(Replies.size(), 6u);
-  for (unsigned I = 0; I != 4; ++I)
-    EXPECT_TRUE(isError(Replies[I], proto::ErrorCode::BadResume))
-        << "hostile resume " << I;
-  EXPECT_TRUE(isError(Replies[4], proto::ErrorCode::UnknownSession));
-  EXPECT_EQ(Replies[5][0],
-            static_cast<std::uint8_t>(proto::Opcode::StatsReply));
+  EXPECT_EQ(telemetry::Registry::global().value(
+                "ssalive_server_requests_unknown_total") -
+                UnknownBefore,
+            2u);
 }

@@ -449,15 +449,6 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
   EXPECT_TRUE(Server.stopRequested());
 }
 
-//===----------------------------------------------------------------------===//
-// The resume differential over TCP loopback: each client replays >= 1k
-// mixed query/edit frames, is killed mid-stream with replies in flight,
-// reconnects with Resume, and every reply — before the kill, re-sent as
-// pending, and after the resume — must be byte-identical to an
-// uninterrupted in-process oracle session fed the same sequence. Soaked
-// across three backends concurrently against one server.
-//===----------------------------------------------------------------------===//
-
 namespace {
 
 int connectLoopback(std::uint16_t Port) {
@@ -478,27 +469,13 @@ int connectLoopback(std::uint16_t Port) {
   return Fd;
 }
 
-bool readResumed(const std::vector<std::uint8_t> &Reply, std::uint64_t &Sid,
-                 std::uint64_t &JournalLen, std::uint64_t &Pending) {
-  if (Reply.empty() ||
-      Reply[0] != static_cast<std::uint8_t>(proto::Opcode::Resumed))
-    return false;
-  proto::WireReader R(Reply.data() + 1, Reply.size() - 1);
-  Sid = R.u64();
-  JournalLen = R.u64();
-  Pending = R.u64();
-  return R.ok() && R.atEnd();
-}
-
 /// A deterministic request sequence: module load plus mixed query/edit
 /// frames, \p Frames in all. The local module copy evolves in lockstep so
 /// every generated edit and workload is valid on the server's copy too.
-/// Adds the number of queries in the stream to \p Queries; returns an
-/// empty sequence after a recorded failure.
+/// Returns an empty sequence after a recorded failure.
 std::vector<std::vector<std::uint8_t>>
 buildMixedStream(std::uint64_t Seed, unsigned ClientId, BatchBackend Backend,
-                 QueryPlane Plane, std::size_t Frames,
-                 std::uint64_t &Queries) {
+                 QueryPlane Plane, std::size_t Frames) {
   std::string Text = makeModuleText(Seed, /*NumFuncs=*/4);
   ModuleParseResult Local = parseModule(Text);
   if (!Local.Error.empty()) {
@@ -539,7 +516,6 @@ buildMixedStream(std::uint64_t Seed, unsigned ClientId, BatchBackend Backend,
       for (const BatchQuery &Q : Workload)
         Items.push_back({Q.FuncIndex, Q.ValueId, Q.BlockId, Q.IsLiveOut});
       Requests.push_back(proto::encodeQueryBatch(Items));
-      Queries += Workload.size();
     }
   }
   return Requests;
@@ -547,7 +523,7 @@ buildMixedStream(std::uint64_t Seed, unsigned ClientId, BatchBackend Backend,
 
 /// Replies of an uninterrupted in-process session fed \p Requests. Reply
 /// purity makes them the ground truth for any connection that sends the
-/// same sequence, dropped and resumed or not.
+/// same sequence.
 std::vector<std::vector<std::uint8_t>>
 oracleReplies(const std::vector<std::vector<std::uint8_t>> &Requests) {
   server::SessionManager OracleMgr(
@@ -566,9 +542,8 @@ oracleReplies(const std::vector<std::vector<std::uint8_t>> &Requests) {
 std::uint64_t runMixedClient(std::uint16_t Port, std::uint64_t Seed,
                              BatchBackend Backend, QueryPlane Plane,
                              unsigned ClientId) {
-  std::uint64_t Queries = 0;
-  std::vector<std::vector<std::uint8_t>> Requests = buildMixedStream(
-      Seed, ClientId, Backend, Plane, /*Frames=*/400, Queries);
+  std::vector<std::vector<std::uint8_t>> Requests =
+      buildMixedStream(Seed, ClientId, Backend, Plane, /*Frames=*/400);
   std::vector<std::vector<std::uint8_t>> Expected = oracleReplies(Requests);
   int Fd = connectLoopback(Port);
   if (Fd < 0) {
@@ -588,165 +563,15 @@ std::uint64_t runMixedClient(std::uint16_t Port, std::uint64_t Seed,
   return I;
 }
 
-void runResumeClient(std::uint16_t Port, std::uint64_t Seed,
-                     BatchBackend Backend, QueryPlane Plane,
-                     unsigned ClientId,
-                     std::atomic<std::uint64_t> *QueryLedger = nullptr) {
-  auto tag = [&](const char *What, std::size_t Index) {
-    std::ostringstream OS;
-    OS << "resume client " << ClientId << " seed=" << Seed << " backend="
-       << batchBackendName(Backend) << ": " << What << " #" << Index;
-    return OS.str();
-  };
-
-  const std::size_t TotalFrames = 1200;
-  std::uint64_t QueriesInStream = 0;
-  std::vector<std::vector<std::uint8_t>> Requests = buildMixedStream(
-      Seed, ClientId, Backend, Plane, TotalFrames, QueriesInStream);
-  ASSERT_EQ(Requests.size(), TotalFrames) << tag("stream", 0);
-  // Every frame is dispatched exactly once by the oracle session and
-  // exactly once by the live server — resume REPLAYS must not re-count
-  // (the registry double-count fix) — so the campaign's expected
-  // queries_total delta is 2x this ledger per client.
-  if (QueryLedger)
-    QueryLedger->fetch_add(2 * QueriesInStream);
-  std::vector<std::vector<std::uint8_t>> Expected = oracleReplies(Requests);
-
-  // ---- Live run: handshake, then kill mid-stream with replies unread.
-  const std::size_t KillAt = 1050;  // Round-tripped before the kill.
-  const std::size_t Unacked = 30;   // Sent with replies left in flight.
-  const std::size_t DrainAck = 10;  // ...of which this many get read.
-  int Fd = connectLoopback(Port);
-  ASSERT_GE(Fd, 0) << tag("connect", 0);
-  std::vector<std::uint8_t> Reply;
-  ASSERT_TRUE(roundTrip(Fd, proto::encodeResume(0, 0), Reply))
-      << tag("handshake", 0);
-  std::uint64_t Sid = 0, JournalLen = 0, Pending = 0;
-  ASSERT_TRUE(readResumed(Reply, Sid, JournalLen, Pending))
-      << tag("handshake reply", 0);
-  ASSERT_NE(Sid, 0u);
-
-  for (std::size_t I = 0; I != KillAt; ++I) {
-    ASSERT_TRUE(roundTrip(Fd, Requests[I], Reply)) << tag("transport", I);
-    ASSERT_EQ(Reply, Expected[I]) << tag("pre-kill reply mismatch", I);
-  }
-  for (std::size_t I = KillAt; I != KillAt + Unacked; ++I)
-    ASSERT_TRUE(proto::writeFrame(Fd, Requests[I])) << tag("flood", I);
-  for (std::size_t I = KillAt; I != KillAt + DrainAck; ++I) {
-    ASSERT_EQ(proto::readFrame(Fd, Reply), proto::ReadStatus::Ok)
-        << tag("drain", I);
-    ASSERT_EQ(Reply, Expected[I]) << tag("drained reply mismatch", I);
-  }
-  // The kill: half-close, discard whatever was in flight, hang up. The
-  // server dispatches everything it already received (journalLen is
-  // exactly KillAt + Unacked), parks the journal on EOF.
-  ::shutdown(Fd, SHUT_WR);
-  while (proto::readFrame(Fd, Reply) == proto::ReadStatus::Ok) {
-  }
-  ::close(Fd);
-
-  // ---- Reconnect and resume at the true high-water mark. The old
-  // handler may still be noticing the EOF, so retry UnknownSession.
-  const std::uint64_t Hwm = KillAt + DrainAck;
-  Fd = connectLoopback(Port);
-  ASSERT_GE(Fd, 0) << tag("reconnect", 0);
-  bool Resumed = false;
-  for (int Try = 0; Try != 500 && !Resumed; ++Try) {
-    ASSERT_TRUE(roundTrip(Fd, proto::encodeResume(Sid, Hwm), Reply))
-        << tag("resume transport", Try);
-    Resumed = readResumed(Reply, Sid, JournalLen, Pending);
-    if (!Resumed)
-      ::usleep(10000);
-  }
-  ASSERT_TRUE(Resumed) << tag("resume", 0);
-  ASSERT_EQ(JournalLen, KillAt + Unacked) << tag("journal length", 0);
-  ASSERT_EQ(Pending, Unacked - DrainAck) << tag("pending count", 0);
-  for (std::uint64_t I = 0; I != Pending; ++I) {
-    ASSERT_EQ(proto::readFrame(Fd, Reply), proto::ReadStatus::Ok)
-        << tag("pending transport", I);
-    ASSERT_EQ(Reply, Expected[Hwm + I])
-        << tag("pending reply mismatch", Hwm + I);
-  }
-
-  // ---- The rebuilt session serves the rest of the stream byte-identically.
-  for (std::size_t I = KillAt + Unacked; I != TotalFrames; ++I) {
-    ASSERT_TRUE(roundTrip(Fd, Requests[I], Reply)) << tag("post", I);
-    ASSERT_EQ(Reply, Expected[I]) << tag("post-resume reply mismatch", I);
-  }
-  ::close(Fd);
-}
-
 } // namespace
 
-TEST(ServerSoak, TcpResumeDifferentialMatchesUninterruptedOracle) {
-  proto::ignoreSigpipe();
-  server::ServerConfig Cfg;
-  Cfg.Threads = 2;
-  server::LivenessServer Server(Cfg);
-  std::string Err;
-  ASSERT_TRUE(Server.listenTcp("127.0.0.1", /*Port=*/0, Err)) << Err;
-  ASSERT_NE(Server.boundTcpPort(), 0);
-  Server.start();
-
-  std::uint64_t ResumesBefore = telemetry::Registry::global().value(
-      "ssalive_server_resume_ok_total");
-  // Registry reconcile ACROSS the kill/resume cycle: the journal replay
-  // that rebuilds each killed session must not re-increment the
-  // process-wide query counter, so the delta is exactly the oracle's
-  // dispatch count plus the live server's — 2x each client's stream.
-  std::uint64_t QueriesBefore =
-      telemetry::Registry::global().value("ssalive_server_queries_total");
-  std::atomic<std::uint64_t> QueryLedger{0};
-
-  // Three sessions concurrently: two on the cached prepared plane and one
-  // on block-id — so the replayed journals rebuild every plane.
-  struct ResumePlanEntry {
-    std::uint64_t Seed;
-    BatchBackend Backend;
-    QueryPlane Plane;
-  };
-  std::vector<ResumePlanEntry> Plans = {
-      {3001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3002, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {3003, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
-  };
-  std::vector<std::thread> Clients;
-  for (std::size_t I = 0; I != Plans.size(); ++I)
-    Clients.emplace_back([&, I] {
-      runResumeClient(Server.boundTcpPort(), Plans[I].Seed,
-                      Plans[I].Backend, Plans[I].Plane,
-                      static_cast<unsigned>(I), &QueryLedger);
-    });
-  for (std::thread &T : Clients)
-    T.join();
-
-  EXPECT_EQ(telemetry::Registry::global().value(
-                "ssalive_server_resume_ok_total") -
-                ResumesBefore,
-            Plans.size());
-  EXPECT_EQ(telemetry::Registry::global().value(
-                "ssalive_server_queries_total") -
-                QueriesBefore,
-            QueryLedger.load())
-      << "replayed journals must not re-count queries in the registry";
-
-  int Fd = connectLoopback(Server.boundTcpPort());
-  ASSERT_GE(Fd, 0);
-  std::vector<std::uint8_t> Reply;
-  ASSERT_TRUE(roundTrip(Fd, proto::encodeShutdown(), Reply));
-  EXPECT_EQ(Reply, proto::encodeOk());
-  ::close(Fd);
-  Server.wait();
-}
-
 //===----------------------------------------------------------------------===//
-// The mixed soak: plain differential clients run beside kill-and-resume
-// clients on one server over TCP, so resume replays and parks share the
-// parked-journal store and the query pool with live differential traffic.
-// Every reply is byte-compared against a single-session oracle.
+// The TCP soak: six differential clients share one server's query pool
+// over loopback TCP, each streaming mixed query/edit frames on its own
+// module. Every reply is byte-compared against a single-session oracle.
 //===----------------------------------------------------------------------===//
 
-TEST(ServerSoak, MixedDifferentialAndResumeClientsMatchOracles) {
+TEST(ServerSoak, TcpDifferentialClientsMatchOracles) {
   proto::ignoreSigpipe();
   server::ServerConfig Cfg;
   Cfg.Threads = 2;
@@ -775,12 +600,6 @@ TEST(ServerSoak, MixedDifferentialAndResumeClientsMatchOracles) {
       Frames.fetch_add(runMixedClient(Server.boundTcpPort(), Plans[I].Seed,
                                       Plans[I].Backend, Plans[I].Plane,
                                       static_cast<unsigned>(I)));
-    });
-  for (unsigned I = 0; I != 2; ++I)
-    Clients.emplace_back([&, I] {
-      runResumeClient(Server.boundTcpPort(), 7101 + I,
-                      BatchBackend::LiveCheckPropagated,
-                      QueryPlane::Prepared, I);
     });
   for (std::thread &T : Clients)
     T.join();

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Directed regressions for the server's lifecycle and resume planes:
+// Directed regressions for the server's lifecycle and overload planes:
 //
 //  * The teardown hang: stop() used to only raise StopFlag, so a handler
 //    blocked in readFrame on an idle-but-connected client kept wait()
@@ -18,20 +18,12 @@
 //    well-formed Error(Overloaded) and a close; frames that would open a
 //    session past MaxSessions are shed, and concurrent admissions never
 //    overshoot the cap.
-//  * The resume plane: unknown/evicted ids, bad high-water marks,
-//    journal-overflow latching, oldest-first eviction, and the core
-//    replay contract — a park/resume cycle rebuilds a session whose
-//    pending and future replies are byte-identical to an uninterrupted
-//    oracle session fed the same request sequence.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/LivenessServer.h"
 
 #include "TestUtil.h"
-#include "ir/IRParser.h"
-#include "ir/IRPrinter.h"
-#include "pipeline/BatchLivenessDriver.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -78,18 +70,6 @@ bool isError(const std::vector<std::uint8_t> &Reply, proto::ErrorCode Code) {
   std::uint16_t Got = static_cast<std::uint16_t>(Reply[1]) |
                       static_cast<std::uint16_t>(Reply[2]) << 8;
   return Got == static_cast<std::uint16_t>(Code);
-}
-
-bool isResumed(const std::vector<std::uint8_t> &Reply, std::uint64_t &Sid,
-               std::uint64_t &JournalLen, std::uint64_t &Pending) {
-  if (Reply.empty() ||
-      Reply[0] != static_cast<std::uint8_t>(proto::Opcode::Resumed))
-    return false;
-  proto::WireReader R(Reply.data() + 1, Reply.size() - 1);
-  Sid = R.u64();
-  JournalLen = R.u64();
-  Pending = R.u64();
-  return R.ok() && R.atEnd();
 }
 
 } // namespace
@@ -254,106 +234,9 @@ TEST(ServerOverload, ConnectionChurnBelowTheCapIsNeverShed) {
   Server.wait();
 }
 
-// The shed/resume interaction the client-side high-water fix is about:
-// shed frames are answered Error(Overloaded) WITHOUT being dispatched or
-// journaled, so they must not count toward the resume high-water mark. A
-// client that counted them (the old ssalive-client bug) resumes off by
-// the shed count — BadResume here, silently skipped replies in the worst
-// case. This drives the exact flood/drop/resume cycle over TCP.
-TEST(ServerOverload, ShedFramesDoNotCountTowardTheResumeHighWaterMark) {
-  proto::ignoreSigpipe();
-  server::ServerConfig Cfg;
-  Cfg.InFlightBudgetBytes = 64; // Tiny: a one-write flood trips it.
-  server::LivenessServer Server(Cfg);
-  std::string Err;
-  ASSERT_TRUE(Server.listenTcp("127.0.0.1", 0, Err)) << Err;
-  Server.start();
-
-  int Fd = connectLoopback(Server.boundTcpPort());
-  ASSERT_GE(Fd, 0);
-  std::vector<std::uint8_t> Reply;
-  ASSERT_TRUE(proto::roundTrip(Fd, Fd, proto::encodeResume(0, 0), Reply));
-  std::uint64_t Sid = 0, JournalLen = 0, Pending = 0;
-  ASSERT_TRUE(isResumed(Reply, Sid, JournalLen, Pending));
-  ASSERT_NE(Sid, 0u);
-
-  // Flood: 200 Stats frames in one write, far past the 64-byte budget,
-  // then read all 200 replies without interleaving. The server serves
-  // what it reads with little queued behind it and sheds the rest.
-  const unsigned Flood = 200;
-  std::vector<std::uint8_t> Burst;
-  for (unsigned I = 0; I != Flood; ++I) {
-    std::vector<std::uint8_t> Frame = proto::encodeStats();
-    std::uint32_t Len = static_cast<std::uint32_t>(Frame.size());
-    for (int B = 0; B != 4; ++B)
-      Burst.push_back(static_cast<std::uint8_t>(Len >> (8 * B)));
-    Burst.insert(Burst.end(), Frame.begin(), Frame.end());
-  }
-  ASSERT_EQ(::write(Fd, Burst.data(), Burst.size()),
-            static_cast<ssize_t>(Burst.size()));
-  std::uint64_t Served = 0, Shed = 0;
-  for (unsigned I = 0; I != Flood; ++I) {
-    ASSERT_EQ(proto::readFrame(Fd, Reply), proto::ReadStatus::Ok)
-        << "flood reply " << I;
-    if (isError(Reply, proto::ErrorCode::Overloaded))
-      ++Shed;
-    else {
-      ASSERT_EQ(Reply[0],
-                static_cast<std::uint8_t>(proto::Opcode::StatsReply));
-      ++Served;
-    }
-  }
-  ASSERT_GE(Shed, 1u) << "the flood must trip the in-flight budget";
-  ASSERT_GE(Served, 1u);
-
-  // Drop the connection with the journal holding exactly the SERVED
-  // frames, then resume. Counting shed replies (served + shed) overshoots
-  // the journal: BadResume, and the journal stays parked.
-  ::close(Fd);
-  Fd = connectLoopback(Server.boundTcpPort());
-  ASSERT_GE(Fd, 0);
-  bool Answered = false;
-  for (int Try = 0; Try != 500 && !Answered; ++Try) {
-    ASSERT_TRUE(
-        proto::roundTrip(Fd, Fd, proto::encodeResume(Sid, Served + Shed),
-                         Reply));
-    // UnknownSession: the dropped handler has not parked the journal yet.
-    Answered = !isError(Reply, proto::ErrorCode::UnknownSession);
-    if (!Answered)
-      ::usleep(10000);
-  }
-  ASSERT_TRUE(Answered);
-  EXPECT_TRUE(isError(Reply, proto::ErrorCode::BadResume))
-      << "a high-water mark inflated by shed frames must be refused";
-
-  // The true high-water mark — dispatched frames only — resumes cleanly:
-  // journalLen is exactly Served, nothing pending, zero skipped replies.
-  ASSERT_TRUE(proto::roundTrip(Fd, Fd, proto::encodeResume(Sid, Served),
-                               Reply));
-  ASSERT_TRUE(isResumed(Reply, Sid, JournalLen, Pending));
-  EXPECT_EQ(JournalLen, Served) << "shed frames must never be journaled";
-  EXPECT_EQ(Pending, 0u);
-
-  // And the rebuilt session continues byte-identically to an oracle fed
-  // only the dispatched frames.
-  server::SessionManager OracleMgr({});
-  auto OracleS = OracleMgr.createSession();
-  for (std::uint64_t I = 0; I != Served; ++I)
-    OracleS->handle(proto::encodeStats());
-  ASSERT_TRUE(proto::roundTrip(Fd, Fd, proto::encodeStats(), Reply));
-  EXPECT_EQ(Reply, OracleS->handle(proto::encodeStats()))
-      << "post-resume stream must match the unshed oracle byte for byte";
-
-  ASSERT_TRUE(proto::roundTrip(Fd, Fd, proto::encodeShutdown(), Reply));
-  EXPECT_EQ(Reply, proto::encodeOk());
-  ::close(Fd);
-  Server.wait();
-}
-
 // The session cap sheds admissions, not service: past MaxSessions, a frame
-// that would open a NEW session — a plain first frame or the Resume(0, 0)
-// handshake — is answered Error(Overloaded) and counted as one shed frame,
-// while the session already open keeps being served.
+// that would open a NEW session is answered Error(Overloaded) and counted as
+// one shed frame, while the session already open keeps being served.
 TEST(ServerOverload, SessionCapShedsNewSessionsButServesExisting) {
   proto::ignoreSigpipe();
   server::ServerConfig Cfg;
@@ -395,9 +278,9 @@ TEST(ServerOverload, SessionCapShedsNewSessionsButServesExisting) {
                                Reply));
   EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply));
 
-  // A resumable-open handshake is admission too: shed the same way.
+  // A retry while the cap still holds is shed the same way.
   ShedBefore = shedFrames();
-  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeResume(0, 0),
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeStats(),
                                Reply));
   EXPECT_TRUE(isError(Reply, proto::ErrorCode::Overloaded));
   EXPECT_EQ(shedFrames() - ShedBefore, 1u);
@@ -436,8 +319,7 @@ TEST(ServerOverload, SessionCapIsExactUnderConcurrentAdmission) {
         Ready.fetch_add(1);
         while (Ready.load() != Threads)
           std::this_thread::yield();
-        Opened[I] = I % 2 ? Mgr.tryCreateResumableSession()
-                          : Mgr.tryCreateSession();
+        Opened[I] = Mgr.tryCreateSession();
         std::int64_t Live = Mgr.activeSessions();
         std::int64_t Seen = MaxLive.load();
         while (Live > Seen && !MaxLive.compare_exchange_weak(Seen, Live)) {
@@ -454,181 +336,4 @@ TEST(ServerOverload, SessionCapIsExactUnderConcurrentAdmission) {
     EXPECT_EQ(Mgr.activeSessions(), 1) << "round " << Round;
   }
   EXPECT_EQ(Mgr.activeSessions(), 0);
-}
-
-//===----------------------------------------------------------------------===//
-// The resume plane, driven in-process through SessionManager.
-//===----------------------------------------------------------------------===//
-
-TEST(SessionResume, UnknownIdsAndBadHighWaterMarksAreRefused) {
-  server::SessionManager Mgr({});
-  auto Unknown = Mgr.resumeSession(/*SessionId=*/42, /*HighWaterMark=*/0);
-  EXPECT_EQ(Unknown.S, nullptr);
-  EXPECT_TRUE(isError(Unknown.Reply, proto::ErrorCode::UnknownSession));
-
-  auto S = Mgr.tryCreateResumableSession();
-  std::uint64_t Id = S->sessionId();
-  ASSERT_NE(Id, 0u);
-  EXPECT_EQ(S->handle(proto::encodeStats())[0],
-            static_cast<std::uint8_t>(proto::Opcode::StatsReply));
-  EXPECT_EQ(S->journalLength(), 1u);
-  Mgr.parkSession(std::move(S));
-  EXPECT_EQ(Mgr.parkedSessions(), 1u);
-
-  // A high-water mark beyond the journal is the client's confusion, not
-  // grounds to destroy the parked journal.
-  auto Bad = Mgr.resumeSession(Id, /*HighWaterMark=*/5);
-  EXPECT_EQ(Bad.S, nullptr);
-  EXPECT_TRUE(isError(Bad.Reply, proto::ErrorCode::BadResume));
-  EXPECT_EQ(Mgr.parkedSessions(), 1u);
-
-  auto Good = Mgr.resumeSession(Id, /*HighWaterMark=*/1);
-  ASSERT_NE(Good.S, nullptr);
-  std::uint64_t Sid = 0, JournalLen = 0, Pending = 0;
-  ASSERT_TRUE(isResumed(Good.Reply, Sid, JournalLen, Pending));
-  EXPECT_EQ(Sid, Id);
-  EXPECT_EQ(JournalLen, 1u);
-  EXPECT_EQ(Pending, 0u);
-  EXPECT_TRUE(Good.PendingReplies.empty());
-  EXPECT_EQ(Mgr.parkedSessions(), 0u);
-}
-
-TEST(SessionResume, ReplayRebuildsByteIdenticalSessionAndPendingReplies) {
-  server::SessionManager Mgr({});
-
-  // A deterministic request sequence with real work in it: module load,
-  // five query batches, stats.
-  std::string Text;
-  for (unsigned I = 0; I != 2; ++I)
-    Text += printFunction(*randomSSAFunction(9100 + I,
-                                             {/*TargetBlocks=*/16}));
-  ModuleParseResult Parsed = parseModule(Text);
-  ASSERT_TRUE(Parsed.Error.empty()) << Parsed.Error;
-  std::vector<const Function *> Funcs;
-  for (const auto &F : Parsed.Funcs)
-    Funcs.push_back(F.get());
-
-  std::vector<std::vector<std::uint8_t>> Requests;
-  Requests.push_back(proto::encodeLoadModule(
-      0, static_cast<std::uint8_t>(QueryPlane::Prepared), Text));
-  for (unsigned I = 0; I != 5; ++I) {
-    std::vector<BatchQuery> Workload =
-        BatchLivenessDriver::generateWorkload(Funcs, 501 + I, 32);
-    ASSERT_FALSE(Workload.empty());
-    std::vector<proto::QueryItem> Items;
-    for (const BatchQuery &Q : Workload)
-      Items.push_back({Q.FuncIndex, Q.ValueId, Q.BlockId, Q.IsLiveOut});
-    Requests.push_back(proto::encodeQueryBatch(Items));
-  }
-  Requests.push_back(proto::encodeStats());
-
-  // The oracle: an uninterrupted session fed the same sequence.
-  auto OracleS = Mgr.createSession();
-  std::vector<std::vector<std::uint8_t>> Expected;
-  for (const auto &Req : Requests)
-    Expected.push_back(OracleS->handle(Req));
-
-  auto S = Mgr.tryCreateResumableSession();
-  std::uint64_t Id = S->sessionId();
-  for (std::size_t I = 0; I != Requests.size(); ++I)
-    EXPECT_EQ(S->handle(Requests[I]), Expected[I]) << "request " << I;
-  EXPECT_EQ(S->journalLength(), Requests.size());
-
-  // Park/resume at several high-water marks; each cycle must surface
-  // exactly the unacknowledged suffix, byte for byte.
-  for (std::size_t Hwm : {Requests.size(), std::size_t(3), std::size_t(0)}) {
-    Mgr.parkSession(std::move(S));
-    ASSERT_EQ(Mgr.parkedSessions(), 1u);
-    auto R = Mgr.resumeSession(Id, Hwm);
-    ASSERT_NE(R.S, nullptr) << "hwm " << Hwm;
-    std::uint64_t Sid = 0, JournalLen = 0, Pending = 0;
-    ASSERT_TRUE(isResumed(R.Reply, Sid, JournalLen, Pending));
-    EXPECT_EQ(Sid, Id);
-    EXPECT_EQ(JournalLen, Requests.size());
-    ASSERT_EQ(Pending, Requests.size() - Hwm);
-    for (std::size_t I = 0; I != R.PendingReplies.size(); ++I)
-      EXPECT_EQ(R.PendingReplies[I], Expected[Hwm + I])
-          << "pending reply " << I << " at hwm " << Hwm;
-    S = std::move(R.S);
-  }
-
-  // The rebuilt session keeps serving byte-identically to the oracle.
-  std::vector<BatchQuery> More =
-      BatchLivenessDriver::generateWorkload(Funcs, 999, 48);
-  ASSERT_FALSE(More.empty());
-  std::vector<proto::QueryItem> Items;
-  for (const BatchQuery &Q : More)
-    Items.push_back({Q.FuncIndex, Q.ValueId, Q.BlockId, Q.IsLiveOut});
-  auto Req = proto::encodeQueryBatch(Items);
-  EXPECT_EQ(S->handle(Req), OracleS->handle(Req));
-}
-
-TEST(SessionResume, JournalOverflowLatchesTheSessionUnresumable) {
-  server::ServerConfig Cfg;
-  Cfg.MaxJournalBytes = 16; // Tiny on purpose.
-  server::SessionManager Mgr(Cfg);
-  auto S = Mgr.tryCreateResumableSession();
-  std::uint64_t Id = S->sessionId();
-  EXPECT_TRUE(S->resumable());
-  // 1-byte Stats frames fit; the first frame past the cap latches.
-  for (unsigned I = 0; I != 16; ++I)
-    S->handle(proto::encodeStats());
-  EXPECT_TRUE(S->resumable());
-  std::string Big(64, 'x');
-  S->handle(proto::encodeLoadModule(0, 0, Big)); // Overflows the journal.
-  EXPECT_FALSE(S->resumable());
-  // Still serving, just not resumable anymore.
-  EXPECT_EQ(S->handle(proto::encodeStats())[0],
-            static_cast<std::uint8_t>(proto::Opcode::StatsReply));
-  Mgr.parkSession(std::move(S));
-  EXPECT_EQ(Mgr.parkedSessions(), 0u);
-  auto R = Mgr.resumeSession(Id, 0);
-  EXPECT_TRUE(isError(R.Reply, proto::ErrorCode::UnknownSession));
-}
-
-TEST(SessionResume, OldestParkedJournalsAreEvictedPastTheCaps) {
-  server::ServerConfig Cfg;
-  Cfg.MaxParkedSessions = 2;
-  server::SessionManager Mgr(Cfg);
-  std::uint64_t Ids[3];
-  for (int I = 0; I != 3; ++I) {
-    auto S = Mgr.tryCreateResumableSession();
-    Ids[I] = S->sessionId();
-    S->handle(proto::encodeStats());
-    Mgr.parkSession(std::move(S));
-  }
-  EXPECT_EQ(Mgr.parkedSessions(), 2u);
-  EXPECT_TRUE(isError(Mgr.resumeSession(Ids[0], 0).Reply,
-                      proto::ErrorCode::UnknownSession))
-      << "oldest parked journal must be the one evicted";
-  EXPECT_NE(Mgr.resumeSession(Ids[1], 1).S, nullptr);
-  EXPECT_NE(Mgr.resumeSession(Ids[2], 1).S, nullptr);
-
-  // The byte cap evicts the same way.
-  server::ServerConfig BCfg;
-  BCfg.MaxParkedJournalBytes = 6;
-  server::SessionManager BMgr(BCfg);
-  std::uint64_t BIds[2];
-  for (int I = 0; I != 2; ++I) {
-    auto S = BMgr.tryCreateResumableSession();
-    BIds[I] = S->sessionId();
-    for (int J = 0; J != 5; ++J)
-      S->handle(proto::encodeStats()); // 5 journal bytes each.
-    BMgr.parkSession(std::move(S));
-  }
-  EXPECT_EQ(BMgr.parkedSessions(), 1u);
-  EXPECT_TRUE(isError(BMgr.resumeSession(BIds[0], 0).Reply,
-                      proto::ErrorCode::UnknownSession));
-  EXPECT_NE(BMgr.resumeSession(BIds[1], 5).S, nullptr);
-}
-
-TEST(SessionResume, ShutdownSessionsAreNeverParked) {
-  server::SessionManager Mgr({});
-  auto S = Mgr.tryCreateResumableSession();
-  std::uint64_t Id = S->sessionId();
-  EXPECT_EQ(S->handle(proto::encodeShutdown()), proto::encodeOk());
-  Mgr.parkSession(std::move(S));
-  EXPECT_EQ(Mgr.parkedSessions(), 0u);
-  EXPECT_TRUE(isError(Mgr.resumeSession(Id, 0).Reply,
-                      proto::ErrorCode::UnknownSession));
 }

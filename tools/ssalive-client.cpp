@@ -15,13 +15,6 @@
 //     --transport=pipe|unix|tcp  with --spawn: speak over stdin/stdout
 //                             pipes (default), a temporary unix socket,
 //                             or TCP on a loopback ephemeral port
-//     --resume                open a resumable (journaling) session via
-//                             the Resume handshake, then drop the
-//                             connection between repeat runs and
-//                             re-attach with Resume(id, high-water mark)
-//                             — exercises the server's park/replay plane
-//                             end to end (needs a reconnectable
-//                             transport, i.e. not pipe)
 //     --backend=NAME          propagated|dataflow|path-exploration
 //     --plane=NAME            block-id|prepared (LiveCheck entry point
 //                             used per query; default prepared — the
@@ -81,7 +74,6 @@ struct CliOptions {
   std::string SpawnBinary;
   bool UnixTransport = false;
   bool TcpTransport = false;
-  bool Resume = false;
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
   QueryPlane Plane = QueryPlane::Prepared;
   unsigned Generate = 0;
@@ -134,8 +126,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--transport=tcp") {
       Opts.TcpTransport = true;
       Opts.UnixTransport = false;
-    } else if (Arg == "--resume") {
-      Opts.Resume = true;
     } else if (Arg.rfind("--backend=", 0) == 0) {
       if (!parseBatchBackend(Arg.substr(10), Opts.Backend)) {
         std::fprintf(stderr, "unknown backend '%s'\n", Arg.c_str() + 10);
@@ -190,47 +180,18 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                  "or --spawn=BINARY is required\n");
     return false;
   }
-  bool PipeTransport = !Opts.SpawnBinary.empty() && !Opts.UnixTransport &&
-                       !Opts.TcpTransport;
-  if (Opts.Resume && PipeTransport) {
-    std::fprintf(stderr, "--resume needs a reconnectable transport "
-                         "(--connect, --connect-tcp, or --transport="
-                         "unix|tcp)\n");
-    return false;
-  }
   if (Opts.InputPath.empty() && Opts.Generate == 0)
     Opts.Generate = 8;
   return true;
 }
 
-/// The transport endpoint: fds plus the spawned server (if any), and the
-/// dial-back coordinates --resume needs to reconnect after a drop.
+/// The transport endpoint: fds plus the spawned server (if any).
 struct Connection {
   int InFd = -1;  ///< Replies arrive here.
   int OutFd = -1; ///< Requests go here.
   pid_t Child = -1;
   std::string SocketPath; ///< Unlinked on close when we created it.
   std::string PortFile;   ///< Ditto, for a spawned TCP server.
-  std::string DialUnixPath; ///< Non-empty: redial over unix.
-  std::string DialTcpHost;  ///< With DialTcpPort != 0: redial over TCP.
-  std::uint16_t DialTcpPort = 0;
-
-  bool redialable() const {
-    return !DialUnixPath.empty() || DialTcpPort != 0;
-  }
-
-  /// Drops just the stream — the server (ours or not) stays up, which is
-  /// exactly the mid-stream failure --resume then recovers from.
-  void dropStream() {
-    if (OutFd >= 0 && OutFd != InFd)
-      ::close(OutFd);
-    if (InFd >= 0)
-      ::close(InFd);
-    InFd = OutFd = -1;
-  }
-
-  /// Dials the endpoint again after dropStream(); false when exhausted.
-  bool redial();
 
   void close() {
     if (OutFd >= 0 && OutFd != InFd)
@@ -335,15 +296,6 @@ int connectTcp(const std::string &Host, std::uint16_t Port) {
   return Fd;
 }
 
-bool Connection::redial() {
-  int Fd = !DialUnixPath.empty() ? connectUnix(DialUnixPath)
-                                 : connectTcp(DialTcpHost, DialTcpPort);
-  if (Fd < 0)
-    return false;
-  InFd = OutFd = Fd;
-  return true;
-}
-
 bool spawnUnixServer(const CliOptions &Opts, Connection &Conn) {
   std::string Path = "/tmp/ssalive-client-" + std::to_string(::getpid()) +
                      ".sock";
@@ -368,7 +320,6 @@ bool spawnUnixServer(const CliOptions &Opts, Connection &Conn) {
       Conn.InFd = Conn.OutFd = Fd;
       Conn.Child = Pid;
       Conn.SocketPath = Path;
-      Conn.DialUnixPath = Path;
       return true;
     }
     ::usleep(20000);
@@ -410,8 +361,6 @@ bool spawnTcpServer(const CliOptions &Opts, Connection &Conn) {
         Conn.InFd = Conn.OutFd = Fd;
         Conn.Child = Pid;
         Conn.PortFile = PortFile;
-        Conn.DialTcpHost = "127.0.0.1";
-        Conn.DialTcpPort = static_cast<std::uint16_t>(Port);
         return true;
       }
     }
@@ -496,7 +445,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Conn.InFd = Conn.OutFd = Fd;
-    Conn.DialUnixPath = Opts.ConnectPath;
   } else if (Opts.HasConnectTcp) {
     int Fd = connectTcp(Opts.ConnectTcpHost, Opts.ConnectTcpPort);
     if (Fd < 0) {
@@ -507,8 +455,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Conn.InFd = Conn.OutFd = Fd;
-    Conn.DialTcpHost = Opts.ConnectTcpHost;
-    Conn.DialTcpPort = Opts.ConnectTcpPort;
   } else if (Opts.TcpTransport) {
     if (!spawnTcpServer(Opts, Conn))
       return 1;
@@ -528,27 +474,8 @@ int main(int Argc, char **Argv) {
     return Code;
   };
 
-  // ---- Resume handshake. HighWater counts replies received to
-  // dispatched (journaled) frames — the prefix a reconnect acknowledges
-  // so the server replays but does not re-send it.
-  std::uint64_t SessionId = 0;
-  std::uint64_t HighWater = 0;
-  auto resumedFields = [](const std::vector<std::uint8_t> &R,
-                          std::uint64_t &Sid, std::uint64_t &JournalLen,
-                          std::uint64_t &Pending) {
-    if (R.empty() ||
-        R[0] != static_cast<std::uint8_t>(proto::Opcode::Resumed))
-      return false;
-    proto::WireReader W(R.data() + 1, R.size() - 1);
-    Sid = W.u64();
-    JournalLen = W.u64();
-    Pending = W.u64();
-    return W.ok() && W.atEnd();
-  };
   // A shed frame: the server answered Error(Overloaded) WITHOUT
-  // dispatching (or journaling) it, so it must not count toward the
-  // high-water mark — off-by-one there turns the next Resume(id, hwm)
-  // into BadResume at best, a silently skipped reply at worst.
+  // dispatching it.
   auto isOverloaded = [](const std::vector<std::uint8_t> &R) {
     return R.size() >= 3 &&
            R[0] == static_cast<std::uint8_t>(proto::Opcode::Error) &&
@@ -556,19 +483,16 @@ int main(int Argc, char **Argv) {
             (static_cast<std::uint16_t>(R[2]) << 8)) ==
                static_cast<std::uint16_t>(proto::ErrorCode::Overloaded);
   };
-  // Dispatched-frame round trip: counts toward the high-water mark.
-  // Overloaded replies are retryable by protocol contract — back off and
-  // resend the frame instead of counting or surfacing them.
+  // Dispatched-frame round trip. Overloaded replies are retryable by
+  // protocol contract — back off and resend the frame instead of
+  // surfacing them.
   auto rt = [&](const std::vector<std::uint8_t> &Request,
                 std::vector<std::uint8_t> &R) {
     for (int Try = 0;; ++Try) {
       if (!roundTrip(Conn, Request, R))
         return false;
-      if (!isOverloaded(R)) {
-        if (Opts.Resume)
-          ++HighWater;
+      if (!isOverloaded(R))
         return true;
-      }
       if (Try == 1000) {
         std::fprintf(stderr, "server still overloaded after %d retries\n",
                      Try);
@@ -577,17 +501,6 @@ int main(int Argc, char **Argv) {
       ::usleep(2000);
     }
   };
-  if (Opts.Resume) {
-    std::uint64_t JournalLen = 0, Pending = 0;
-    if (!roundTrip(Conn, proto::encodeResume(0, 0), Reply) ||
-        !resumedFields(Reply, SessionId, JournalLen, Pending) ||
-        SessionId == 0) {
-      std::fprintf(stderr, "resume handshake failed\n");
-      return fail(1);
-    }
-    std::printf("ssalive-client: opened resumable session %llu\n",
-                static_cast<unsigned long long>(SessionId));
-  }
 
   // ---- Load.
   if (!rt(proto::encodeLoadModule(static_cast<std::uint8_t>(Opts.Backend),
@@ -696,55 +609,6 @@ int main(int Argc, char **Argv) {
                     "plane\n",
                     Items.size());
       }
-    }
-
-    // Drop the connection mid-session and re-attach: the server parks
-    // the journal on EOF and replays it against a fresh Session on
-    // Resume. Every reply so far was received, so the handshake must
-    // report journalLen == HighWater and nothing pending — the next run
-    // then continues on the rebuilt session, and --verify keeps
-    // byte-comparing its replies against the uninterrupted oracle.
-    if (Opts.Resume && Run + 1 != Opts.Repeat) {
-      Conn.dropStream();
-      bool Dialed = false;
-      for (int Try = 0; Try != 250 && !(Dialed = Conn.redial()); ++Try)
-        ::usleep(20000);
-      if (!Dialed) {
-        std::fprintf(stderr, "could not reconnect for resume\n");
-        return fail(1);
-      }
-      // The old handler may still be noticing the EOF; until it parks
-      // the journal, Resume answers Error(UnknownSession) — retry.
-      std::uint64_t Sid = 0, JournalLen = 0, Pending = 0;
-      bool Resumed = false;
-      for (int Try = 0; Try != 250 && !Resumed; ++Try) {
-        if (!roundTrip(Conn, proto::encodeResume(SessionId, HighWater),
-                       Reply)) {
-          std::fprintf(stderr, "transport failure during resume\n");
-          return fail(1);
-        }
-        Resumed = resumedFields(Reply, Sid, JournalLen, Pending);
-        if (!Resumed)
-          ::usleep(20000);
-      }
-      if (!Resumed || Sid != SessionId) {
-        std::fprintf(stderr, "resume re-attach failed for session %llu\n",
-                     static_cast<unsigned long long>(SessionId));
-        return fail(1);
-      }
-      if (JournalLen != HighWater || Pending != 0) {
-        std::fprintf(stderr,
-                     "FAIL: resume reports journal=%llu pending=%llu, "
-                     "client acknowledged %llu replies\n",
-                     static_cast<unsigned long long>(JournalLen),
-                     static_cast<unsigned long long>(Pending),
-                     static_cast<unsigned long long>(HighWater));
-        return fail(2);
-      }
-      std::printf("  dropped and resumed session %llu at high-water mark "
-                  "%llu\n",
-                  static_cast<unsigned long long>(SessionId),
-                  static_cast<unsigned long long>(HighWater));
     }
   }
 

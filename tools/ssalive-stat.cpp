@@ -9,8 +9,8 @@
 // counters, gauges, and latency histograms with p50/p95/p99 — without
 // loading a module or perturbing any session state. A frame-latency
 // summary line derives the server's request-service percentiles from the
-// ssalive_server_frame_ns log2 histogram; a session line counts live,
-// opened and parked sessions and shed frames; a modules line counts the
+// ssalive_server_frame_ns log2 histogram; a session line counts live and
+// opened sessions and shed frames; a modules line counts the
 // parsed modules the server keeps and how sessions shared them; a
 // prepared-plane line counts cache hits, builds, rebuilds, epoch drops and
 // remaps.
@@ -179,17 +179,14 @@ std::uint64_t valueOf(const std::vector<telemetry::Metric> &Metrics,
   return 0;
 }
 
-/// The session summary: live, opened and parked sessions, plus the frames
-/// the overload guards shed.
+/// The session summary: live and opened sessions, plus the frames the
+/// overload guards shed.
 void printSessionSummary(const std::vector<telemetry::Metric> &Metrics) {
-  std::printf("sessions: %lld active, %llu opened, %lld parked; "
-              "%llu frame(s) shed\n",
+  std::printf("sessions: %lld active, %llu opened; %llu frame(s) shed\n",
               static_cast<long long>(
                   valueOf(Metrics, "ssalive_server_sessions_active")),
               static_cast<unsigned long long>(
                   valueOf(Metrics, "ssalive_server_sessions_opened_total")),
-              static_cast<long long>(
-                  valueOf(Metrics, "ssalive_server_resume_parked_sessions")),
               static_cast<unsigned long long>(
                   valueOf(Metrics, "ssalive_server_shed_frames_total")));
 }
