@@ -19,7 +19,7 @@
 /// Instructions and values may still be added or removed after
 /// construction and queries remain valid: the engine never sees variables
 /// (Section 7), and a def-use edit drops exactly the edited value's cache
-/// entry (Value::defUseEpoch). Structural CFG edits invalidate the whole
+/// entry (Function::defUseEpoch). Structural CFG edits invalidate the whole
 /// object — queries debug-assert that the function's cfgVersion() still
 /// matches construction; consumers that edit CFGs use the AnalysisManager
 /// plane, where the same cache rides the in-place refresh contract.

@@ -77,7 +77,7 @@ void PreparedCache::syncNumbering() {
     for (std::size_t I = 0; I != Entries.size(); ++I) {
       Entry &E = Entries[I];
       if (!E.Built || E.CFGEpoch != SyncedEpoch ||
-          E.DefUseEpoch != F.value(static_cast<unsigned>(I))->defUseEpoch())
+          E.DefUseEpoch != F.defUseEpoch(static_cast<unsigned>(I)))
         continue;
       unsigned Len = static_cast<unsigned>(E.Prep.NumsEnd - E.Prep.NumsBegin);
       bool Mask = E.Prep.MaskWords != nullptr;
@@ -196,7 +196,10 @@ void PreparedCache::freeMaskSlice(unsigned Stripe, unsigned Class,
 }
 
 void PreparedCache::build(Entry &E, const Value &V, unsigned Stripe) {
-  assert(!V.defs().empty() && "prepared entry needs a def block");
+  // Only queryable values get entries: the "fresh implies queryable"
+  // invariant lookup() callers rely on.
+  assert(V.hasSingleDef() && V.hasUses() &&
+         "prepared entry needs one def block and at least one use");
   auto NumsH = pool::scratchArray();
   std::vector<unsigned> &Nums = *NumsH;
   appendLiveUseBlocks(V, Nums);
@@ -286,14 +289,14 @@ const LiveCheck::PreparedVar &PreparedCache::ensureSlow(const Value &V) {
 const LiveCheck::PreparedVar &PreparedCache::cached(const Value &V) const {
   assert(V.id() < Entries.size() && "value was never ensured");
   const Entry &E = Entries[V.id()];
-  assert(fresh(E, V) &&
+  assert(fresh(E, V.id()) &&
          "stale prepared entry: a CFG or def-use edit invalidated this "
          "value since ensure() — re-ensure before querying");
   return E.Prep;
 }
 
 bool PreparedCache::isFresh(const Value &V) const {
-  return V.id() < Entries.size() && fresh(Entries[V.id()], V);
+  return V.id() < Entries.size() && fresh(Entries[V.id()], V.id());
 }
 
 PreparedCacheStats PreparedCache::stats() const {

@@ -45,11 +45,21 @@
 ///     count crossed a multiple of 64), and an entry whose def-use epoch
 ///     moved. A cache that is never synced (FunctionLiveness, one-shot
 ///     replays) epoch-drops every entry of an edited function.
-///   * the value's def-use epoch (Value::defUseEpoch): adding or removing
-///     a def or use changes the Definition-1 block set. This preserves the
-///     paper's Section-7 stability property at the cache layer —
-///     instruction/value edits never invalidate the *engine*, and they
-///     invalidate exactly one value's *entry* here.
+///   * the value's def-use epoch (Function::defUseEpoch(id), mirrored by
+///     Value::defUseEpoch): adding or removing a def or use changes the
+///     Definition-1 block set. This preserves the paper's Section-7
+///     stability property at the cache layer — instruction/value edits
+///     never invalidate the *engine*, and they invalidate exactly one
+///     value's *entry* here. The counters live in a dense table the
+///     function owns, indexed by value id, so the check reads that table
+///     and never the Value.
+///
+/// A fresh entry implies a queryable value (exactly one def and at least
+/// one use): entries are built only for queryable values (asserted), and
+/// any def or use change that could make a value unqueryable bumps its
+/// def-use epoch and so stales its entry. A warm reader therefore needs no
+/// separate queryability test; it dereferences the Value only on a miss,
+/// to tell "answer 0" (not queryable) from "build first" (see lookup()).
 ///
 /// The use-block invariant the remap rests on: an unchanged def-use epoch
 /// implies an unchanged Definition-1 use-block set, under every structural
@@ -92,11 +102,13 @@
 ///
 /// lookup() and cached() are const, lock-free, and safe for any number of
 /// concurrent readers while nobody ensures. lookup() is the batch
-/// pipeline's fused read: it returns the entry when fresh and null
-/// otherwise, never building. The driver's workers answer every fresh
-/// query in one pass and set the rest aside; after the join the calling
-/// thread — then the only writer — ensure()s and answers those deferred
-/// queries. Readers and the one writer are thus separated by the join,
+/// pipeline's fused read: keyed by value id, it reads the entry and the
+/// function's epoch table only, returns the entry when fresh and null
+/// otherwise, and never builds. Def-use edits count as writes here: they
+/// bump the epoch table, so they must not overlap readers either. The
+/// driver's workers answer every fresh query in one pass and set the rest
+/// aside; after the join the calling thread — then the only writer —
+/// ensure()s and answers those deferred queries. Readers and the one writer are thus separated by the join,
 /// and no separate ensure sweep precedes the query fan-out. Readers count
 /// their hits on their own stack and fold them in with countHits(), so
 /// the hit counter stays exact without a shared write per query.
@@ -175,16 +187,16 @@ public:
 
   /// The prepared entry for \p V, built or rebuilt as needed (see the
   /// invalidation contract). \p V must belong to the cached function, have
-  /// at least one def (its block is the query origin) and at least one
-  /// use. The returned reference is valid until the next ensure() of the
-  /// same value or the next sizeToFunction()/rebind(). Defined inline:
-  /// this is the per-query entry of FunctionLiveness, and in the
-  /// steady-state hit case it must cost two epoch compares and a table
-  /// read, not a function call.
+  /// exactly one def (its block is the query origin) and at least one use
+  /// (asserted on build). The returned reference is valid until the next
+  /// ensure() of the same value or the next sizeToFunction()/rebind().
+  /// Defined inline: this is the per-query entry of FunctionLiveness, and
+  /// in the steady-state hit case it must cost two epoch compares and a
+  /// table read, not a function call.
   const LiveCheck::PreparedVar &ensure(const Value &V) {
     if (V.id() < Entries.size()) {
       Entry &E = Entries[V.id()];
-      if (fresh(E, V)) {
+      if (fresh(E, V.id())) {
         // Relaxed read-modify-write, deliberately not an atomic RMW: a
         // locked add per cached query is measurable, and the counters are
         // diagnostics (exact single-threaded, approximate when distinct
@@ -206,15 +218,19 @@ public:
     return ensureSlow(V);
   }
 
-  /// The entry for \p V if it is built and both epochs still match, else
-  /// null — a stale or missing entry is never built or dropped here. Const
-  /// and lock-free (see Concurrency); counts no hit (see countHits()).
-  /// Starts the fetch of the span/mask payload, as ensure() does.
-  const LiveCheck::PreparedVar *lookup(const Value &V) const {
-    if (V.id() >= Entries.size())
+  /// The entry for value \p ValueId if it is fresh (built, and both epochs
+  /// match the function's), else null — a stale or missing entry is never
+  /// built or dropped here, and an id past the entry table is a miss. The
+  /// read touches the entry table and the function's epoch table only,
+  /// never the Value: a non-null result also means the value is queryable
+  /// (see the invalidation contract). Const and lock-free (see
+  /// Concurrency); counts no hit (see countHits()). Starts the fetch of the
+  /// span/mask payload, as ensure() does.
+  const LiveCheck::PreparedVar *lookup(std::uint32_t ValueId) const {
+    if (ValueId >= Entries.size())
       return nullptr;
-    const Entry &E = Entries[V.id()];
-    if (!fresh(E, V))
+    const Entry &E = Entries[ValueId];
+    if (!fresh(E, ValueId))
       return nullptr;
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(E.Prep.NumsBegin);
@@ -310,9 +326,11 @@ private:
     }
   };
 
-  bool fresh(const Entry &E, const Value &V) const {
+  /// The one freshness rule: built, and both epochs match the function's.
+  /// \p Id must be inside the entry table (hence inside the epoch table).
+  bool fresh(const Entry &E, std::uint32_t Id) const {
     return E.Built && E.CFGEpoch == F.cfgVersion() &&
-           E.DefUseEpoch == V.defUseEpoch();
+           E.DefUseEpoch == F.defUseEpoch(Id);
   }
   const LiveCheck::PreparedVar &ensureSlow(const Value &V);
   /// Shared growth path: resize + conditional payload re-anchoring.

@@ -22,7 +22,9 @@ Value *Function::createValue(std::string ValueName) {
   unsigned Id = numValues();
   if (ValueName.empty())
     ValueName = "v" + std::to_string(Id);
-  Values.push_back(std::make_unique<Value>(Id, std::move(ValueName)));
+  DefUseEpochs.push_back(0);
+  Values.push_back(
+      std::make_unique<Value>(Id, std::move(ValueName), DefUseEpochs));
   return Values.back().get();
 }
 

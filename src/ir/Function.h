@@ -69,6 +69,23 @@ public:
 
   const std::vector<std::unique_ptr<Value>> &values() const { return Values; }
 
+  /// The def-use epoch of value \p Id (Value::defUseEpoch). The counters
+  /// live in one dense table indexed by value id, owned here rather than
+  /// by each Value, so a per-value cache checks freshness with one read of
+  /// contiguous memory instead of a load of the heap-allocated Value.
+  std::uint64_t defUseEpoch(unsigned Id) const {
+    assert(Id < DefUseEpochs.size() && "value id out of range");
+    return DefUseEpochs[Id];
+  }
+
+  /// Drops the growth slack of the value tables once the value count is
+  /// final (the parser calls it after the last value is created). Values
+  /// do not move.
+  void shrinkValueTables() {
+    Values.shrink_to_fit();
+    DefUseEpochs.shrink_to_fit();
+  }
+
   /// Parameter values, in declaration order (results of Param pseudo-ops).
   std::vector<Value *> parameters() const;
   /// @}
@@ -108,6 +125,10 @@ public:
 
 private:
   std::string Name;
+  /// Def-use epochs by value id; every Value holds a reference to it and
+  /// bumps its own slot. Declared before Values and Blocks so it outlives
+  /// both: the instruction destructors bump it as they unlink their uses.
+  std::vector<std::uint64_t> DefUseEpochs;
   /// Values are declared before Blocks deliberately: members are destroyed
   /// in reverse declaration order, and the instruction destructors inside
   /// the blocks unlink themselves from value def-use chains, so the values

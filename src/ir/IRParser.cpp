@@ -405,6 +405,7 @@ ParseResult Parser::run() {
     R.Error = Error;
     return R;
   }
+  F->shrinkValueTables();
   R.Func = std::move(F);
   return R;
 }

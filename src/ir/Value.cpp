@@ -19,12 +19,12 @@ void Value::removeDef(Instruction *I) {
   auto It = std::find(Defs.begin(), Defs.end(), I);
   assert(It != Defs.end() && "removing unknown def");
   Defs.erase(It);
-  ++DUEpoch;
+  ++DefUseEpochs[Id];
 }
 
 void Value::removeUse(Instruction *User, unsigned OperandIndex) {
   auto It = std::find(Uses.begin(), Uses.end(), Use{User, OperandIndex});
   assert(It != Uses.end() && "removing unknown use");
   Uses.erase(It);
-  ++DUEpoch;
+  ++DefUseEpochs[Id];
 }

@@ -43,7 +43,12 @@ struct Use {
 /// instructions; the SSA verifier enforces exactly one.
 class Value {
 public:
-  Value(unsigned Id, std::string Name) : Id(Id), Name(std::move(Name)) {}
+  /// \p DefUseEpochs is the owning function's def-use epoch table, indexed
+  /// by value id; Function::createValue grows it before constructing the
+  /// value, and it outlives the value.
+  Value(unsigned Id, std::string Name,
+        std::vector<std::uint64_t> &DefUseEpochs)
+      : Id(Id), DefUseEpochs(DefUseEpochs), Name(std::move(Name)) {}
 
   Value(const Value &) = delete;
   Value &operator=(const Value &) = delete;
@@ -80,28 +85,28 @@ public:
   /// prepared-liveness cache numbers the Definition-1 use blocks once per
   /// value — key their entries on this so a chain edit drops exactly the
   /// edited value's entry, the per-value analogue of the function-level
-  /// cfgVersion().
-  std::uint64_t defUseEpoch() const { return DUEpoch; }
+  /// cfgVersion(). The counter lives in the owning function's dense table
+  /// (Function::defUseEpoch(id)), so a cache can check it by id without
+  /// touching the Value.
+  std::uint64_t defUseEpoch() const { return DefUseEpochs[Id]; }
 
   /// \name Bookkeeping called by Instruction only.
   /// @{
   void addDef(Instruction *I) {
     Defs.push_back(I);
-    ++DUEpoch;
+    ++DefUseEpochs[Id];
   }
   void removeDef(Instruction *I);
   void addUse(Instruction *User, unsigned OperandIndex) {
     Uses.push_back(Use{User, OperandIndex});
-    ++DUEpoch;
+    ++DefUseEpochs[Id];
   }
   void removeUse(Instruction *User, unsigned OperandIndex);
   /// @}
 
 private:
   unsigned Id;
-  /// Kept adjacent to Id: the prepared-cache hot path reads exactly these
-  /// two fields per query, so they share a cache line.
-  std::uint64_t DUEpoch = 0;
+  std::vector<std::uint64_t> &DefUseEpochs;
   std::string Name;
   std::vector<Instruction *> Defs;
   std::vector<Use> Uses;

@@ -283,11 +283,13 @@ private:
   void groupedRun(AtFn At, std::size_t K, std::size_t RunEnd,
                   std::vector<std::size_t> &Deferred) {
     const BatchQuery &Lead = W[At(K)];
-    const Value &V = *Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId);
-    if (!queryableValue(V))
-      return; // Answers start out 0.
-    const LiveCheck::PreparedVar *PV = Fr.Prepared[Lead.FuncIndex]->lookup(V);
+    const LiveCheck::PreparedVar *PV =
+        Fr.Prepared[Lead.FuncIndex]->lookup(Lead.ValueId);
     if (!PV) {
+      // Only a miss loads the Value: a fresh entry implies a queryable
+      // value, so the warm path never touches the IR.
+      if (!queryableValue(*Fr.Funcs[Lead.FuncIndex]->value(Lead.ValueId)))
+        return; // Answers start out 0.
       for (std::size_t J = K; J != RunEnd; ++J)
         Deferred.push_back(At(J));
       return;
@@ -302,6 +304,23 @@ private:
     const BatchQuery &Q = W[I];
     assert(Q.FuncIndex < Fr.Funcs.size() && "query function out of range");
     const Function &F = *Fr.Funcs[Q.FuncIndex];
+    if (Fr.Plane == QueryPlane::Prepared) {
+      // The cached plane: a lock-free read of the entry and epoch tables —
+      // no Value load, chain walk, numbering or allocation per query. The
+      // Value is loaded only on a miss, as in groupedRun.
+      const LiveCheck::PreparedVar *P =
+          Fr.Prepared[Q.FuncIndex]->lookup(Q.ValueId);
+      if (!P) {
+        if (queryableValue(*F.value(Q.ValueId)))
+          Deferred.push_back(I);
+        return;
+      }
+      ++(*HitsH)[Q.FuncIndex];
+      const LiveCheck &E = *Fr.Engines[Q.FuncIndex];
+      record(I, Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
+                            : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine));
+      return;
+    }
     const Value &V = *F.value(Q.ValueId);
     if (!queryableValue(V))
       return;
@@ -312,19 +331,6 @@ private:
       return;
     }
     const LiveCheck &E = *Fr.Engines[Q.FuncIndex];
-    if (Fr.Plane == QueryPlane::Prepared) {
-      // The cached plane: a lock-free table read — no chain walk, no
-      // numbering, no allocation per query.
-      const LiveCheck::PreparedVar *P = Fr.Prepared[Q.FuncIndex]->lookup(V);
-      if (!P) {
-        Deferred.push_back(I);
-        return;
-      }
-      ++(*HitsH)[Q.FuncIndex];
-      record(I, Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
-                            : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine));
-      return;
-    }
     // The block-id plane re-derives the variable per query: its role as
     // the differential baseline.
     Uses.clear();
@@ -438,8 +444,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
         std::size_t ColdSampled = 0;
         for (std::size_t I = 0; I < Workload.size(); I += SampleStride) {
           const BatchQuery &Q = Workload[I];
-          const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-          if (queryableValue(V) && !Prepared[Q.FuncIndex]->isFresh(V))
+          if (!Prepared[Q.FuncIndex]->lookup(Q.ValueId) &&
+              queryableValue(*Funcs[Q.FuncIndex]->value(Q.ValueId)))
             ++ColdSampled;
         }
         ShardedFill =

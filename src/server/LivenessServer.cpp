@@ -25,9 +25,11 @@ using namespace ssalive::protocol;
 
 namespace ssalive::server::detail {
 // Defined in SessionManager.cpp: encodeError plus the shared error
-// taxonomy counter.
+// taxonomy counter, and the Metrics reply a session builds too.
 std::vector<std::uint8_t> countedErrorReply(protocol::ErrorCode Code,
                                             const std::string &Msg);
+std::vector<std::uint8_t> metricsReply(protocol::WireReader &R,
+                                       BatchLivenessDriver *Driver);
 } // namespace ssalive::server::detail
 
 namespace {
@@ -80,8 +82,8 @@ void LivenessServer::serveStream(int InFd, int OutFd) {
   Connections.fetch_add(1, std::memory_order_relaxed);
   const WireTelemetry &T = WireTelemetry::get();
   T.Connections.inc();
-  // Created lazily by the first dispatched frame, so a connection shed at
-  // the session cap never holds a slot.
+  // Created lazily by the first dispatched frame that needs one, so a
+  // connection shed at the session cap never holds a slot.
   std::unique_ptr<Session> S;
   auto Send = [&](const std::vector<std::uint8_t> &Reply) {
     T.TxBytes.inc(4 + Reply.size());
@@ -131,10 +133,16 @@ void LivenessServer::serveStream(int InFd, int OutFd) {
       }
     }
 
+    // A Metrics frame on a connection without a session is answered
+    // without opening one: a monitor must not show up in the session
+    // figures it reports, nor be shed at the session cap.
+    const bool SessionLess =
+        !S && !Payload.empty() &&
+        Payload[0] == static_cast<std::uint8_t>(protocol::Opcode::Metrics);
     // Admission control: past the session cap, a frame that would open a
     // NEW session is shed (existing sessions keep being served — shedding
     // admissions, not service).
-    if (!S && !(S = Sessions.tryCreateSession())) {
+    if (!S && !SessionLess && !(S = Sessions.tryCreateSession())) {
       if (!Send(shedFrame("session cap reached; retry later")))
         return;
       continue;
@@ -142,14 +150,20 @@ void LivenessServer::serveStream(int InFd, int OutFd) {
     // Frame latency covers dispatch through reply encode — the request's
     // resident cost — not the peer-dependent socket I/O around it.
     std::uint64_t Start = telemetry::nowNanos();
-    std::vector<std::uint8_t> Reply = S->handle(Payload);
+    std::vector<std::uint8_t> Reply;
+    if (SessionLess) {
+      WireReader R(Payload.data() + 1, Payload.size() - 1);
+      Reply = detail::metricsReply(R, nullptr);
+    } else {
+      Reply = S->handle(Payload);
+    }
     std::uint64_t Elapsed = telemetry::nowNanos() - Start;
     T.FrameNs.observe(Elapsed);
     if (IsQuery)
       T.QueryFrameNs.observe(Elapsed);
     if (!Send(Reply))
       return;
-    if (S->shutdownRequested()) {
+    if (S && S->shutdownRequested()) {
       stop();
       return;
     }

@@ -14,7 +14,8 @@
 /// ThreadPool and module registry; per-worker answer spans keep the hot
 /// path lock-free and replies byte-identical regardless of client
 /// interleaving. A connection opens its session with its first dispatched
-/// frame, and the session ends when the connection does.
+/// frame other than Metrics (a monitor's Metrics frames are answered
+/// without a session), and the session ends when the connection does.
 ///
 /// Overload is shed, not queued: past the connection cap, accepted sockets
 /// get one well-formed Error(Overloaded) and a close; a frame that would

@@ -101,6 +101,25 @@ std::vector<std::uint8_t> countedErrorReply(protocol::ErrorCode Code,
                                             const std::string &Msg) {
   return countedError(Code, Msg);
 }
+
+/// The Metrics reply, for a session and for a connection that has none
+/// (LivenessServer answers a monitor's Metrics frame without opening a
+/// session). \p R is positioned after the opcode byte; \p Driver is the
+/// session's, or null.
+std::vector<std::uint8_t> metricsReply(WireReader &R,
+                                       BatchLivenessDriver *Driver) {
+  ServerTelemetry::get().ReqMetrics.inc();
+  if (!R.atEnd())
+    return countedError(ErrorCode::MalformedFrame,
+                        "metrics request carries a body");
+  // The registry is process-wide: counters from every session, every
+  // layer, aggregated across thread shards at this instant. Flush the
+  // session's prepared caches first so their delta-published counters are
+  // current as of this reply.
+  if (Driver)
+    Driver->publishPreparedTelemetry();
+  return encodeMetricsReply(telemetry::Registry::global().snapshot());
+}
 } // namespace ssalive::server::detail
 
 /// One loaded module text and its verdict. A registered entry's fields are
@@ -232,11 +251,7 @@ std::vector<std::uint8_t> Session::handle(const std::uint8_t *Data,
                           "stats request carries a body");
     return handleStats();
   case protocol::Opcode::Metrics:
-    T.ReqMetrics.inc();
-    if (!R.atEnd())
-      return countedError(ErrorCode::MalformedFrame,
-                          "metrics request carries a body");
-    return handleMetrics();
+    return detail::metricsReply(R, Driver.get());
   case protocol::Opcode::Shutdown:
     T.ReqShutdown.inc();
     if (!R.atEnd())
@@ -495,16 +510,6 @@ std::vector<std::uint8_t> Session::handleStats() {
     S.Refreshes = CounterBase.Refreshes + C.Refreshes;
   }
   return encodeStatsReply(S);
-}
-
-std::vector<std::uint8_t> Session::handleMetrics() {
-  // The registry is process-wide: counters from every session, every
-  // layer, aggregated across thread shards at this instant. Flush the
-  // session's prepared caches first so their delta-published counters are
-  // current as of this reply.
-  if (Driver)
-    Driver->publishPreparedTelemetry();
-  return encodeMetricsReply(telemetry::Registry::global().snapshot());
 }
 
 //===----------------------------------------------------------------------===//

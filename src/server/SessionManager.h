@@ -167,7 +167,6 @@ private:
   std::vector<std::uint8_t> handleQueryBatch(protocol::WireReader &R);
   std::vector<std::uint8_t> handleEditCFG(protocol::WireReader &R);
   std::vector<std::uint8_t> handleStats();
-  std::vector<std::uint8_t> handleMetrics();
 
   /// Points the session at \p M and builds a fresh driver over it.
   void bindModule(std::shared_ptr<LoadedModule> M);

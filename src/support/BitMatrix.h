@@ -182,7 +182,7 @@ public:
                                 unsigned To) {
     unsigned I = From;
 #if SSALIVE_SIMD_AVX2
-    for (; I + 4 <= To; I += 4) {
+    for (; To - I >= 4; I += 4) {
       __m256i VA =
           _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
       __m256i VB =
@@ -191,7 +191,7 @@ public:
         return true;
     }
 #else
-    for (; I + 4 <= To; I += 4)
+    for (; To - I >= 4; I += 4)
       if ((A[I] & B[I]) | (A[I + 1] & B[I + 1]) | (A[I + 2] & B[I + 2]) |
           (A[I + 3] & B[I + 3]))
         return true;
@@ -205,7 +205,7 @@ public:
   /// Unrolled any-set sweep over words [\p From, \p To) of span \p A.
   static bool anyWordSpan(const Word *A, unsigned From, unsigned To) {
     unsigned I = From;
-    for (; I + 4 <= To; I += 4)
+    for (; To - I >= 4; I += 4)
       if (A[I] | A[I + 1] | A[I + 2] | A[I + 3])
         return true;
     for (; I != To; ++I)

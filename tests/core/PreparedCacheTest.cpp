@@ -659,8 +659,9 @@ TEST(PreparedCache, MaskEntryCrossingSixtyFourNodesIsRebuilt) {
   EXPECT_EQ(Cache.stats().Remaps, 2u);
   EXPECT_FALSE(Cache.isFresh(*H)) << "a 2-word mask needs a rebuild";
   for (const Value *V : Vals) {
-    if (V != H)
+    if (V != H) {
       EXPECT_TRUE(Cache.isFresh(*V)) << "%" << V->name();
+    }
   }
 
   const LiveCheck::PreparedVar &P = Cache.ensure(*H);
@@ -674,7 +675,8 @@ TEST(PreparedCache, MaskEntryCrossingSixtyFourNodesIsRebuilt) {
 TEST(PreparedCache, UnchangedDefUseEpochMeansUnchangedUseBlocks) {
   // The invariant the remap rests on, over all four mutation kinds: a
   // structural edit that leaves a value's def-use epoch alone leaves its
-  // def block and its Definition-1 use-block set alone too.
+  // def block and its Definition-1 use-block set alone too. The epoch the
+  // cache reads by id (Function::defUseEpoch) must be the Value's own.
   std::set<MutationKind> Kinds;
   unsigned Bumped = 0;
   for (std::uint64_t Seed = 7300; Seed != 7306; ++Seed) {
@@ -707,6 +709,7 @@ TEST(PreparedCache, UnchangedDefUseEpochMeansUnchangedUseBlocks) {
       ASSERT_EQ(F->numValues(), Old.size());
       for (unsigned I = 0; I != Old.size(); ++I) {
         const Value &V = *F->value(I);
+        ASSERT_EQ(F->defUseEpoch(I), V.defUseEpoch());
         if (V.defUseEpoch() != Old[I].Epoch) {
           ++Bumped;
           continue;
@@ -721,6 +724,108 @@ TEST(PreparedCache, UnchangedDefUseEpochMeansUnchangedUseBlocks) {
   }
   EXPECT_EQ(Kinds.size(), 4u) << "every mutation kind must be exercised";
   EXPECT_GT(Bumped, 0u) << "no edit touched a φ operand";
+}
+
+TEST(PreparedCache, LookupByIdStalesExactlyTheEditedValue) {
+  // The warm read keys on the value id and the function's epoch table. A
+  // def-use edit with no CFG edit — one use added, then one removed, so
+  // the use blocks end where they started — must stale exactly the edited
+  // value's entry, leave every other entry fresh, and cost exactly one
+  // rebuild on the next ensure().
+  auto F = parse(R"(
+func @byid {
+e:
+  %p = param 0
+  %a = const 1
+  %b = const 2
+  branch %p, l, r
+l:
+  %s = opaque %a
+  jump x
+r:
+  %t = opaque %b
+  jump x
+x:
+  %u = opaque %s, %t
+  ret %u
+}
+)");
+  ASSERT_TRUE(F);
+  AnalysisManager AM;
+  FunctionAnalyses &FA = AM.get(*F);
+  PreparedCache Cache(*F, FA.liveCheck(), FA.domTree());
+  EXPECT_EQ(Cache.lookup(0), nullptr) << "nothing is built before ensure()";
+  Cache.sizeToFunction();
+  std::vector<const Value *> Vals = queryableValues(*F);
+  ASSERT_GE(Vals.size(), 4u);
+  for (const Value *V : Vals)
+    Cache.ensure(*V);
+  for (const Value *V : Vals)
+    EXPECT_EQ(Cache.lookup(V->id()), &Cache.cached(*V)) << "%" << V->name();
+
+  Value *A = F->value(1);
+  ASSERT_EQ(A->name(), "a");
+  Instruction *User = F->block(3)->instructions().front().get();
+  ASSERT_EQ(User->result()->name(), "u");
+  std::uint64_t CFGEpoch = F->cfgVersion();
+  User->addOperand(A);
+  User->removeOperand(User->numOperands() - 1);
+  EXPECT_EQ(F->cfgVersion(), CFGEpoch);
+  for (const Value *V : Vals) {
+    if (V == A) {
+      EXPECT_EQ(Cache.lookup(V->id()), nullptr);
+      EXPECT_FALSE(Cache.isFresh(*V));
+    } else {
+      EXPECT_NE(Cache.lookup(V->id()), nullptr) << "%" << V->name();
+    }
+  }
+
+  PreparedCacheStats Before = Cache.stats();
+  for (const Value *V : Vals)
+    Cache.ensure(*V);
+  PreparedCacheStats After = Cache.stats();
+  EXPECT_EQ(After.Rebuilds - Before.Rebuilds, 1u);
+  EXPECT_EQ(After.Builds, Before.Builds);
+  EXPECT_EQ(After.EpochDrops, Before.EpochDrops);
+  EXPECT_NE(Cache.lookup(A->id()), nullptr);
+  expectAgreesWithOracle(Cache, *F, *A);
+}
+
+TEST(PreparedCache, ValueCreatedAfterSizingIsBuiltAndLookedUp) {
+  // A value created after sizeToFunction() lies past the entry table: its
+  // lookup misses (never reads past the table) until ensure() grows it.
+  // Any other id past the table misses too.
+  auto F = parse(R"(
+func @late {
+e:
+  %p = param 0
+  branch %p, a, x
+a:
+  jump x
+x:
+  ret %p
+}
+)");
+  ASSERT_TRUE(F);
+  AnalysisManager AM;
+  FunctionAnalyses &FA = AM.get(*F);
+  PreparedCache Cache(*F, FA.liveCheck(), FA.domTree());
+  Cache.sizeToFunction();
+  Cache.ensure(*F->value(0));
+
+  Value *N = F->createValue("late");
+  F->entry()->insertAt(1, std::make_unique<Instruction>(
+                              Opcode::Const, N, std::vector<Value *>{}));
+  F->block(2)->insertAt(0, std::make_unique<Instruction>(
+                               Opcode::Opaque, F->createValue("use"),
+                               std::vector<Value *>{N}));
+  EXPECT_EQ(Cache.lookup(N->id()), nullptr);
+  EXPECT_EQ(Cache.lookup(~std::uint32_t(0)), nullptr);
+  const LiveCheck::PreparedVar &P = Cache.ensure(*N);
+  EXPECT_EQ(Cache.lookup(N->id()), &P);
+  EXPECT_NE(Cache.lookup(0), nullptr) << "growth keeps older entries fresh";
+  expectAgreesWithOracle(Cache, *F, *N);
+  EXPECT_TRUE(FA.liveCheck().isLiveInPrepared(P, 1));
 }
 
 #ifndef NDEBUG

@@ -13,6 +13,7 @@
 
 #include "pipeline/BatchLivenessDriver.h"
 
+#include "liveness/DataflowLiveness.h"
 #include "support/RandomEngine.h"
 #include "support/ThreadPool.h"
 
@@ -426,4 +427,172 @@ TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
   Driver.run(Frame);
   for (std::size_t F = 0; F != M.Funcs.size(); ++F)
     EXPECT_EQ(rebuildsSince(F), 0u) << "function " << F;
+}
+
+TEST(BatchDriver, Section7ChurnRebuildsExactlyTheEditedValues) {
+  // The paper's Section-7 stability under churn: between query frames,
+  // non-structural edits add and remove uses and create new values, and
+  // the CFG never changes. A warm 4-thread driver, grouped and not, must
+  // answer every frame like the block-id plane and a fresh
+  // DataflowLiveness; its caches must rebuild each edited value exactly
+  // once and no untouched one; and values that are never queryable (no
+  // def, or a def and no use) must keep answering 0. The warm path looks
+  // entries up by value id, so a stale or unqueryable value is only told
+  // apart on the miss path; this pins both halves of that split.
+  for (bool Group : {false, true}) {
+    Module M(6, 0x5EC7);
+    std::vector<BatchQuery> Base =
+        BatchLivenessDriver::generateWorkload(M.Funcs, 0x7C4, 4000);
+    ASSERT_FALSE(Base.empty());
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> NeverQueryable;
+    for (std::uint32_t F = 0; F != M.Owned.size(); ++F) {
+      Function &Fn = *M.Owned[F];
+      NeverQueryable.emplace_back(F, Fn.createValue("nodef")->id());
+      Value *Unused = Fn.createValue("unused");
+      Fn.block(0)->insertBeforeTerminator(std::make_unique<Instruction>(
+          Opcode::Const, Unused, std::vector<Value *>{}, 5));
+      NeverQueryable.emplace_back(F, Unused->id());
+    }
+
+    // Every frame queries the base stream plus every (value, block,
+    // direction) of every function, so each queryable value has an entry
+    // after any frame, a rebuild can only come from an edit, and a stale
+    // entry served as fresh would answer some block wrongly.
+    RandomEngine Rng(Group ? 0xC0DE : 0xFACE);
+    auto makeFrame = [&] {
+      std::vector<BatchQuery> Frame = Base;
+      for (std::uint32_t F = 0; F != M.Owned.size(); ++F)
+        for (std::uint32_t V = 0; V != M.Owned[F]->numValues(); ++V)
+          for (std::uint32_t B = 0; B != M.Owned[F]->numBlocks(); ++B)
+            for (bool Out : {false, true})
+              Frame.push_back({F, V, B, Out});
+      return Frame;
+    };
+
+    BatchOptions Opts;
+    Opts.Threads = 4;
+    Opts.ChunkSize = 128;
+    Opts.GroupChunks = Group;
+    Opts.ColdFillShardThreshold = SIZE_MAX; // Stale values stay deferred.
+    BatchLivenessDriver Driver(M.Funcs, Opts);
+    Driver.run(makeFrame());
+    Driver.run(makeFrame());
+
+    // Instructions the churn added; uses are added to and removed from
+    // these only, always at the end, so no other operand is reindexed.
+    std::vector<std::pair<std::uint32_t, Instruction *>> Added;
+    unsigned Created = 0, UsesAdded = 0, UsesRemoved = 0;
+    for (unsigned Round = 0; Round != 8; ++Round) {
+      std::vector<std::vector<std::uint64_t>> Epochs(M.Owned.size());
+      for (std::size_t F = 0; F != M.Owned.size(); ++F)
+        for (std::uint32_t V = 0; V != M.Owned[F]->numValues(); ++V)
+          Epochs[F].push_back(M.Owned[F]->defUseEpoch(V));
+
+      for (unsigned Edit = 0; Edit != 12; ++Edit) {
+        auto F = static_cast<std::uint32_t>(Rng.nextBelow(
+            static_cast<unsigned>(M.Owned.size())));
+        Function &Fn = *M.Owned[F];
+        const DomTree &DT = Driver.analysisManager().domTree(Fn);
+        unsigned Kind = Rng.nextBelow(3);
+        if (Kind == 2 && !Added.empty()) {
+          auto [AF, I] = Added[Rng.nextBelow(unsigned(Added.size()))];
+          if (I->numOperands() != 0) {
+            I->removeOperand(I->numOperands() - 1);
+            ++UsesRemoved;
+          }
+          continue;
+        }
+        Value *V = Fn.value(Rng.nextBelow(Fn.numValues()));
+        if (!V->hasSingleDef() ||
+            std::find(NeverQueryable.begin(), NeverQueryable.end(),
+                      std::make_pair(F, V->id())) != NeverQueryable.end())
+          continue;
+        unsigned Def = V->defBlock()->id();
+        if (Kind == 1 && !Added.empty()) {
+          // A new use on an added instruction strictly below the def.
+          auto [AF, I] = Added[Rng.nextBelow(unsigned(Added.size()))];
+          if (AF == F && DT.strictlyDominates(Def, I->parent()->id())) {
+            I->addOperand(V);
+            ++UsesAdded;
+          }
+          continue;
+        }
+        // A new value whose defining instruction uses V, placed before
+        // the terminator of a block V's def dominates.
+        std::vector<unsigned> Dominated;
+        for (unsigned B = 0; B != Fn.numBlocks(); ++B)
+          if (DT.dominates(Def, B))
+            Dominated.push_back(B);
+        unsigned B = Dominated[Rng.nextBelow(unsigned(Dominated.size()))];
+        Instruction *I =
+            Fn.block(B)->insertBeforeTerminator(std::make_unique<Instruction>(
+                Opcode::Opaque, Fn.createValue(), std::vector<Value *>{V}));
+        Added.emplace_back(F, I);
+        ++Created;
+        ++UsesAdded;
+      }
+
+      std::vector<BatchQuery> Frame = makeFrame();
+      std::vector<PreparedCacheStats> Before;
+      for (std::size_t F = 0; F != M.Funcs.size(); ++F)
+        Before.push_back(Driver.preparedCache(F)->stats());
+      BatchResult R = Driver.run(Frame);
+
+      BatchOptions Ref;
+      Ref.Threads = 1;
+      Ref.Plane = QueryPlane::BlockId;
+      ASSERT_EQ(R.Answers, BatchLivenessDriver(M.Funcs, Ref).run(Frame).Answers)
+          << "round " << Round << ": diverges from the block-id plane";
+      std::vector<std::unique_ptr<DataflowLiveness>> Fresh;
+      for (const Function *F : M.Funcs)
+        Fresh.push_back(std::make_unique<DataflowLiveness>(*F));
+      for (std::size_t I = 0; I != Frame.size(); ++I) {
+        const BatchQuery &Q = Frame[I];
+        const Function &F = *M.Funcs[Q.FuncIndex];
+        const Value &V = *F.value(Q.ValueId);
+        bool Want = false;
+        if (V.hasSingleDef() && V.hasUses())
+          Want = Q.IsLiveOut
+                     ? Fresh[Q.FuncIndex]->isLiveOut(V, *F.block(Q.BlockId))
+                     : Fresh[Q.FuncIndex]->isLiveIn(V, *F.block(Q.BlockId));
+        ASSERT_EQ(R.Answers[I], Want)
+            << "round " << Round << " query " << I << ": %" << V.name()
+            << " diverges from a fresh DataflowLiveness";
+      }
+      for (auto [F, V] : NeverQueryable)
+        for (std::size_t I = 0; I != Frame.size(); ++I) {
+          if (Frame[I].FuncIndex == F && Frame[I].ValueId == V) {
+            EXPECT_EQ(R.Answers[I], 0) << "never-queryable value answered";
+          }
+        }
+
+      // Exactly the queryable values whose epoch moved (or that are new)
+      // are rebuilt, once each; no CFG edit means no epoch drop.
+      for (std::size_t F = 0; F != M.Funcs.size(); ++F) {
+        const Function &Fn = *M.Funcs[F];
+        std::uint64_t Edited = 0;
+        for (std::uint32_t V = 0; V != Fn.numValues(); ++V) {
+          const Value &Val = *Fn.value(V);
+          bool Moved = V >= Epochs[F].size() ||
+                       Fn.defUseEpoch(V) != Epochs[F][V];
+          if (Val.hasSingleDef() && Val.hasUses()) {
+            EXPECT_NE(Driver.preparedCache(F)->lookup(V), nullptr);
+            Edited += Moved;
+          } else {
+            EXPECT_EQ(Driver.preparedCache(F)->lookup(V), nullptr)
+                << "a fresh entry must imply a queryable value";
+          }
+        }
+        PreparedCacheStats S = Driver.preparedCache(F)->stats();
+        EXPECT_EQ((S.Builds - Before[F].Builds) +
+                      (S.Rebuilds - Before[F].Rebuilds),
+                  Edited)
+            << "round " << Round << " function " << F;
+        EXPECT_EQ(S.EpochDrops, Before[F].EpochDrops);
+      }
+    }
+    EXPECT_GT(Created, 0u);
+    EXPECT_GT(UsesAdded, Created) << "no use was added to an old value";
+    EXPECT_GT(UsesRemoved, 0u);
+  }
 }

@@ -393,8 +393,9 @@ rawStream(const std::vector<std::uint8_t> &Bytes,
   ServerThread.join();
   for (const auto &Rep : Replies) {
     EXPECT_FALSE(Rep.empty());
-    if (!Rep.empty())
+    if (!Rep.empty()) {
       EXPECT_TRUE(isReplyOpcode(Rep[0]));
+    }
   }
   return Replies;
 }

@@ -297,6 +297,69 @@ TEST(ServerOverload, SessionCapShedsNewSessionsButServesExisting) {
   SideB.join();
 }
 
+// A monitor's Metrics frame on a fresh connection is answered without
+// opening a session: it is served even while the session cap holds, and
+// the session figures it reports do not count the monitor itself.
+TEST(ServerOverload, SessionLessMetricsIsServedAtTheCapAndOpensNoSession) {
+  proto::ignoreSigpipe();
+  server::ServerConfig Cfg;
+  Cfg.MaxSessions = 1;
+  server::LivenessServer Server(Cfg);
+  const telemetry::Registry &Reg = telemetry::Registry::global();
+
+  int PairA[2], PairB[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, PairA), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, PairB), 0);
+  std::thread SideA([&] {
+    Server.serveStream(PairA[1], PairA[1]);
+    ::close(PairA[1]);
+  });
+  std::thread SideB([&] {
+    Server.serveStream(PairB[1], PairB[1]);
+    ::close(PairB[1]);
+  });
+
+  // Client A takes the only session slot.
+  std::vector<std::uint8_t> Reply;
+  ASSERT_TRUE(proto::roundTrip(PairA[0], PairA[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::StatsReply));
+  ASSERT_EQ(Server.sessions().activeSessions(), 1);
+
+  std::uint64_t Opened = Reg.value("ssalive_server_sessions_opened_total");
+  std::uint64_t Active = Reg.value("ssalive_server_sessions_active");
+  std::uint64_t Requests = Reg.value("ssalive_server_requests_metrics_total");
+  std::uint64_t Shed = Reg.value("ssalive_server_shed_frames_total");
+  for (int Rep = 0; Rep != 2; ++Rep) {
+    ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0],
+                                 proto::encodeMetricsRequest(), Reply));
+    ASSERT_FALSE(Reply.empty());
+    EXPECT_EQ(Reply[0], static_cast<std::uint8_t>(proto::Opcode::MetricsReply))
+        << "a monitor must not be shed at the session cap";
+  }
+  EXPECT_EQ(Reg.value("ssalive_server_sessions_opened_total"), Opened);
+  EXPECT_EQ(Reg.value("ssalive_server_sessions_active"), Active);
+  EXPECT_EQ(Reg.value("ssalive_server_requests_metrics_total") - Requests, 2u);
+  EXPECT_EQ(Reg.value("ssalive_server_shed_frames_total"), Shed);
+  EXPECT_EQ(Server.sessions().activeSessions(), 1);
+
+  // A body on the session-less path is rejected like on a session's.
+  std::vector<std::uint8_t> WithBody = proto::encodeMetricsRequest();
+  WithBody.push_back(0);
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], WithBody, Reply));
+  EXPECT_TRUE(isError(Reply, proto::ErrorCode::MalformedFrame));
+
+  // Any other frame still needs a session, and is shed at the cap.
+  ASSERT_TRUE(proto::roundTrip(PairB[0], PairB[0], proto::encodeStats(),
+                               Reply));
+  EXPECT_TRUE(isError(Reply, proto::ErrorCode::Overloaded));
+
+  ::close(PairA[0]);
+  ::close(PairB[0]);
+  SideA.join();
+  SideB.join();
+}
+
 // The cap check and the slot reservation are one atomic step: eight
 // threads released together at MaxSessions = 1 must open at most one
 // session between them, and the live count may never pass the cap.
