@@ -225,6 +225,7 @@ Session::~Session() {
   ServerTelemetry::get().SessionsClosed.inc();
   ServerTelemetry::get().SessionsActive.add(-1);
   Owner.ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
+  Owner.Pool.releaseSeat();
 }
 
 std::vector<std::uint8_t> Session::handle(const std::uint8_t *Data,
@@ -605,6 +606,7 @@ bool SessionManager::reserveSlot() {
 std::unique_ptr<Session> SessionManager::openSession() {
   ServerTelemetry::get().SessionsOpened.inc();
   ServerTelemetry::get().SessionsActive.add(1);
+  Pool.takeSeat();
   return std::unique_ptr<Session>(new Session(*this));
 }
 

@@ -18,6 +18,18 @@
 /// cross-worker locks on the hot path), so replies are byte-identical for
 /// any thread count and any interleaving of other sessions on the pool.
 ///
+/// Every open session holds one seat of the shared pool for its whole life
+/// (ThreadPool::takeSeat, taken in openSession and returned by ~Session):
+/// the core its connection thread runs on stays out of the pool's helper
+/// budget even while the session is reading, decoding, encoding or writing
+/// rather than inside a pool call. A frame's pool calls therefore wake at
+/// most Threads - max(open sessions, active callers) - helpers already
+/// woken other threads. A lone session on a 4-thread pool still fans out
+/// to 3 helpers; 4 sessions on 4 threads never wake a helper that would
+/// compete with another session's connection thread. An idle session
+/// keeps its seat: that can cost the other sessions helpers, never an
+/// answer, since the budget only decides how many helpers are woken.
+///
 /// CFG-edit commands replay deterministic mutations against the session's
 /// module (workload::applyFunctionMutation), coalesced per frame: all
 /// mutations apply first, then one AnalysisManager::refresh per touched
@@ -205,9 +217,9 @@ private:
 };
 
 /// Owns what every session shares: the config, the one process-wide query
-/// pool, the live-session count the session cap reads, and the module
-/// registry. Thread-safe; sessions are created from concurrent connection
-/// handlers.
+/// pool (one seat per open session), the live-session count the session
+/// cap reads, and the module registry. Thread-safe; sessions are created
+/// from concurrent connection handlers.
 class SessionManager {
 public:
   explicit SessionManager(ServerConfig Cfg) : Cfg(Cfg), Pool(Cfg.Threads) {}
@@ -251,7 +263,7 @@ private:
 
   /// Claims a live-session slot unless the cap is reached.
   bool reserveSlot();
-  /// Opens a session in an already reserved slot.
+  /// Opens a session in an already reserved slot; it takes a pool seat.
   std::unique_ptr<Session> openSession();
 
   ServerConfig Cfg;

@@ -8,6 +8,7 @@
 
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <memory>
 
 using namespace ssalive;
@@ -16,10 +17,16 @@ namespace {
 
 /// Pool-wide telemetry: the queue-depth gauge tracks Queue.size() and is
 /// only ever touched inside sections that already hold the pool mutex, so
-/// it costs no extra synchronization.
+/// it costs no extra synchronization. The threads and seats gauges sum over
+/// every live pool in the process.
 struct PoolTelemetry {
   telemetry::Counter Tasks{"ssalive_pool_tasks_total"};
   telemetry::Gauge QueueDepth{"ssalive_pool_queue_depth"};
+  telemetry::Gauge Threads{"ssalive_pool_threads"};
+  telemetry::Gauge Seats{"ssalive_pool_seats"};
+  telemetry::Counter HelperWakes{"ssalive_pool_helper_wakes_total"};
+  telemetry::Counter HelperWakesUnused{
+      "ssalive_pool_helper_wakes_unused_total"};
 
   static const PoolTelemetry &get() {
     static PoolTelemetry T;
@@ -35,7 +42,7 @@ ThreadPool::ThreadPool(unsigned NumThreads) {
     if (NumThreads == 0)
       NumThreads = 1;
   }
-  Tokens.store(static_cast<int>(NumThreads), std::memory_order_relaxed);
+  PoolTelemetry::get().Threads.add(NumThreads);
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I != NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -49,6 +56,17 @@ ThreadPool::~ThreadPool() {
   WorkAvailable.notify_all();
   for (std::thread &W : Workers)
     W.join();
+  PoolTelemetry::get().Threads.add(-static_cast<std::int64_t>(numThreads()));
+}
+
+void ThreadPool::takeSeat() {
+  Seats.fetch_add(1, std::memory_order_relaxed);
+  PoolTelemetry::get().Seats.add(1);
+}
+
+void ThreadPool::releaseSeat() {
+  Seats.fetch_sub(1, std::memory_order_relaxed);
+  PoolTelemetry::get().Seats.add(-1);
 }
 
 void ThreadPool::workerLoop() {
@@ -98,28 +116,32 @@ struct ThreadPool::Call {
        const void *Ctx)
       : Tickets(Tickets), Run(Run), Ctx(Ctx) {}
 
-  /// Claims and runs tickets until none is left.
-  void drain() {
+  /// Claims and runs tickets until none is left; false if it ran none.
+  bool drain() {
+    bool Ran = false;
     for (;;) {
       std::size_t T = Next.fetch_add(1, std::memory_order_relaxed);
       if (T >= Tickets)
-        return;
+        return Ran;
       Run(Ctx, T);
+      Ran = true;
     }
   }
 
   /// A helper's whole visit: enter unless the call is over, drain, leave.
-  void help() {
+  /// False if the helper ran no ticket.
+  bool help() {
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (Finished)
-        return;
+        return false;
       ++Active;
     }
-    drain();
+    bool Ran = drain();
     std::lock_guard<std::mutex> Lock(Mutex);
     if (--Active == 0)
       Left.notify_all();
+    return Ran;
   }
 
   /// The caller's end of the call: no helper may enter from here on, and
@@ -140,10 +162,14 @@ struct ThreadPool::Call {
   bool Finished = false;
 };
 
-bool ThreadPool::takeToken() {
-  int T = Tokens.load(std::memory_order_relaxed);
-  while (T > 0)
-    if (Tokens.compare_exchange_weak(T, T - 1, std::memory_order_relaxed))
+bool ThreadPool::takeHelper() {
+  // A seat holder's own call is inside its seat: count the larger of the
+  // two, never their sum.
+  const int Held = std::max(Seats.load(std::memory_order_relaxed),
+                            Callers.load(std::memory_order_relaxed));
+  int H = Helpers.load(std::memory_order_relaxed);
+  while (static_cast<int>(numThreads()) - Held - H > 0)
+    if (Helpers.compare_exchange_weak(H, H + 1, std::memory_order_relaxed))
       return true;
   return false;
 }
@@ -153,14 +179,14 @@ void ThreadPool::runTickets(std::size_t Tickets,
                             const void *Ctx) {
   if (Tickets == 0)
     return;
-  // The caller's own token, held for the whole call: N concurrent callers
-  // on an N-thread pool leave no spare token, so none of them hands work
-  // to another thread.
-  Tokens.fetch_sub(1, std::memory_order_relaxed);
-  std::size_t Helpers = 0;
-  while (Helpers + 1 < Tickets && Helpers + 1 < numThreads() && takeToken())
-    ++Helpers;
-  if (Helpers == 0) {
+  // The caller counts for the whole call: N concurrent callers (or N
+  // seats) on an N-thread pool leave no room in the budget, so none of them
+  // hands work to another thread.
+  Callers.fetch_add(1, std::memory_order_relaxed);
+  std::size_t Woken = 0;
+  while (Woken + 1 < Tickets && Woken + 1 < numThreads() && takeHelper())
+    ++Woken;
+  if (Woken == 0) {
     for (std::size_t T = 0; T != Tickets; ++T)
       Run(Ctx, T);
   } else {
@@ -171,22 +197,24 @@ void ThreadPool::runTickets(std::size_t Tickets,
     auto C = std::make_shared<Call>(Tickets, Run, Ctx);
     {
       std::unique_lock<std::mutex> Lock(Mutex);
-      for (std::size_t H = 0; H != Helpers; ++H) {
+      for (std::size_t H = 0; H != Woken; ++H) {
         Queue.push([this, C] {
-          C->help();
-          Tokens.fetch_add(1, std::memory_order_relaxed);
+          if (!C->help())
+            PoolTelemetry::get().HelperWakesUnused.inc();
+          Helpers.fetch_sub(1, std::memory_order_relaxed);
         });
         PoolTelemetry::get().Tasks.inc();
         PoolTelemetry::get().QueueDepth.add(1);
       }
     }
-    for (std::size_t H = 0; H != Helpers; ++H)
+    PoolTelemetry::get().HelperWakes.inc(Woken);
+    for (std::size_t H = 0; H != Woken; ++H)
       WorkAvailable.notify_one();
     Run(Ctx, 0);
     C->drain();
     C->finish();
   }
-  Tokens.fetch_add(1, std::memory_order_relaxed);
+  Callers.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::parallelFor(std::size_t Begin, std::size_t End,

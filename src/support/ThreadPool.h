@@ -17,18 +17,34 @@
 /// parallelFor, logical worker slots for runPerWorker). The calling thread
 /// claims tickets itself until none is left; each ticket is claimed
 /// exactly once, through one atomic counter, by whichever thread gets there
-/// first. Pool threads join a call only as *helpers*, and helpers are woken
-/// against a pool-wide budget of numThreads() tokens:
+/// first. Pool threads join a call only as *helpers*, and a call wakes at
+/// most
 ///
-///   * every active caller holds one token for the duration of its call;
-///   * a caller wakes at most one helper per spare token (and never more
-///     than it has tickets to share); a helper returns its token when it
-///     finishes.
+///   numThreads() - max(seats, active callers) - helpers already woken
 ///
-/// So one caller on an idle N-thread pool runs with N-1 helpers, while N
-/// concurrent callers (the liveness server's sessions on a shared pool)
-/// each run alone on their own thread — no handoff, no wake-up latency —
-/// and a 1-thread pool never leaves the calling thread at all.
+/// of them (and never more than it has tickets to share); a helper leaves
+/// the count when it finishes.
+///
+///   * An active caller is a thread inside parallelFor/runPerWorker.
+///   * A seat is held across calls by a long-lived client of the pool —
+///     the liveness server takes one per open session (takeSeat /
+///     releaseSeat). A session spends part of every round trip outside the
+///     pool (reading, decoding, encoding, writing); its seat keeps the core
+///     it runs on out of the budget then too, so another session's call
+///     cannot wake helpers that compete with its connection thread. Its
+///     own calls run inside its seat and are not charged twice: the budget
+///     counts max(seats, callers), not the sum.
+///   * An idle seat holder keeps its seat. That can cost another caller
+///     helpers, never an answer.
+///
+/// So one caller (seated or not) on an otherwise idle N-thread pool runs
+/// with N-1 helpers; N seats on an N-thread pool, or N concurrent callers,
+/// leave each call alone on its own thread — no handoff, no wake-up
+/// latency — and a 1-thread pool never leaves the calling thread at all.
+/// The budget is advisory: it decides only how many helpers are woken, not
+/// which tickets exist or who may claim them, so answers never depend on
+/// it. Callers that take no seat (a batch driver over its own pool) see
+/// zero seats.
 ///
 /// A helper woken for a call that has already finished (the caller drained
 /// every ticket before the helper was scheduled) returns without touching
@@ -37,6 +53,12 @@
 /// the caller never waits for a helper to *start*, a call completes even
 /// when every pool thread is blocked — including when it is issued from
 /// inside a pool task.
+///
+/// Telemetry: ssalive_pool_helper_wakes_total counts woken helpers, and
+/// ssalive_pool_helper_wakes_unused_total those that ran no ticket (their
+/// call had finished, or every ticket was already claimed);
+/// ssalive_pool_seats and ssalive_pool_threads are the levels the budget
+/// is computed from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,14 +121,22 @@ public:
   /// aggregation needs no locks.
   void runPerWorker(const std::function<void(unsigned)> &Body);
 
+  /// Holds one seat until the matching releaseSeat(): the holder's core is
+  /// kept out of the helper budget across calls (see the file comment).
+  void takeSeat();
+  void releaseSeat();
+  unsigned seats() const {
+    return static_cast<unsigned>(Seats.load(std::memory_order_relaxed));
+  }
+
 private:
   struct Call;
   /// Runs tickets [0, Tickets) through \p Run(Ctx, Ticket) on the calling
   /// thread plus budgeted helpers; returns when every ticket has run.
   void runTickets(std::size_t Tickets, void (*Run)(const void *, std::size_t),
                   const void *Ctx);
-  /// Takes one spare helper token, if the budget has one.
-  bool takeToken();
+  /// Counts one more woken helper, if the budget has room for it.
+  bool takeHelper();
   void workerLoop();
 
   std::vector<std::thread> Workers;
@@ -116,9 +146,11 @@ private:
   std::condition_variable AllIdle;
   unsigned Busy = 0;
   bool Stopping = false;
-  /// Helper budget: numThreads() minus active callers minus woken helpers.
-  /// Goes negative when more callers than threads are active.
-  std::atomic<int> Tokens{0};
+  /// The helper budget's inputs: numThreads() - max(Seats, Callers) -
+  /// Helpers helpers may be woken.
+  std::atomic<int> Seats{0};
+  std::atomic<int> Callers{0};
+  std::atomic<int> Helpers{0};
 };
 
 } // namespace ssalive

@@ -7,6 +7,7 @@
 #include "support/ThreadPool.h"
 
 #include "TestUtil.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -180,4 +182,142 @@ TEST(ThreadPool, OneThreadPoolNeverLeavesTheCaller) {
   for (const std::thread::id &Id : Ran)
     EXPECT_EQ(Id, std::this_thread::get_id());
   EXPECT_EQ(Slot, std::this_thread::get_id());
+}
+
+namespace {
+
+std::uint64_t helperWakes() {
+  return telemetry::Registry::global().value(
+      "ssalive_pool_helper_wakes_total");
+}
+
+std::uint64_t unusedHelperWakes() {
+  return telemetry::Registry::global().value(
+      "ssalive_pool_helper_wakes_unused_total");
+}
+
+/// Runs every worker slot of \p Pool behind a barrier that opens only once
+/// all of them are inside at the same time, so the call finishes in time
+/// only if numThreads() distinct threads ran it. Returns those threads.
+std::set<std::thread::id> runBehindBarrier(ThreadPool &Pool, bool &InTime) {
+  Gate AllIn;
+  std::atomic<unsigned> Inside{0};
+  std::mutex M;
+  std::set<std::thread::id> Ran;
+  InTime = finishesInTime(
+      [&] {
+        Pool.runPerWorker([&](unsigned) {
+          {
+            std::lock_guard<std::mutex> Lock(M);
+            Ran.insert(std::this_thread::get_id());
+          }
+          if (Inside.fetch_add(1) + 1 == Pool.numThreads())
+            AllIn.open();
+          AllIn.wait();
+        });
+      },
+      [&] { AllIn.open(); });
+  return Ran;
+}
+
+} // namespace
+
+TEST(ThreadPool, FullySeatedPoolKeepsEveryTicketOnTheCaller) {
+  // Four seats on a four-thread pool leave no room in the helper budget:
+  // a seat holder's calls run whole on its own thread and wake nobody.
+  ThreadPool Pool(4);
+  for (unsigned I = 0; I != 4; ++I)
+    Pool.takeSeat();
+  const std::uint64_t WakesBefore = helperWakes();
+  std::vector<std::thread::id> Ran(300);
+  Pool.parallelFor(0, Ran.size(), [&Ran](std::size_t I) {
+    Ran[I] = std::this_thread::get_id();
+  });
+  std::vector<std::thread::id> Slots(Pool.numThreads());
+  Pool.runPerWorker(
+      [&Slots](unsigned W) { Slots[W] = std::this_thread::get_id(); });
+  EXPECT_EQ(helperWakes(), WakesBefore);
+  for (std::size_t I = 0; I != Ran.size(); ++I)
+    EXPECT_EQ(Ran[I], std::this_thread::get_id()) << "index " << I;
+  for (std::size_t W = 0; W != Slots.size(); ++W)
+    EXPECT_EQ(Slots[W], std::this_thread::get_id()) << "worker slot " << W;
+  for (unsigned I = 0; I != 4; ++I)
+    Pool.releaseSeat();
+}
+
+TEST(ThreadPool, OneSeatStillWakesEveryOtherThread) {
+  // A lone seat holder's call counts once, not twice: it keeps the caller
+  // plus three helpers on a four-thread pool.
+  ThreadPool Pool(4);
+  Pool.takeSeat();
+  const std::uint64_t WakesBefore = helperWakes();
+  bool InTime = false;
+  std::set<std::thread::id> Ran = runBehindBarrier(Pool, InTime);
+  EXPECT_TRUE(InTime) << "a seat holder's call did not fan out";
+  EXPECT_EQ(Ran.size(), 4u);
+  EXPECT_EQ(helperWakes() - WakesBefore, 3u);
+  Pool.releaseSeat();
+  EXPECT_EQ(Pool.seats(), 0u);
+}
+
+TEST(ThreadPool, ReleasingSeatsRestoresTheBudget) {
+  ThreadPool Pool(4);
+  for (unsigned I = 0; I != 4; ++I)
+    Pool.takeSeat();
+  EXPECT_EQ(Pool.seats(), 4u);
+  std::uint64_t WakesBefore = helperWakes();
+  Pool.runPerWorker([](unsigned) {});
+  EXPECT_EQ(helperWakes(), WakesBefore);
+
+  for (unsigned I = 0; I != 4; ++I)
+    Pool.releaseSeat();
+  EXPECT_EQ(Pool.seats(), 0u);
+  WakesBefore = helperWakes();
+  bool InTime = false;
+  std::set<std::thread::id> Ran = runBehindBarrier(Pool, InTime);
+  EXPECT_TRUE(InTime) << "released seats still held the budget";
+  EXPECT_EQ(Ran.size(), 4u);
+  EXPECT_EQ(helperWakes() - WakesBefore, 3u);
+}
+
+TEST(ThreadPool, SeatedCallsCompleteWhileEveryWorkerIsBlocked) {
+  // One seat leaves room for helpers, so the calls below wake some — but
+  // every pool thread is parked on a gate, so the woken helpers arrive only
+  // after the calls returned: the caller claims every ticket itself, and
+  // each late helper is counted as an unused wake.
+  ThreadPool Pool(4);
+  Pool.takeSeat();
+  Gate Release;
+  std::atomic<unsigned> Blocked{0};
+  for (unsigned I = 0; I != Pool.numThreads(); ++I)
+    Pool.submit([&] {
+      Blocked.fetch_add(1);
+      Release.wait();
+    });
+  while (Blocked.load() != Pool.numThreads())
+    std::this_thread::yield();
+
+  const std::uint64_t WakesBefore = helperWakes();
+  const std::uint64_t UnusedBefore = unusedHelperWakes();
+  std::vector<std::atomic<unsigned>> Hits(500);
+  std::vector<std::atomic<unsigned>> Slots(Pool.numThreads());
+  bool InTime = finishesInTime(
+      [&] {
+        Pool.parallelFor(0, Hits.size(),
+                         [&Hits](std::size_t I) { Hits[I].fetch_add(1); },
+                         /*GrainSize=*/3);
+        Pool.runPerWorker([&Slots](unsigned W) { Slots[W].fetch_add(1); });
+      },
+      [&] { Release.open(); });
+  EXPECT_TRUE(InTime) << "a seated call waited for a blocked pool thread";
+  Release.open();
+  Pool.wait();
+  for (std::size_t I = 0; I != Hits.size(); ++I)
+    EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
+  for (std::size_t W = 0; W != Slots.size(); ++W)
+    EXPECT_EQ(Slots[W].load(), 1u) << "worker slot " << W;
+  const std::uint64_t Wakes = helperWakes() - WakesBefore;
+  EXPECT_GT(Wakes, 0u);
+  EXPECT_EQ(unusedHelperWakes() - UnusedBefore, Wakes);
+  Pool.releaseSeat();
 }

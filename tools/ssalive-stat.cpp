@@ -11,7 +11,9 @@
 // summary line derives the server's request-service percentiles from the
 // ssalive_server_frame_ns log2 histogram; a session line counts live and
 // opened sessions and shed frames; a modules line counts the
-// parsed modules the server keeps and how sessions shared them; a
+// parsed modules the server keeps and how sessions shared them; a pool
+// line counts the query pool's threads, the seats open sessions hold, and
+// the helpers it woke (and how many of those found nothing to run); a
 // prepared-plane line counts cache hits, builds, rebuilds, epoch drops and
 // remaps.
 //
@@ -205,6 +207,19 @@ void printModuleSummary(const std::vector<telemetry::Metric> &Metrics) {
               Get("ssalive_server_module_private_copies_total"));
 }
 
+/// The shared query pool: its threads, the seats open sessions hold, the
+/// helpers its calls woke, and the woken helpers that found no ticket left.
+void printPoolSummary(const std::vector<telemetry::Metric> &Metrics) {
+  auto Get = [&](const char *Name) {
+    return static_cast<long long>(valueOf(Metrics, Name));
+  };
+  std::printf("pool: %lld thread(s), %lld seat(s); %lld helper wake(s), "
+              "%lld unused\n",
+              Get("ssalive_pool_threads"), Get("ssalive_pool_seats"),
+              Get("ssalive_pool_helper_wakes_total"),
+              Get("ssalive_pool_helper_wakes_unused_total"));
+}
+
 /// The prepared plane: how queries found their cached entries, and what
 /// CFG edits cost the cache (epoch drops rebuild, remaps carry entries).
 void printPreparedSummary(const std::vector<telemetry::Metric> &Metrics) {
@@ -251,6 +266,7 @@ int main(int Argc, char **Argv) {
   printFrameLatencySummary(Metrics);
   printSessionSummary(Metrics);
   printModuleSummary(Metrics);
+  printPoolSummary(Metrics);
   printPreparedSummary(Metrics);
 
   // --watch: repoll on the same connection and report the query rate the
