@@ -24,10 +24,12 @@ PreparedCache::PreparedCache(const Function &F, const LiveCheck &Engine,
 PreparedCache::~PreparedCache() {
   publishTelemetry();
   // Retract this cache's share of the arena gauges: they track the live
-  // total across caches, and this one is going away.
+  // total across caches, and this one is going away. arenaBytes() counts
+  // capacity, so the arenas must really be released (swapped out), not
+  // merely emptied.
   for (ArenaStripe &S : Stripes) {
-    S.Spans = {};
-    S.MaskWords = {};
+    std::vector<unsigned>().swap(S.Spans);
+    std::vector<std::uint64_t>().swap(S.MaskWords);
     S.LiveSlices = 0;
   }
   publishTelemetry();

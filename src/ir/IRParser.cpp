@@ -10,11 +10,13 @@
 #include "support/Debug.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 
 using namespace ssalive;
 
@@ -30,20 +32,95 @@ bool isAlnum(char C) {
   return isDigit(C) || (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z');
 }
 
+/// Name -> id table of one function's values or blocks: open addressing
+/// with linear probing over a power-of-two array of (hash, id + 1) slots,
+/// kept at most half full. Keys are not stored; a probe whose hash matches
+/// compares the name of the entity the slot points at, which the function
+/// keeps anyway. Eight bytes a slot and no allocation per name, so a
+/// function's tables stay small even when several functions parse at once.
+class NameTable {
+public:
+  /// Sized for about \p Expected names without growing.
+  explicit NameTable(std::size_t Expected)
+      : Slots(std::bit_ceil(std::max<std::size_t>(16, 2 * Expected))) {}
+
+  /// The id of the entity called \p Name, or NotFound. \p NameOf(Id) is
+  /// the name of entity Id.
+  template <class NameOfFn>
+  unsigned find(std::string_view Name, NameOfFn NameOf) const {
+    std::uint32_t H = hash(Name);
+    for (std::size_t I = H & mask();; I = (I + 1) & mask()) {
+      const Slot &S = Slots[I];
+      if (S.IdPlus1 == 0)
+        return NotFound;
+      if (S.Hash == H && NameOf(S.IdPlus1 - 1) == Name)
+        return S.IdPlus1 - 1;
+    }
+  }
+
+  /// find(), except that a new name gets the id \p Create() returns.
+  template <class NameOfFn, class CreateFn>
+  unsigned findOrCreate(std::string_view Name, NameOfFn NameOf,
+                        CreateFn Create) {
+    std::uint32_t H = hash(Name);
+    for (std::size_t I = H & mask();; I = (I + 1) & mask()) {
+      Slot &S = Slots[I];
+      if (S.IdPlus1 == 0) {
+        unsigned Id = Create();
+        S = {H, Id + 1};
+        if (++Size * 2 > Slots.size())
+          grow();
+        return Id;
+      }
+      if (S.Hash == H && NameOf(S.IdPlus1 - 1) == Name)
+        return S.IdPlus1 - 1;
+    }
+  }
+
+  static constexpr unsigned NotFound = ~0u;
+
+private:
+  struct Slot {
+    std::uint32_t Hash = 0;
+    std::uint32_t IdPlus1 = 0; ///< 0: empty.
+  };
+
+  static std::uint32_t hash(std::string_view Name) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(Name));
+  }
+  std::size_t mask() const { return Slots.size() - 1; }
+
+  void grow() {
+    std::vector<Slot> Old(Slots.size() * 2);
+    Old.swap(Slots);
+    for (const Slot &S : Old) {
+      if (S.IdPlus1 == 0)
+        continue;
+      std::size_t I = S.Hash & mask();
+      while (Slots[I].IdPlus1 != 0)
+        I = (I + 1) & mask();
+      Slots[I] = S;
+    }
+  }
+
+  std::vector<Slot> Slots;
+  std::size_t Size = 0;
+};
+
 /// Recursive-descent parser over a single function body. Blocks and values
 /// are created lazily on first mention, so forward references (loop φs,
 /// forward jumps) need no second pass; terminators record pending successor
 /// labels that are wired into CFG edges once all blocks exist. Names are
 /// views into the text, which outlives the parse; a std::string is made
-/// only when a Value, a BasicBlock or a diagnostic keeps one.
+/// only when a Value, a BasicBlock or a diagnostic keeps one, and the
+/// symbol tables key on those (see NameTable).
 class Parser {
 public:
-  explicit Parser(std::string_view Text) : Text(Text) {
-    // Printed IR spends roughly 45 bytes per value and 300 per block; a
-    // slightly denser guess keeps the tables from rehashing as they fill.
-    ValuesByName.reserve(Text.size() / 32);
-    BlocksByName.reserve(Text.size() / 256);
-  }
+  // Printed IR spends roughly 45 bytes per value and 300 per block; a
+  // slightly denser guess keeps the tables from growing as they fill.
+  explicit Parser(std::string_view Text)
+      : Text(Text), ValuesByName(Text.size() / 32),
+        BlocksByName(Text.size() / 256) {}
 
   ParseResult run();
 
@@ -116,19 +193,33 @@ private:
     return true;
   }
 
+  /// The name of entity Id, for the symbol tables' probes.
+  auto valueName() const {
+    return [this](unsigned Id) -> auto & { return F->value(Id)->name(); };
+  }
+  auto blockName() const {
+    return [this](unsigned Id) -> auto & { return F->block(Id)->name(); };
+  }
+
   // Entity lookup with lazy creation.
   Value *getValue(std::string_view Name) {
-    auto [It, New] = ValuesByName.try_emplace(Name, nullptr);
-    if (New)
-      It->second = F->createValue(std::string(Name));
-    return It->second;
+    unsigned Id = ValuesByName.findOrCreate(Name, valueName(), [&] {
+      return F->createValue(std::string(Name))->id();
+    });
+    return F->value(Id);
   }
 
   BasicBlock *getBlock(std::string_view Name) {
-    auto [It, New] = BlocksByName.try_emplace(Name, nullptr);
-    if (New)
-      It->second = F->createBlock(std::string(Name));
-    return It->second;
+    unsigned Id = BlocksByName.findOrCreate(Name, blockName(), [&] {
+      return F->createBlock(std::string(Name))->id();
+    });
+    return F->block(Id);
+  }
+
+  /// The block called \p Name, or null if it was never mentioned.
+  BasicBlock *findBlock(std::string_view Name) const {
+    unsigned Id = BlocksByName.find(Name, blockName());
+    return Id == NameTable::NotFound ? nullptr : F->block(Id);
   }
 
   std::optional<Value *> parseValueRef() {
@@ -154,8 +245,8 @@ private:
   unsigned Line = 1;
   std::string Error;
   std::unique_ptr<Function> F;
-  std::unordered_map<std::string_view, Value *> ValuesByName;
-  std::unordered_map<std::string_view, BasicBlock *> BlocksByName;
+  NameTable ValuesByName;
+  NameTable BlocksByName;
   /// Deferred (block, successor-label) pairs; resolved after parsing so the
   /// successor order matches the terminator operand order.
   std::vector<std::pair<BasicBlock *, std::string_view>> PendingEdges;
@@ -374,21 +465,21 @@ bool Parser::parseBody() {
   // edges (a branch with both targets equal), so such input is refused
   // here rather than tripping BasicBlock::addSuccessor.
   for (auto &[Block, Label] : PendingEdges) {
-    auto It = BlocksByName.find(Label);
-    if (It == BlocksByName.end() || It->second->empty())
+    BasicBlock *Target = findBlock(Label);
+    if (!Target || Target->empty())
       return fail("jump to undefined block '" + std::string(Label) + "'");
     const auto &Succs = Block->successors();
-    if (std::find(Succs.begin(), Succs.end(), It->second) != Succs.end())
+    if (std::find(Succs.begin(), Succs.end(), Target) != Succs.end())
       return fail("duplicate edge to block '" + std::string(Label) + "'");
-    Block->addSuccessor(It->second);
+    Block->addSuccessor(Target);
   }
   // Patch φ incoming blocks.
   for (auto &[Phi, Idx, Label] : PendingPhis) {
-    auto It = BlocksByName.find(Label);
-    if (It == BlocksByName.end())
+    BasicBlock *Incoming = findBlock(Label);
+    if (!Incoming)
       return fail("phi references undefined block '" + std::string(Label) +
                   "'");
-    Phi->setIncomingBlock(Idx, It->second);
+    Phi->setIncomingBlock(Idx, Incoming);
   }
   return true;
 }
@@ -414,15 +505,13 @@ ParseResult ssalive::parseFunction(std::string_view Text) {
   return Parser(Text).run();
 }
 
-ModuleParseResult ssalive::parseModule(std::string_view Text) {
-  ModuleParseResult R;
+ModuleSplit ssalive::splitModule(std::string_view Text) {
   // The grammar has exactly one brace pair per function, so the module
-  // splits at every top-level '}' (outside comments). Each chunk reuses the
-  // single-function parser; diagnostics are re-anchored to module lines.
+  // splits at every top-level '}' (outside comments).
+  ModuleSplit S;
   std::size_t ChunkStart = 0;
   std::size_t ChunkStartLine = 1;
   std::size_t Line = 1;
-  unsigned FuncIndex = 0;
   bool InComment = false;
   for (std::size_t Pos = 0; Pos != Text.size(); ++Pos) {
     char C = Text[Pos];
@@ -439,21 +528,8 @@ ModuleParseResult ssalive::parseModule(std::string_view Text) {
     }
     if (C != '}')
       continue;
-    ++FuncIndex;
-    ParseResult FR =
-        parseFunction(Text.substr(ChunkStart, Pos + 1 - ChunkStart));
-    if (!FR.Func) {
-      // Parser diagnostics are "line N: msg" relative to the chunk.
-      std::size_t RelLine = 0;
-      if (std::sscanf(FR.Error.c_str(), "line %zu:", &RelLine) == 1)
-        FR.Error = "line " +
-                   std::to_string(ChunkStartLine + RelLine - 1) +
-                   FR.Error.substr(FR.Error.find(':'));
-      R.Funcs.clear();
-      R.Error = "function " + std::to_string(FuncIndex) + ", " + FR.Error;
-      return R;
-    }
-    R.Funcs.push_back(std::move(FR.Func));
+    S.Functions.push_back(
+        {Text.substr(ChunkStart, Pos + 1 - ChunkStart), ChunkStartLine});
     ChunkStart = Pos + 1;
     ChunkStartLine = Line;
   }
@@ -468,10 +544,43 @@ ModuleParseResult ssalive::parseModule(std::string_view Text) {
     else if (C == '#' || C == ';')
       InComment = true;
     else if (!isSpace(C)) {
+      S.TrailingInput = true;
+      break;
+    }
+  }
+  return S;
+}
+
+ParseResult ssalive::parseModuleFunction(const ModuleChunk &Chunk,
+                                         std::size_t Index) {
+  ParseResult R = parseFunction(Chunk.Text);
+  if (R.Func)
+    return R;
+  // Parser diagnostics are "line N: msg" relative to the chunk.
+  std::size_t RelLine = 0;
+  if (std::sscanf(R.Error.c_str(), "line %zu:", &RelLine) == 1)
+    R.Error = "line " + std::to_string(Chunk.FirstLine + RelLine - 1) +
+              R.Error.substr(R.Error.find(':'));
+  R.Error = "function " + std::to_string(Index + 1) + ", " + R.Error;
+  return R;
+}
+
+ModuleParseResult ssalive::parseModule(std::string_view Text) {
+  ModuleParseResult R;
+  ModuleSplit S = splitModule(Text);
+  R.Funcs.reserve(S.Functions.size());
+  for (std::size_t I = 0; I != S.Functions.size(); ++I) {
+    ParseResult FR = parseModuleFunction(S.Functions[I], I);
+    if (!FR.Func) {
       R.Funcs.clear();
-      R.Error = "trailing input after last function";
+      R.Error = std::move(FR.Error);
       return R;
     }
+    R.Funcs.push_back(std::move(FR.Func));
+  }
+  if (S.TrailingInput) {
+    R.Funcs.clear();
+    R.Error = TrailingInputError;
   }
   return R;
 }

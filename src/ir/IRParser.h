@@ -12,15 +12,18 @@
 /// decides whether a parsed function is in SSA form.
 ///
 /// Parsing is linear in the length of the text: one left-to-right pass with
-/// hash-keyed symbol tables whose keys are views into the input, so the text
-/// must outlive the call (not the result). Malformed input, including an
-/// immediate outside the int64 range, yields a diagnostic and never throws.
+/// open-addressing symbol tables that hold ids, not names (a probe compares
+/// the name the Value or BasicBlock keeps). Pending labels are views into
+/// the input, so the text must outlive the call (not the result).
+/// Malformed input, including an immediate outside the int64 range, yields
+/// a diagnostic and never throws.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SSALIVE_IR_IRPARSER_H
 #define SSALIVE_IR_IRPARSER_H
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -53,9 +56,46 @@ struct ModuleParseResult {
   std::string Error; ///< Empty on success; "function N, line L: msg" else.
 };
 
+/// One function's slice of a module text.
+struct ModuleChunk {
+  /// From just past the previous function's closing '}' (or the start of
+  /// the module) through this function's own '}'.
+  std::string_view Text;
+  /// The module line on which Text begins (1-based).
+  std::size_t FirstLine = 1;
+};
+
+/// A module text cut at its function boundaries.
+struct ModuleSplit {
+  std::vector<ModuleChunk> Functions;
+  /// Something other than whitespace or comments follows the last '}'.
+  bool TrailingInput = false;
+};
+
+/// The split contract, shared by every module loader. The grammar has
+/// exactly one brace pair per function, so a module splits at every '}'
+/// outside a '#'/';' comment; a lexical scan finds them without parsing.
+/// The chunks tile the text up to the last '}' with nothing dropped, so
+/// the functions can be parsed independently, in any order and on any
+/// thread, and parseModuleFunction() reproduces what parseModule() makes
+/// of each: the same function, ids and cfgVersion, or the same diagnostic.
+/// Chunks are views into \p Text.
+ModuleSplit splitModule(std::string_view Text);
+
+/// Parses chunk \p Index (0-based) of a split module. A diagnostic reads as
+/// parseModule() reports it: "function <Index + 1>, line L: msg", with L a
+/// module line.
+ParseResult parseModuleFunction(const ModuleChunk &Chunk, std::size_t Index);
+
+/// parseModule()'s diagnostic for a module with trailing input.
+inline constexpr const char *TrailingInputError =
+    "trailing input after last function";
+
 /// Parses a sequence of functions in the parseFunction() grammar, separated
 /// by whitespace/comments. The batch tools consume whole .ssair modules
-/// through this entry point.
+/// through this entry point. Serial: splitModule(), then each function in
+/// order. The first function that fails to parse decides the error; only a
+/// module whose functions all parse can fail with TrailingInputError.
 ModuleParseResult parseModule(std::string_view Text);
 
 } // namespace ssalive

@@ -13,6 +13,8 @@
 #include "support/BitVector.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
 
 using namespace ssalive;
@@ -203,19 +205,28 @@ VerifyResult ssalive::verifySSA(const Function &F) {
   // checked this). The rest — result-less non-terminators and definitions of
   // multiply-defined values, which strict SSA input does not contain — go
   // to a side table.
+  // The same pass numbers the operand slots in block and instruction order:
+  // the Idx-th instruction of block B owns the slots from
+  // FirstSlot[FirstInstr[B] + Idx] on, one per operand.
   std::vector<unsigned> DefPos(F.numValues());
   std::unordered_map<const Instruction *, unsigned> OtherPos;
+  std::vector<std::size_t> FirstInstr(F.numBlocks());
+  std::vector<std::size_t> FirstSlot;
+  std::size_t NumSlots = 0;
   auto hasOwnDefPos = [](const Instruction *I) {
     return I->result() && I->result()->hasSingleDef();
   };
   for (const auto &B : F.blocks()) {
     const auto &List = B->instructions();
+    FirstInstr[B->id()] = FirstSlot.size();
     for (unsigned Idx = 0; Idx != List.size(); ++Idx) {
       const Instruction *I = List[Idx].get();
       if (hasOwnDefPos(I))
         DefPos[I->result()->id()] = Idx;
       else if (!I->isTerminator())
         OtherPos.emplace(I, Idx);
+      FirstSlot.push_back(NumSlots);
+      NumSlots += I->numOperands();
     }
   }
   auto position = [&](const Instruction *I) {
@@ -225,6 +236,60 @@ VerifyResult ssalive::verifySSA(const Function &F) {
       return static_cast<unsigned>(I->parent()->instructions().size() - 1);
     return OtherPos.at(I);
   };
+
+  // Use lists: every record must name an operand slot, of an instruction
+  // of F, that holds the value, and every slot needs exactly one record.
+  // The liveness engines and the dominance checks below walk these lists,
+  // so a corrupt one ends verification here. A record is located through
+  // the position tables, never trusted: its User may be any instruction.
+  auto slotOf = [&](const Value *V,
+                    const Use &U) -> std::optional<std::size_t> {
+    const Instruction *I = U.User;
+    const BasicBlock *P = I ? I->parent() : nullptr;
+    if (!P || P->id() >= F.numBlocks() || F.block(P->id()) != P)
+      return std::nullopt;
+    const auto &List = P->instructions();
+    std::size_t Pos = List.size() - 1; // A terminator ends its block.
+    if (hasOwnDefPos(I) && I->result()->id() < DefPos.size()) {
+      Pos = DefPos[I->result()->id()];
+    } else if (!I->isTerminator()) {
+      auto It = OtherPos.find(I);
+      if (It == OtherPos.end())
+        return std::nullopt;
+      Pos = It->second;
+    }
+    if (Pos >= List.size() || List[Pos].get() != I ||
+        U.OperandIndex >= I->numOperands() || I->operand(U.OperandIndex) != V)
+      return std::nullopt;
+    return FirstSlot[FirstInstr[P->id()] + Pos] + U.OperandIndex;
+  };
+  std::vector<std::uint8_t> Recorded(NumSlots);
+  for (const auto &VP : F.values())
+    for (const Use &U : VP->uses()) {
+      std::optional<std::size_t> Slot = slotOf(VP.get(), U);
+      if (!Slot)
+        addError(R, "use list of %" + VP->name() +
+                        " names an operand that does not hold it");
+      else if (Recorded[*Slot])
+        addError(R, "use list of %" + VP->name() + " records an operand twice");
+      else
+        Recorded[*Slot] = 1;
+    }
+  for (const auto &B : F.blocks()) {
+    const auto &List = B->instructions();
+    for (unsigned Idx = 0; Idx != List.size(); ++Idx) {
+      const Instruction *I = List[Idx].get();
+      std::size_t Slot = FirstSlot[FirstInstr[B->id()] + Idx];
+      for (unsigned Op = 0; Op != I->numOperands(); ++Op)
+        if (!Recorded[Slot + Op])
+          addError(R, "operand " + std::to_string(Op) + " of " +
+                          opcodeName(I->opcode()) + " in block " + B->name() +
+                          " missing from the use list of %" +
+                          I->operand(Op)->name());
+    }
+  }
+  if (!R.ok())
+    return R;
 
   for (const auto &VP : F.values()) {
     const Value *V = VP.get();

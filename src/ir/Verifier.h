@@ -42,10 +42,14 @@ struct VerifyResult {
 /// entry without predecessors, all blocks reachable.
 VerifyResult verifyStructure(const Function &F);
 
-/// Checks strict SSA form on top of the structural checks: single def per
-/// used value, defs before uses within a block, and the dominance property
-/// under the paper's Definition 1 placement of φ uses. Errors are listed per
-/// value in id order, then per use in use-list order.
+/// Checks strict SSA form on top of the structural checks: consistent use
+/// lists (each record names an operand holding its value, each operand has
+/// exactly one record), single def per used value, defs before uses within
+/// a block, and the dominance property under the paper's Definition 1
+/// placement of φ uses. Use-list errors come first — records per value in
+/// id order, then operands without a record in block order — and stop the
+/// check; the rest are listed per value in id order, then per use in
+/// use-list order.
 VerifyResult verifySSA(const Function &F);
 
 /// Naive quadratic dominance computation by iterated set intersection;

@@ -8,9 +8,12 @@
 /// A deliberately naive decision procedure implementing the paper's
 /// Definitions 2 and 3 verbatim: a live-in query runs a fresh graph search
 /// from q for a def-free path to a use; a live-out query is the
-/// disjunction of live-in over the successors. It shares no code or ideas
-/// with the fast engine, which makes it the ground truth for the
-/// cross-validation property tests.
+/// disjunction of live-in over the successors. It shares no algorithm with
+/// the fast engine: no precomputation, no dominance numbering, no R/T sets.
+/// It does read the same def-use chains (Value::uses(), placed at blocks by
+/// liveUseBlock), so it is the ground truth for the cross-validation
+/// property tests only as far as those chains are right; verifySSA checks
+/// them against the operands.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -52,6 +52,8 @@ struct ServerTelemetry {
       "ssalive_server_module_shared_loads_total"};
   telemetry::Counter ModulePrivateCopies{
       "ssalive_server_module_private_copies_total"};
+  /// Wall time of a registering load: split, parse and verify.
+  telemetry::Histogram ModuleLoadNs{"ssalive_server_module_load_ns"};
 
   static const ServerTelemetry &get() {
     static ServerTelemetry T;
@@ -138,44 +140,73 @@ struct ssalive::server::LoadedModule {
   }
   ~LoadedModule() { unregister(); }
 
-  /// Parses and verifies the retained text into Funcs, or records the
-  /// BadModule message in Error.
-  void load() {
-    ModuleParseResult P;
-    {
-      SSALIVE_SPAN("parse");
-      P = parseModule(Text);
-    }
-    if (!P.Error.empty()) {
-      Error = std::move(P.Error);
-      return;
-    }
-    if (P.Funcs.empty()) {
-      Error = "module has no functions";
-      return;
-    }
-    // The engines require strict SSA; unlike the batch CLI (which skips
-    // bad functions with a warning), a server rejects the whole load —
-    // silently renumbering the surviving functions would corrupt every
-    // FuncIndex the client sends afterwards.
-    {
-      SSALIVE_SPAN("verify");
-      for (const auto &F : P.Funcs) {
-        VerifyResult V = verifySSA(*F);
-        if (!V.ok()) {
-          Error = "function @" + F->name() + ": " + V.message();
-          return;
-        }
+  /// Parses \p Src into Funcs, verifying each function too when \p Verify,
+  /// or records the BadModule message in Error. Each function is one ticket
+  /// of \p Pool (splitModule is the split rule): its parse and verify run
+  /// on whichever thread claims it, so a lone session's idle helpers share
+  /// the load, a 1-thread pool (or one whose seats are all held) runs every
+  /// ticket on the calling thread, and the verdict is the one serial
+  /// parseModule + verifySSA reach, byte for byte. Precedence follows the
+  /// serial order: the lowest-index parse error, then trailing input, then
+  /// an empty module, then the lowest-index verify error.
+  void load(std::string_view Src, ThreadPool &Pool, bool Verify) {
+    const ModuleSplit Split = splitModule(Src);
+    const std::size_t N = Split.Functions.size();
+    std::vector<ParseResult> Parsed(N);
+    std::vector<std::string> VerifyErrors(Verify ? N : 0);
+    // The lowest failed index so far, for skipping: a ticket above a parse
+    // error cannot change the verdict, and neither can a verify above a
+    // verify error, or any verify once some parse error or trailing input
+    // is known. So a bad module costs no more than the serial load.
+    std::atomic<std::size_t> FirstParseError{N}, FirstVerifyError{N};
+    auto lower = [](std::atomic<std::size_t> &Min, std::size_t I) {
+      std::size_t Cur = Min.load(std::memory_order_relaxed);
+      while (I < Cur &&
+             !Min.compare_exchange_weak(Cur, I, std::memory_order_relaxed))
+        ;
+    };
+    Pool.parallelFor(0, N, [&](std::size_t I) {
+      if (I > FirstParseError.load(std::memory_order_relaxed))
+        return;
+      {
+        SSALIVE_SPAN("parse");
+        Parsed[I] = parseModuleFunction(Split.Functions[I], I);
       }
-    }
-    adopt(std::move(P.Funcs));
-  }
-
-  void adopt(std::vector<std::unique_ptr<Function>> Parsed) {
-    Funcs = std::move(Parsed);
-    for (const auto &F : Funcs) {
-      TotalBlocks += F->numBlocks();
-      TotalValues += F->numValues();
+      if (!Parsed[I].Func) {
+        lower(FirstParseError, I);
+        return;
+      }
+      if (!Verify || Split.TrailingInput ||
+          FirstParseError.load(std::memory_order_relaxed) != N ||
+          I > FirstVerifyError.load(std::memory_order_relaxed))
+        return;
+      SSALIVE_SPAN("verify");
+      // The engines require strict SSA; unlike the batch CLI (which skips
+      // bad functions with a warning), a server rejects the whole load —
+      // silently renumbering the surviving functions would corrupt every
+      // FuncIndex the client sends afterwards.
+      VerifyResult V = verifySSA(*Parsed[I].Func);
+      if (!V.ok()) {
+        VerifyErrors[I] =
+            "function @" + Parsed[I].Func->name() + ": " + V.message();
+        lower(FirstVerifyError, I);
+      }
+    });
+    if (std::size_t I = FirstParseError.load(); I != N)
+      Error = std::move(Parsed[I].Error);
+    else if (Split.TrailingInput)
+      Error = TrailingInputError;
+    else if (N == 0)
+      Error = "module has no functions";
+    else if (std::size_t I = FirstVerifyError.load(); I != N)
+      Error = std::move(VerifyErrors[I]);
+    if (!Error.empty())
+      return;
+    Funcs.reserve(N);
+    for (ParseResult &P : Parsed) {
+      TotalBlocks += P.Func->numBlocks();
+      TotalValues += P.Func->numValues();
+      Funcs.push_back(std::move(P.Func));
     }
   }
 
@@ -326,10 +357,7 @@ void Session::ensurePrivateModule() {
   // copy of our own. The text was verified when it was first loaded, and
   // the parse reproduces ids, predecessor order and cfgVersion exactly.
   auto Copy = std::make_shared<LoadedModule>();
-  {
-    SSALIVE_SPAN("parse");
-    Copy->adopt(parseModule(Module->Text).Funcs);
-  }
+  Copy->load(Module->Text, Owner.pool(), /*Verify=*/false);
   ServerTelemetry::get().ModulePrivateCopies.inc();
 
   // The new driver starts cold. Re-warm it to what the old one had built —
@@ -545,7 +573,10 @@ SessionManager::acquireModule(std::string_view Text) {
     ServerTelemetry::get().ModuleSharedLoads.inc();
     M->waitReady();
   } else {
-    M->load();
+    {
+      telemetry::ScopedTimerNs Timer(ServerTelemetry::get().ModuleLoadNs);
+      M->load(M->Text, Pool, /*Verify=*/true);
+    }
     M->publish();
   }
   return M;

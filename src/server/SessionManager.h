@@ -48,7 +48,20 @@
 /// it outside the registry lock, and concurrent loaders of the same bytes
 /// wait for its verdict, so they all get the same ModuleLoaded reply or the
 /// same Error(BadModule). Loaders of different texts never wait on each
-/// other's parse. The registry holds weak references and sessions strong
+/// other's parse.
+///
+/// The load itself runs on the shared pool: the text is split at function
+/// boundaries (splitModule) and each function's parse and verify is one
+/// parallelFor ticket, under the seat budget above like any query batch.
+/// A lone session's load fans out to its 3 idle helpers; with every seat
+/// held (4 sessions on 4 threads, as on spec-uniform) or on a 1-thread
+/// pool, the loader runs every ticket itself. The single flight's waiters
+/// sit idle on the entry's condition variable; they do not help the
+/// loader. Whatever the schedule, the verdict is the serial parseModule +
+/// verifySSA one, byte for byte: the lowest-index parse error, then
+/// trailing input, then an empty module, then the lowest-index verify
+/// error. Tickets above a failed one skip their work, so a bad module
+/// costs no more than a serial load. The registry holds weak references and sessions strong
 /// ones, so a module dies with its last session; expired entries are
 /// pruned on lookup. Each session keeps its own driver (AnalysisManager,
 /// prepared caches, baseline engines), tally, and decode buffers — the
@@ -59,7 +72,8 @@
 /// valid EditCFG frame. A session that holds the only reference unregisters
 /// the entry, drops its retained text and edits in place (no copy — an
 /// edited module is never handed to a later loader of the original text).
-/// Otherwise it re-parses the retained text into a private copy: parsing
+/// Otherwise it re-parses the retained text into a private copy, through
+/// the same per-function tickets as a load (without verify): parsing
 /// reproduces value ids, predecessor (hence phi operand) order and
 /// cfgVersion exactly, so EditApplied epochs and answers are those of a
 /// session that never shared. The session's driver is rebuilt over the

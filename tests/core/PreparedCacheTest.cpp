@@ -23,6 +23,7 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRParser.h"
 #include "pipeline/AnalysisManager.h"
+#include "support/Telemetry.h"
 #include "workload/CFGMutator.h"
 
 #include <gtest/gtest.h>
@@ -120,6 +121,37 @@ TEST(PreparedCache, CachedPlaneMatchesBlockIdOracle) {
     EXPECT_GT(S.Hits, S.Builds) << "seed " << Seed;
     EXPECT_EQ(S.Rebuilds, 0u) << "seed " << Seed;
     EXPECT_EQ(S.EpochDrops, 0u) << "seed " << Seed;
+  }
+}
+
+TEST(PreparedCache, DestroyedCacheRetractsItsArenaGauges) {
+  // The arena gauges are the live total across caches: a cache that built
+  // entries and then died must leave both exactly where they were.
+  auto Gauge = [](const char *Name) {
+    return static_cast<std::int64_t>(
+        telemetry::Registry::global().value(Name));
+  };
+  const std::int64_t Bytes0 = Gauge("ssalive_prepared_arena_bytes");
+  const std::int64_t Slices0 = Gauge("ssalive_prepared_arena_slices");
+  for (std::uint64_t Seed = 7200; Seed != 7204; ++Seed) {
+    RandomFunctionConfig Cfg;
+    Cfg.TargetBlocks = 40;
+    auto F = randomSSAFunction(Seed, Cfg);
+    FunctionLiveness FL(*F);
+    {
+      PreparedCache Cache(*F, FL.engine(), FL.domTree());
+      for (const Value *V : queryableValues(*F))
+        (void)Cache.ensure(*V);
+      Cache.publishTelemetry();
+      EXPECT_GT(Gauge("ssalive_prepared_arena_bytes"), Bytes0)
+          << "seed " << Seed;
+      EXPECT_GT(Gauge("ssalive_prepared_arena_slices"), Slices0)
+          << "seed " << Seed;
+    }
+    EXPECT_EQ(Gauge("ssalive_prepared_arena_bytes"), Bytes0)
+        << "seed " << Seed;
+    EXPECT_EQ(Gauge("ssalive_prepared_arena_slices"), Slices0)
+        << "seed " << Seed;
   }
 }
 

@@ -161,6 +161,48 @@ TEST(Verifier, DetectsMissingTerminator) {
   EXPECT_NE(R.message().find("terminator"), std::string::npos);
 }
 
+TEST(Verifier, RejectsCorruptUseLists) {
+  // The parser and the IR mutators keep use lists consistent; corrupt one
+  // record at a time by hand, check the verdict, and undo it (teardown
+  // unlinks every operand through its use record).
+  auto F = parseOk(R"(
+func @uses {
+e:
+  %a = param 0
+  %b = add %a, %a
+  ret %b
+}
+)");
+  auto Other = parseOk("func @other {\ne:\n  %z = param 0\n  ret %z\n}\n");
+  ASSERT_TRUE(verifySSA(*F).ok()) << verifySSA(*F).message();
+  Value *A = F->value(0), *B = F->value(1);
+  Instruction *Add = F->entry()->instructions()[1].get();
+  Instruction *Ret = F->entry()->instructions()[2].get();
+  Instruction *Foreign = Other->entry()->instructions()[1].get();
+  auto expectOnly = [&](const std::string &Want) {
+    VerifyResult R = verifySSA(*F);
+    ASSERT_EQ(R.Errors.size(), 1u) << R.message();
+    EXPECT_EQ(R.Errors[0], Want);
+  };
+
+  A->removeUse(Add, 1); // An operand without its record.
+  expectOnly("operand 1 of add in block e missing from the use list of %a");
+  A->addUse(Add, 1);
+
+  A->addUse(Add, 0); // A record twice.
+  expectOnly("use list of %a records an operand twice");
+  A->removeUse(Add, 0);
+
+  // Records naming the wrong operand, a slot past the operands, and an
+  // instruction of another function.
+  for (Use Bad : {Use{Add, 0}, Use{Ret, 3}, Use{Foreign, 0}}) {
+    B->addUse(Bad.User, Bad.OperandIndex);
+    expectOnly("use list of %b names an operand that does not hold it");
+    B->removeUse(Bad.User, Bad.OperandIndex);
+  }
+  EXPECT_TRUE(verifySSA(*F).ok()) << verifySSA(*F).message();
+}
+
 TEST(NaiveDominators, MatchesHandComputedDiamond) {
   CFG G = makeCFG(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   auto Doms = computeDominatorsNaive(G);

@@ -167,83 +167,88 @@ TEST(ModuleShare, ConcurrentLoadsShareOneParsedModule) {
 }
 
 TEST(ModuleShare, EditCopiesWhileTheOtherSessionKeepsQuerying) {
+  // At 4 threads the private copy's per-function parse tickets run on
+  // helpers while B's query batches share the pool.
   const std::string Text = moduleText(23);
-  server::ServerConfig Cfg;
-  Cfg.Threads = 2;
-  server::SessionManager Mgr(Cfg);
-  auto A = Mgr.createSession();
-  auto B = Mgr.createSession();
-  ASSERT_EQ(A->handle(loadRequest(Text)), B->handle(loadRequest(Text)));
-  ASSERT_EQ(Mgr.residentModules(), 1u);
+  for (unsigned Threads : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    server::ServerConfig Cfg;
+    Cfg.Threads = Threads;
+    server::SessionManager Mgr(Cfg);
+    auto A = Mgr.createSession();
+    auto B = Mgr.createSession();
+    ASSERT_EQ(A->handle(loadRequest(Text)), B->handle(loadRequest(Text)));
+    ASSERT_EQ(Mgr.residentModules(), 1u);
 
-  // The reference: a session that loaded the same text alone and gets the
-  // same frames as A.
-  server::SessionManager AloneMgr(Cfg);
-  auto Alone = AloneMgr.createSession();
-  ASSERT_EQ(Alone->handle(loadRequest(Text))[0],
-            static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
+    // The reference: a session that loaded the same text alone and gets the
+    // same frames as A.
+    server::SessionManager AloneMgr(Cfg);
+    auto Alone = AloneMgr.createSession();
+    ASSERT_EQ(Alone->handle(loadRequest(Text))[0],
+              static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded));
 
-  // B keeps querying the unedited module while A edits.
-  Oracle Unedited(Text);
-  std::vector<std::vector<BatchQuery>> BWork;
-  std::vector<std::vector<std::uint8_t>> BWant;
-  for (unsigned I = 0; I != 40; ++I) {
-    BWork.push_back(
-        BatchLivenessDriver::generateWorkload(Unedited.Funcs, 900 + I, 64));
-    BWant.push_back(Unedited.answers(BWork.back()));
-  }
-  std::thread Reader([&] {
-    for (std::size_t I = 0; I != BWork.size(); ++I)
-      EXPECT_EQ(B->handle(queryRequest(BWork[I])), BWant[I])
-          << "reader batch " << I;
-  });
-
-  // A's stream: warm queries first (the copy must carry the warm analyses
-  // and cache counters over), then edits interleaved with queries. The
-  // mirror picks the edits and draws each workload from the edited graph.
-  const std::uint64_t CopiesBefore =
-      metric("ssalive_server_module_private_copies_total");
-  Oracle Mirror(Text, BatchBackend::LiveCheckPropagated);
-  RandomEngine Rng(4242);
-  CFGMutatorOptions MOpts;
-  MOpts.MaxNodes = 96;
-  unsigned EditFrames = 0;
-  for (unsigned Step = 0; Step != 60; ++Step) {
-    std::vector<std::uint8_t> Request;
-    if (Step >= 3 && Step % 2 == 1) {
-      std::vector<proto::EditItem> Items;
-      for (unsigned K = 0; K != 2; ++K) {
-        unsigned FI = Rng.nextBelow(
-            static_cast<unsigned>(Mirror.Parsed.Funcs.size()));
-        if (auto M = Mirror.mutate(FI, Rng, MOpts))
-          Items.push_back({static_cast<std::uint8_t>(M->Kind), FI, M->From,
-                           M->To, M->To2});
-      }
-      if (Items.empty())
-        continue;
-      Request = proto::encodeEditBatch(Items);
-      ++EditFrames;
-    } else {
-      std::vector<BatchQuery> W = BatchLivenessDriver::generateWorkload(
-          Mirror.Funcs, Rng.next(), 64);
-      Request = queryRequest(W);
-      EXPECT_EQ(A->handle(Request), Mirror.answers(W)) << "step " << Step;
-      EXPECT_EQ(Alone->handle(Request), Mirror.answers(W)) << "step " << Step;
-      continue;
+    // B keeps querying the unedited module while A edits.
+    Oracle Unedited(Text);
+    std::vector<std::vector<BatchQuery>> BWork;
+    std::vector<std::vector<std::uint8_t>> BWant;
+    for (unsigned I = 0; I != 40; ++I) {
+      BWork.push_back(
+          BatchLivenessDriver::generateWorkload(Unedited.Funcs, 900 + I, 64));
+      BWant.push_back(Unedited.answers(BWork.back()));
     }
-    EXPECT_EQ(A->handle(Request), Alone->handle(Request)) << "step " << Step;
-  }
-  ASSERT_GT(EditFrames, 0u);
-  EXPECT_EQ(A->handle(proto::encodeStats()),
-            Alone->handle(proto::encodeStats()));
-  Reader.join();
+    std::thread Reader([&] {
+      for (std::size_t I = 0; I != BWork.size(); ++I)
+        EXPECT_EQ(B->handle(queryRequest(BWork[I])), BWant[I])
+            << "reader batch " << I;
+    });
 
-  EXPECT_EQ(metric("ssalive_server_module_private_copies_total") -
-                CopiesBefore,
-            1u);
-  // The edited copy is A's alone; the registry still holds B's original.
-  EXPECT_NE(&A->function(0), &B->function(0));
-  EXPECT_EQ(Mgr.residentModules(), 1u);
+    // A's stream: warm queries first (the copy must carry the warm analyses
+    // and cache counters over), then edits interleaved with queries. The
+    // mirror picks the edits and draws each workload from the edited graph.
+    const std::uint64_t CopiesBefore =
+        metric("ssalive_server_module_private_copies_total");
+    Oracle Mirror(Text, BatchBackend::LiveCheckPropagated);
+    RandomEngine Rng(4242);
+    CFGMutatorOptions MOpts;
+    MOpts.MaxNodes = 96;
+    unsigned EditFrames = 0;
+    for (unsigned Step = 0; Step != 60; ++Step) {
+      std::vector<std::uint8_t> Request;
+      if (Step >= 3 && Step % 2 == 1) {
+        std::vector<proto::EditItem> Items;
+        for (unsigned K = 0; K != 2; ++K) {
+          unsigned FI = Rng.nextBelow(
+              static_cast<unsigned>(Mirror.Parsed.Funcs.size()));
+          if (auto M = Mirror.mutate(FI, Rng, MOpts))
+            Items.push_back({static_cast<std::uint8_t>(M->Kind), FI, M->From,
+                             M->To, M->To2});
+        }
+        if (Items.empty())
+          continue;
+        Request = proto::encodeEditBatch(Items);
+        ++EditFrames;
+      } else {
+        std::vector<BatchQuery> W = BatchLivenessDriver::generateWorkload(
+            Mirror.Funcs, Rng.next(), 64);
+        Request = queryRequest(W);
+        EXPECT_EQ(A->handle(Request), Mirror.answers(W)) << "step " << Step;
+        EXPECT_EQ(Alone->handle(Request), Mirror.answers(W)) << "step " << Step;
+        continue;
+      }
+      EXPECT_EQ(A->handle(Request), Alone->handle(Request)) << "step " << Step;
+    }
+    ASSERT_GT(EditFrames, 0u);
+    EXPECT_EQ(A->handle(proto::encodeStats()),
+              Alone->handle(proto::encodeStats()));
+    Reader.join();
+
+    EXPECT_EQ(metric("ssalive_server_module_private_copies_total") -
+                  CopiesBefore,
+              1u);
+    // The edited copy is A's alone; the registry still holds B's original.
+    EXPECT_NE(&A->function(0), &B->function(0));
+    EXPECT_EQ(Mgr.residentModules(), 1u);
+  }
 }
 
 TEST(ModuleShare, SoleOwnerEditsInPlaceAndLaterLoadsGetTheOriginal) {

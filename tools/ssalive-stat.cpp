@@ -11,7 +11,8 @@
 // summary line derives the server's request-service percentiles from the
 // ssalive_server_frame_ns log2 histogram; a session line counts live and
 // opened sessions and shed frames; a modules line counts the
-// parsed modules the server keeps and how sessions shared them; a pool
+// parsed modules the server keeps, how sessions shared them, and how long
+// the loads that parsed a new text took; a pool
 // line counts the query pool's threads, the seats open sessions hold, and
 // the helpers it woke (and how many of those found nothing to run); a
 // prepared-plane line counts cache hits, builds, rebuilds, epoch drops and
@@ -194,17 +195,29 @@ void printSessionSummary(const std::vector<telemetry::Metric> &Metrics) {
 }
 
 /// The module registry: parsed modules resident and the text they retain,
-/// loads that shared an existing module, and private copies made on edit.
+/// loads that shared an existing module, private copies made on edit, and
+/// the wall time of the loads that parsed and verified a new text
+/// (ssalive_server_module_load_ns).
 void printModuleSummary(const std::vector<telemetry::Metric> &Metrics) {
   auto Get = [&](const char *Name) {
     return static_cast<unsigned long long>(valueOf(Metrics, Name));
   };
+  telemetry::HistogramData Load;
+  for (const telemetry::Metric &M : Metrics)
+    if (M.Name == "ssalive_server_module_load_ns" &&
+        M.Kind == telemetry::MetricKind::Histogram)
+      Load = M.Hist;
   std::printf("modules: %llu resident (%llu text bytes), %llu shared "
-              "load(s), %llu private copy(ies)\n",
+              "load(s), %llu private copy(ies); %llu parsed load(s), "
+              "avg=%.2fms p50=%.2fms p99=%.2fms\n",
               Get("ssalive_server_modules_resident"),
               Get("ssalive_server_module_text_bytes"),
               Get("ssalive_server_module_shared_loads_total"),
-              Get("ssalive_server_module_private_copies_total"));
+              Get("ssalive_server_module_private_copies_total"),
+              static_cast<unsigned long long>(Load.Count),
+              Load.Count ? double(Load.Sum) / double(Load.Count) / 1e6 : 0.0,
+              telemetry::histogramPercentile(Load, 50) / 1e6,
+              telemetry::histogramPercentile(Load, 99) / 1e6);
 }
 
 /// The shared query pool: its threads, the seats open sessions hold, the
