@@ -67,7 +67,6 @@ std::uint64_t answerChecksum(const LiveCheck &LC, const Function &F,
                              RandomEngine &Rng) {
   std::uint64_t Sum = 0xcbf29ce484222325ull;
   unsigned N = LC.numNodes();
-  BitVector In, Out;
   unsigned Sampled = 0;
   for (const auto &V : F.values()) {
     if (V->defs().size() != 1)
@@ -76,13 +75,12 @@ std::uint64_t answerChecksum(const LiveCheck &LC, const Function &F,
     if (Uses.empty())
       continue;
     unsigned Def = defBlockId(*V);
-    LC.liveInOutBlocks(Def, Uses, In, Out);
-    for (unsigned B = In.findFirstSet(); B != BitVector::npos;
-         B = In.findNextSet(B + 1))
-      Sum = (Sum ^ (std::uint64_t(Def) * 131 + B)) * 0x100000001b3ull;
-    for (unsigned B = Out.findFirstSet(); B != BitVector::npos;
-         B = Out.findNextSet(B + 1))
-      Sum = (Sum ^ (std::uint64_t(Def) * 137 + B + N)) * 0x100000001b3ull;
+    for (unsigned B = 0; B != N; ++B)
+      if (LC.isLiveIn(Def, B, Uses))
+        Sum = (Sum ^ (std::uint64_t(Def) * 131 + B)) * 0x100000001b3ull;
+    for (unsigned B = 0; B != N; ++B)
+      if (LC.isLiveOut(Def, B, Uses))
+        Sum = (Sum ^ (std::uint64_t(Def) * 137 + B + N)) * 0x100000001b3ull;
     if (++Sampled == 48)
       break;
   }

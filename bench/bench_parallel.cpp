@@ -68,12 +68,6 @@ int main(int Argc, char **Argv) {
   for (unsigned Threads : ThreadCounts) {
     BatchOptions Opts;
     Opts.Backend = BatchBackend::LiveCheckPropagated;
-    // Pinned to the block-id plane: this bench measures how the per-query
-    // engine scan scales across threads, and its committed baseline was
-    // produced on this plane. The cached prepared plane (the production
-    // default) moves the per-value chain walk into the serial precompute
-    // phase, which is bench_prepared's subject, not this one's.
-    Opts.Plane = QueryPlane::BlockId;
     Opts.Threads = Threads;
     BatchLivenessDriver Driver(Funcs, Opts);
     // Cold run builds the per-function engines (timed as precompute);

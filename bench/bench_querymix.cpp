@@ -173,7 +173,6 @@ int main(int Argc, char **Argv) {
     // The two configurations, differing only in GroupChunks.
     BatchOptions Base;
     Base.Threads = 1;
-    Base.Plane = QueryPlane::Prepared;
     Base.ChunkSize = Workload.size(); // One span, no chunk-split runs.
     BatchOptions AOpts = Base, GOpts2 = Base;
     AOpts.GroupChunks = false;

@@ -997,87 +997,6 @@ bool LiveCheck::isLiveOut(unsigned DefBlock, unsigned Q,
 }
 
 //===----------------------------------------------------------------------===//
-// Batch sweep
-//===----------------------------------------------------------------------===//
-
-void LiveCheck::liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
-                               const unsigned *UsesEnd, BitVector *In,
-                               BitVector *Out) const {
-  if (In) {
-    In->resize(NumNodes);
-    In->reset();
-  }
-  if (Out) {
-    Out->resize(NumNodes);
-    Out->reset();
-  }
-  if (UsesBegin == UsesEnd)
-    return;
-  // Algorithm 2 case 1 at the def block itself.
-  if (Out)
-    for (const unsigned *U = UsesBegin; U != UsesEnd; ++U)
-      if (*U != DefBlock) {
-        Out->set(DefBlock);
-        break;
-      }
-  unsigned DefNum = DT.num(DefBlock);
-  unsigned MaxDom = DT.maxnum(DefBlock);
-  if (MaxDom <= DefNum)
-    return; // Def dominates nothing strictly: nothing else can be live.
-  auto UseMaskH = pool::scratchBitset(NumNodes);
-  BitVector &UseMask = *UseMaskH;
-  for (const unsigned *U = UsesBegin; U != UsesEnd; ++U)
-    UseMask.set(DT.num(*U));
-
-  // Two linear passes over the arena instead of one scan per block, shared
-  // between the two directions.
-  //
-  // Pass 1 marks the "good" targets: t ∈ (DefNum, MaxDom] with
-  // R_t ∩ uses != ∅ (the body of Algorithm 1 line 4, evaluated once per
-  // node instead of once per (q, t) pair). For live-out, the t = q
-  // self-target needs Algorithm 2's line-8 exclusion, so its verdict is
-  // tracked separately in GoodSelf.
-  //
-  // Pass 2 answers every q at once: q is live iff T_q meets a good target
-  // inside the interval — a masked word-sweep intersection per row. The
-  // existential formulation matches the scan kernels.
-  unsigned Lo = DefNum + 1;
-  unsigned Stride = RMat.strideWords();
-  const BitMatrix::Word *MaskW = UseMask.words();
-  auto GoodH = pool::scratchBitset(NumNodes);
-  BitVector &Good = *GoodH;
-  auto GoodSelfH = Out ? pool::scratchBitset(NumNodes)
-                       : pool::BitsetPool::Handle();
-  BitVector *GoodSelf = Out ? &*GoodSelfH : nullptr;
-  for (unsigned T = Lo; T <= MaxDom; ++T) {
-    const BitMatrix::Word *R = RMat.row(T);
-    bool Any = BitMatrix::wordsAnyCommon(R, MaskW, Stride);
-    if (Any)
-      Good.set(T);
-    if (Out) {
-      bool Self = BackTargetByNum[T]
-                      ? Any
-                      : BitMatrix::wordsAnyCommon(R, MaskW, Stride,
-                                                  /*ExcludeBit=*/T);
-      if (Self)
-        GoodSelf->set(T);
-    }
-  }
-  const BitMatrix::Word *GoodW = Good.words();
-  for (unsigned Q = Lo; Q <= MaxDom; ++Q) {
-    const BitMatrix::Word *T = TMat.row(Q);
-    if (In && BitMatrix::wordsAnyCommonInRange(T, GoodW, Lo, MaxDom))
-      In->set(DT.nodeAtNum(Q));
-    // T_q always holds q itself; route that one target through GoodSelf
-    // and exclude it from the ordinary sweep.
-    if (Out && (GoodSelf->test(Q) ||
-                BitMatrix::wordsAnyCommonInRange(T, GoodW, Lo, MaxDom,
-                                                 /*ExcludeBit=*/Q)))
-      Out->set(DT.nodeAtNum(Q));
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Multi-query kernel
 //===----------------------------------------------------------------------===//
 
@@ -1107,11 +1026,11 @@ void LiveCheck::answerPreparedRun(const PreparedVar &V,
 
   // Pass 1 — the Algorithm-1 line-4 verdict "does R_t reach a use?",
   // evaluated once per relevant target instead of once per (probe, target)
-  // pair. Same Good/GoodSelf structure as liveBlocksImpl, with one
-  // sharpening: a T_q row holds only back-edge targets plus q itself (see
-  // the propagation comment), so verdicts are needed only at the interval's
-  // back-edge targets — shared by every probe — and at the probed blocks
-  // themselves for the self bit. The rest of the interval can never be
+  // pair: Good marks the targets whose R_t meets a use. A T_q row holds
+  // only back-edge targets plus q itself (see the propagation comment), so
+  // verdicts are needed only at the interval's back-edge targets — shared
+  // by every probe — and at the probed blocks themselves for the self bit
+  // (resolved in pass 2). The rest of the interval can never be
   // read through any T_q ∩ Good intersection. The existential form matches
   // the scan kernels. Nums-backed variables with few uses probe the use
   // numbers directly instead of sweeping a mask row.

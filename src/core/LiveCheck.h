@@ -55,8 +55,7 @@
 /// or a bitset of use numbers for high-use-count variables (the
 /// per-target test then collapses to a word-level `R_t ∩ UseMask != ∅`
 /// sweep). core/PreparedCache keeps one per value and is the production
-/// path. `liveInBlocks`/`liveOutBlocks` answer the query for *every* block
-/// of the dominance interval in one two-pass sweep over the arena.
+/// path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -285,9 +284,8 @@ public:
   /// every target t by `R_t ∩ uses != ∅` (the Algorithm-1 verdict, plus the
   /// self-excluded variant Algorithm 2 needs) into pooled Good/GoodSelf
   /// rows, then each probe becomes one word-parallel
-  /// `T_q ∩ Good != ∅` range sweep — the same two-pass structure as
-  /// liveInBlocks, but only over the blocks actually asked about. Short
-  /// runs fall back to the per-probe entry points.
+  /// `T_q ∩ Good != ∅` range sweep over the blocks actually asked about.
+  /// Short runs fall back to the per-probe entry points.
   ///
   /// Stats contract: LiveInQueries/LiveOutQueries in \p Sink count exactly
   /// one per probe regardless of path; TargetsVisited/UseTests count the
@@ -296,44 +294,6 @@ public:
   void answerPreparedRun(const PreparedVar &V, const PreparedProbe *Probes,
                          std::size_t N, std::uint8_t *Answers,
                          LiveCheckStats *Sink = nullptr) const;
-  /// @}
-
-  /// \name Batch sweep.
-  /// Answers the query for every block at once: \p Out is resized to the
-  /// node count and bit b is set iff the variable (def block \p DefBlock,
-  /// Definition-1 use blocks \p Uses, block ids) is live-in (respectively
-  /// live-out) at block b: a two-pass word-level sweep of the dominance
-  /// interval — O(interval² / 64) instead of interval many scans.
-  /// @{
-  void liveInBlocks(unsigned DefBlock, const unsigned *UsesBegin,
-                    const unsigned *UsesEnd, BitVector &Out) const {
-    liveBlocksImpl(DefBlock, UsesBegin, UsesEnd, &Out, nullptr);
-  }
-  void liveOutBlocks(unsigned DefBlock, const unsigned *UsesBegin,
-                     const unsigned *UsesEnd, BitVector &Out) const {
-    liveBlocksImpl(DefBlock, UsesBegin, UsesEnd, nullptr, &Out);
-  }
-  /// Both directions in one call: the expensive first pass (per-target
-  /// R ∩ uses verdicts) is shared, roughly halving the work of callers
-  /// that need live-in and live-out together.
-  void liveInOutBlocks(unsigned DefBlock, const unsigned *UsesBegin,
-                       const unsigned *UsesEnd, BitVector &In,
-                       BitVector &Out) const {
-    liveBlocksImpl(DefBlock, UsesBegin, UsesEnd, &In, &Out);
-  }
-  void liveInBlocks(unsigned DefBlock, const std::vector<unsigned> &Uses,
-                    BitVector &Out) const {
-    liveInBlocks(DefBlock, Uses.data(), Uses.data() + Uses.size(), Out);
-  }
-  void liveOutBlocks(unsigned DefBlock, const std::vector<unsigned> &Uses,
-                     BitVector &Out) const {
-    liveOutBlocks(DefBlock, Uses.data(), Uses.data() + Uses.size(), Out);
-  }
-  void liveInOutBlocks(unsigned DefBlock, const std::vector<unsigned> &Uses,
-                       BitVector &In, BitVector &Out) const {
-    liveInOutBlocks(DefBlock, Uses.data(), Uses.data() + Uses.size(), In,
-                    Out);
-  }
   /// @}
 
   /// \name Introspection for tests and benches.
@@ -432,11 +392,6 @@ private:
                   const std::uint64_t *MaskWords, unsigned MaskNumWords,
                   bool ExcludeTrivialQ, LiveCheckStats *Sink) const;
   /// @}
-
-  /// Shared body of the batch sweeps; \p In / \p Out may each be null.
-  void liveBlocksImpl(unsigned DefBlock, const unsigned *UsesBegin,
-                      const unsigned *UsesEnd, BitVector *In,
-                      BitVector *Out) const;
 
   const CFG &G;
   const DFS &D;

@@ -97,6 +97,10 @@ public:
   /// @}
 
 private:
+  /// Copies predecessor lists verbatim: an edited block's predecessor
+  /// order need not follow any edge insertion order of the clone.
+  friend std::unique_ptr<Function> cloneFunction(const Function &F);
+
   unsigned Id;
   std::string Name;
   Function *Parent = nullptr;

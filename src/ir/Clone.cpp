@@ -24,10 +24,18 @@ std::unique_ptr<Function> ssalive::cloneFunction(const Function &F) {
     assert(NV->id() == V->id() && "value id mismatch while cloning");
   }
 
-  // Edges, preserving successor/predecessor order.
+  // Edges in successor order. That leaves each predecessor list sorted by
+  // block id, but an edit (an edge removed, then re-added) may have
+  // reordered the original's, and φ incoming blocks follow predecessor
+  // order: copy the lists.
   for (const auto &B : F.blocks())
     for (const BasicBlock *S : B->successors())
       New->block(B->id())->addSuccessor(New->block(S->id()));
+  for (const auto &B : F.blocks()) {
+    std::vector<BasicBlock *> &Preds = New->block(B->id())->Preds;
+    for (std::size_t I = 0; I != Preds.size(); ++I)
+      Preds[I] = New->block(B->predecessors()[I]->id());
+  }
 
   // Instructions.
   for (const auto &B : F.blocks()) {

@@ -22,7 +22,7 @@ namespace ssalive {
 class Function;
 
 /// Returns a structurally identical deep copy of \p F (same block ids,
-/// value ids, instruction order, successor order).
+/// value ids, instruction order, successor and predecessor order).
 std::unique_ptr<Function> cloneFunction(const Function &F);
 
 } // namespace ssalive

@@ -69,14 +69,6 @@ const DomTree &FunctionAnalyses::domTree() {
   return *Tree;
 }
 
-const LoopForest &FunctionAnalyses::loopForest() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ensureDFS();
-  if (!Loops)
-    Loops = std::make_unique<LoopForest>(*Dfs);
-  return *Loops;
-}
-
 const LiveCheck &FunctionAnalyses::liveCheck() {
   std::lock_guard<std::mutex> Lock(Mutex);
   ensureDomTree();
@@ -129,7 +121,6 @@ void FunctionAnalyses::applyDeltas(const CFGDelta *B, const CFGDelta *E) {
     assert(Dfs && "dominator tree without DFS");
     Tree->applyUpdates(*Graph, *Dfs, B, E);
   }
-  Loops.reset(); // Linear to rebuild; lazily, on next request.
   if (Engine)
     Engine->update(B, E);
   Epoch = F.cfgVersion();

@@ -6,7 +6,6 @@
 
 #include "pipeline/BatchLivenessDriver.h"
 
-#include "core/UseInfo.h"
 #include "ir/Function.h"
 #include "liveness/DataflowLiveness.h"
 #include "liveness/PathExplorationLiveness.h"
@@ -67,25 +66,6 @@ bool ssalive::parseBatchBackend(const std::string &Name, BatchBackend &Out) {
   for (BatchBackend B : AllBatchBackends)
     if (Name == batchBackendName(B)) {
       Out = B;
-      return true;
-    }
-  return false;
-}
-
-const char *ssalive::queryPlaneName(QueryPlane P) {
-  switch (P) {
-  case QueryPlane::BlockId:
-    return "block-id";
-  case QueryPlane::Prepared:
-    return "prepared";
-  }
-  return "unknown";
-}
-
-bool ssalive::parseQueryPlane(const std::string &Name, QueryPlane &Out) {
-  for (QueryPlane P : AllQueryPlanes)
-    if (Name == queryPlaneName(P)) {
-      Out = P;
       return true;
     }
   return false;
@@ -163,8 +143,7 @@ struct FrameView {
   const std::vector<std::unique_ptr<PreparedCache>> &Prepared;
   const std::vector<std::unique_ptr<LivenessQueries>> &Baselines;
   std::vector<std::uint8_t> &Answers;
-  /// The LiveCheck entry point; BlockId for the baselines.
-  QueryPlane Plane;
+  /// Prepared caches for the LiveCheck backend, Baselines otherwise.
   bool UsesLiveCheck;
   /// Same-value runs go through one prepared variable and, from
   /// MinKernelRun queries on, one multi-query kernel call.
@@ -179,9 +158,8 @@ struct FrameView {
 class FrameWorker {
 public:
   explicit FrameWorker(const FrameView &Fr)
-      : Fr(Fr), W(Fr.Workload), UsesH(pool::scratchArray()),
-        HitsH(pool::scratchArray()) {
-    if (Fr.Plane == QueryPlane::Prepared)
+      : Fr(Fr), W(Fr.Workload), HitsH(pool::scratchArray()) {
+    if (Fr.UsesLiveCheck)
       HitsH->assign(Fr.Funcs.size(), 0);
   }
 
@@ -195,8 +173,8 @@ public:
         Fr.Prepared[F]->countHits((*HitsH)[F]);
   }
 
-  /// Answers [Begin, End). Prepared-plane queries whose cache entry is
-  /// stale or missing are appended to \p Deferred instead.
+  /// Answers [Begin, End). LiveCheck queries whose cache entry is stale or
+  /// missing are appended to \p Deferred instead.
   void answerSpan(std::size_t Begin, std::size_t End,
                   std::vector<std::size_t> &Deferred) {
     if (!Fr.Grouped) {
@@ -278,7 +256,7 @@ private:
       record(At(K + J), RunAnswers[J]);
   }
 
-  /// A same-value run on the grouped prepared plane.
+  /// A same-value run through its prepared variable.
   template <class AtFn>
   void groupedRun(AtFn At, std::size_t K, std::size_t RunEnd,
                   std::vector<std::size_t> &Deferred) {
@@ -298,56 +276,41 @@ private:
     answerRun(At, K, RunEnd, *PV, *Fr.Engines[Lead.FuncIndex]);
   }
 
-  /// One query in arrival order — the block-id plane, the standalone
-  /// baselines, and the GroupChunks=false differential path.
+  /// One query in arrival order — the standalone baselines and the
+  /// GroupChunks=false differential path.
   void answerOne(std::size_t I, std::vector<std::size_t> &Deferred) {
     const BatchQuery &Q = W[I];
     assert(Q.FuncIndex < Fr.Funcs.size() && "query function out of range");
     const Function &F = *Fr.Funcs[Q.FuncIndex];
-    if (Fr.Plane == QueryPlane::Prepared) {
-      // The cached plane: a lock-free read of the entry and epoch tables —
-      // no Value load, chain walk, numbering or allocation per query. The
-      // Value is loaded only on a miss, as in groupedRun.
-      const LiveCheck::PreparedVar *P =
-          Fr.Prepared[Q.FuncIndex]->lookup(Q.ValueId);
-      if (!P) {
-        if (queryableValue(*F.value(Q.ValueId)))
-          Deferred.push_back(I);
-        return;
-      }
-      ++(*HitsH)[Q.FuncIndex];
-      const LiveCheck &E = *Fr.Engines[Q.FuncIndex];
-      record(I, Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
-                            : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine));
-      return;
-    }
-    const Value &V = *F.value(Q.ValueId);
-    if (!queryableValue(V))
-      return;
     if (!Fr.UsesLiveCheck) {
+      const Value &V = *F.value(Q.ValueId);
+      if (!queryableValue(V))
+        return;
       LivenessQueries &B = *Fr.Baselines[Q.FuncIndex];
       const BasicBlock &Block = *F.block(Q.BlockId);
       record(I, Q.IsLiveOut ? B.isLiveOut(V, Block) : B.isLiveIn(V, Block));
       return;
     }
+    // A lock-free read of the entry and epoch tables — no Value load, chain
+    // walk, numbering or allocation per query. The Value is loaded only on
+    // a miss, as in groupedRun.
+    const LiveCheck::PreparedVar *P =
+        Fr.Prepared[Q.FuncIndex]->lookup(Q.ValueId);
+    if (!P) {
+      if (queryableValue(*F.value(Q.ValueId)))
+        Deferred.push_back(I);
+      return;
+    }
+    ++(*HitsH)[Q.FuncIndex];
     const LiveCheck &E = *Fr.Engines[Q.FuncIndex];
-    // The block-id plane re-derives the variable per query: its role as
-    // the differential baseline.
-    Uses.clear();
-    appendLiveUseBlocks(V, Uses);
-    unsigned Def = defBlockId(V);
-    record(I, Q.IsLiveOut
-                  ? E.isLiveOut(Def, Q.BlockId, Uses, &Stats.Engine)
-                  : E.isLiveIn(Def, Q.BlockId, Uses, &Stats.Engine));
+    record(I, Q.IsLiveOut ? E.isLiveOutPrepared(*P, Q.BlockId, &Stats.Engine)
+                          : E.isLiveInPrepared(*P, Q.BlockId, &Stats.Engine));
   }
 
   const FrameView &Fr;
   const std::vector<BatchQuery> &W;
-  // Scratch, reused across queries and (through the thread-local pools)
-  // across batches: the buffers keep their capacity between runs.
-  pool::ArrayPool<unsigned>::Handle UsesH;
-  std::vector<unsigned> &Uses = *UsesH;
-  /// Per-function lookup hits, folded into the caches on destruction.
+  /// Per-function lookup hits, folded into the caches on destruction;
+  /// reused across batches through the thread-local pool.
   pool::ArrayPool<unsigned>::Handle HitsH;
   std::vector<LiveCheck::PreparedProbe> Probes;
   std::vector<std::uint8_t> RunAnswers;
@@ -357,7 +320,7 @@ private:
 
 void BatchLivenessDriver::resolveEngines(
     std::vector<const LiveCheck *> &Engines,
-    std::vector<const DomTree *> *Trees) {
+    std::vector<const DomTree *> &Trees) {
   // A warm function resolves inline: one manager lookup and one engine
   // check. Only functions without an engine yet go to the pool, so a warm
   // frame wakes no other thread for its precompute.
@@ -374,11 +337,9 @@ void BatchLivenessDriver::resolveEngines(
     Pool->parallelFor(0, Cold.size(), [&](std::size_t K) {
       Engines[Cold[K]] = &Analyses[Cold[K]]->liveCheck();
     });
-  if (Trees) {
-    Trees->resize(Funcs.size());
-    for (std::size_t I = 0; I != Funcs.size(); ++I)
-      (*Trees)[I] = &Analyses[I]->domTree();
-  }
+  Trees.resize(Funcs.size());
+  for (std::size_t I = 0; I != Funcs.size(); ++I)
+    Trees[I] = &Analyses[I]->domTree();
 }
 
 BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
@@ -398,13 +359,12 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   SSALIVE_SPAN("query-batch");
   std::vector<const LiveCheck *> Engines;
   std::vector<const DomTree *> Trees;
-  bool UsesPreparedCache =
-      usesLiveCheck() && Opts.Plane == QueryPlane::Prepared;
+  const bool UsesLiveCheck = usesLiveCheck();
   bool ShardedFill = false;
   {
   SSALIVE_SPAN("precompute");
-  if (usesLiveCheck()) {
-    resolveEngines(Engines, UsesPreparedCache ? &Trees : nullptr);
+  if (UsesLiveCheck) {
+    resolveEngines(Engines, Trees);
   } else if (Baselines.empty()) {
     Baselines.resize(Funcs.size());
     Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
@@ -415,7 +375,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
     });
   }
 
-  if (UsesPreparedCache) {
+  if (UsesLiveCheck) {
     if (Prepared.size() != Funcs.size())
       Prepared.resize(Funcs.size());
     for (std::size_t I = 0; I != Funcs.size(); ++I) {
@@ -480,8 +440,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   // through the scheduler. Each query writes only its own Answers slot and
   // each worker owns its PerThread slot, so the phase stays
   // write-shared-nothing and the result bytes are independent of the
-  // schedule (the scheduler-equivalence suite pins this). On the prepared
-  // plane this is also the ensure pass: a worker answers every query whose
+  // schedule (the scheduler-equivalence suite pins this). For the LiveCheck
+  // backend this is also the ensure pass: a worker answers every query whose
   // entry is fresh and defers the rest to its own list; after the join the
   // calling thread — then the caches' only writer — ensures and answers
   // the deferred queries. A warm frame defers nothing, so it is one pass.
@@ -516,10 +476,8 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
                         Prepared,
                         Baselines,
                         Result.Answers,
-                        UsesPreparedCache ? QueryPlane::Prepared
-                                          : QueryPlane::BlockId,
-                        usesLiveCheck(),
-                        Opts.GroupChunks && UsesPreparedCache};
+                        UsesLiveCheck,
+                        Opts.GroupChunks && UsesLiveCheck};
   std::vector<std::vector<std::size_t>> Deferred(NumWorkers);
 
   Pool->runPerWorker([&](unsigned Worker) {
@@ -590,7 +548,7 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       static_cast<std::uint64_t>(Result.QueryMillis * 1e6));
   if (ShardedFill)
     T.ShardedFills.inc();
-  if (UsesPreparedCache)
+  if (UsesLiveCheck)
     publishPreparedTelemetry();
   return Result;
 }

@@ -9,14 +9,14 @@
 /// concurrently: functions without an engine yet are built across a thread
 /// pool, then the query stream is carved into chunks that the calling
 /// thread and any budgeted pool helpers claim through a work-stealing
-/// scheduler and answer against the shared read-only engines. On the
-/// cached prepared plane, each maximal run of same-(function, value)
-/// queries in arrival order within a chunk is served by one prepared
-/// variable, and long runs by one multi-query kernel call; the fan-out only
-/// reads entries, and queries whose entry is stale are deferred and
-/// answered by the caller after the join. The block-id plane and the
-/// baselines answer query by query as independent oracles. Answers land in
-/// a per-query slot, so the result is byte-identical for any thread count
+/// scheduler and answer against the shared read-only engines. The LiveCheck
+/// backend answers through per-function prepared caches: each maximal run
+/// of same-(function, value) queries in arrival order within a chunk is
+/// served by one prepared variable, and long runs by one multi-query kernel
+/// call; the fan-out only reads entries, and queries whose entry is stale
+/// are deferred and answered by the caller after the join. The baselines
+/// answer query by query as independent oracles. Answers land in a
+/// per-query slot, so the result is byte-identical for any thread count
 /// and any claim order — the amortization story of the paper
 /// (one CFG-only precomputation, unboundedly many queries) scaled from one
 /// function to a module under heavy query traffic.
@@ -62,27 +62,18 @@ const char *batchBackendName(BatchBackend B);
 /// anything else, including the retired "filtered").
 bool parseBatchBackend(const std::string &Name, BatchBackend &Out);
 
-/// Which LiveCheck entry point answers each query (the LiveCheck backends;
-/// the baselines ignore it). Both planes answer identically. Prepared is
-/// the default and the only plane with cross-batch state: the driver keeps
-/// a per-function PreparedCache, so a value queried in any earlier batch
-/// costs no chain walk ever again. BlockId re-derives the variable per
-/// query and is the differential surface the suites compare against. The
-/// values are LoadModule wire ids; ids 1-2 belonged to removed planes and
-/// get Error(BadPlane).
+/// The plane byte of a LoadModule request: a wire id only. The driver has
+/// one query plane (per-function PreparedCache entries), so both ids load
+/// the same session; they stay accepted because existing clients send
+/// them. Ids 1-2 belonged to removed planes and get Error(BadPlane).
 enum class QueryPlane : std::uint8_t {
-  BlockId = 0,  ///< Classic block-id spans (isLiveIn/isLiveOut).
-  Prepared = 3, ///< Cached PreparedVar entries (core/PreparedCache).
+  BlockId = 0,
+  Prepared = 3,
 };
 
-/// Every plane, in wire-id order.
+/// Every accepted plane id, in wire-id order.
 inline constexpr QueryPlane AllQueryPlanes[] = {QueryPlane::BlockId,
                                                 QueryPlane::Prepared};
-
-const char *queryPlaneName(QueryPlane P);
-
-/// Parses "block-id", "prepared".
-bool parseQueryPlane(const std::string &Name, QueryPlane &Out);
 
 /// True when \p B answers through the cached LiveCheck engines (and thus
 /// benefits from AnalysisManager::refresh after CFG edits); false for the
@@ -103,12 +94,7 @@ struct BatchOptions {
   /// Worker threads for both phases; 0 = hardware concurrency. Ignored
   /// when the driver is constructed over a shared pool.
   unsigned Threads = 1;
-  /// LiveCheck entry point per query (see QueryPlane). The cached
-  /// prepared plane is the production default; the block-id plane
-  /// re-derives the variable per query and serves as the differential
-  /// baseline.
-  QueryPlane Plane = QueryPlane::Prepared;
-  /// Sharded cold-fill gate (prepared plane, multi-worker pools only):
+  /// Sharded cold-fill gate (LiveCheck backend, multi-worker pools only):
   /// when the estimated number of workload queries whose values lack a
   /// fresh prepared entry reaches this threshold, the cold builds fan out
   /// across the pool by value-id stripe (PreparedCache::stripeOf) before
@@ -126,13 +112,12 @@ struct BatchOptions {
   /// claim per worker.
   std::size_t ChunkSize = 0;
   /// Answer each maximal run of same-(function, value) queries in arrival
-  /// order on the prepared plane through one prepared variable, and a run
-  /// of at least 8 queries through one LiveCheck::answerPreparedRun
-  /// multi-query call. Queries are never reordered. On by default; off
-  /// answers query by query — the baseline bench_querymix compares
-  /// against, and a differential surface for the equivalence suite. (The
-  /// block-id plane and the non-LiveCheck baselines always answer query by
-  /// query: they are the independent oracles.)
+  /// order through one prepared variable, and a run of at least 8 queries
+  /// through one LiveCheck::answerPreparedRun multi-query call. Queries are
+  /// never reordered. On by default; off answers query by query — the
+  /// baseline bench_querymix compares against, and a differential surface
+  /// for the equivalence suite. (The non-LiveCheck baselines always answer
+  /// query by query: they are the independent oracles.)
   bool GroupChunks = true;
 };
 
@@ -207,8 +192,8 @@ public:
   /// epoch-validated entries).
   AnalysisManager &analysisManager() { return Manager; }
 
-  /// The per-function prepared caches of the default query plane (null
-  /// until a prepared-plane run() touched that function). Entries persist
+  /// The per-function prepared caches of the LiveCheck backend (null
+  /// until a run() touched that function). Entries persist
   /// across run() calls — the "skip per-query use-block collection" regime
   /// the server's long-lived sessions amortize into — and survive CFG
   /// edits: run() remaps them onto the refreshed numbering
@@ -241,10 +226,10 @@ public:
 
 private:
   bool usesLiveCheck() const;
-  /// Fills \p Engines (and \p Trees when non-null) for every function,
-  /// building missing engines across the pool.
+  /// Fills \p Engines and \p Trees for every function, building missing
+  /// engines across the pool.
   void resolveEngines(std::vector<const LiveCheck *> &Engines,
-                      std::vector<const DomTree *> *Trees);
+                      std::vector<const DomTree *> &Trees);
 
   std::vector<const Function *> Funcs;
   BatchOptions Opts;
@@ -253,7 +238,7 @@ private:
   ThreadPool *Pool;                      ///< Owned or shared; never null.
   /// Baseline engines per function (Dataflow/PathExploration backends).
   std::vector<std::unique_ptr<LivenessQueries>> Baselines;
-  /// Per-function prepared caches (QueryPlane::Prepared); persist across
+  /// Per-function prepared caches (LiveCheck backend); persist across
   /// run() calls, rebound when the AnalysisManager rebuilt a function's
   /// analyses wholesale.
   std::vector<std::unique_ptr<PreparedCache>> Prepared;

@@ -316,6 +316,8 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
   };
   if (!isId(Backend, AllBatchBackends))
     return countedError(ErrorCode::BadBackend, "unknown backend id");
+  // The plane byte is validated, not stored: both accepted ids load the
+  // same session.
   if (!isId(Plane, AllQueryPlanes))
     return countedError(ErrorCode::BadPlane, "unknown query plane id");
 
@@ -330,7 +332,6 @@ std::vector<std::uint8_t> Session::handleLoadModule(WireReader &R) {
 
   // Replace any previously loaded module wholesale.
   DriverOpts.Backend = static_cast<BatchBackend>(Backend);
-  DriverOpts.Plane = static_cast<QueryPlane>(Plane);
   CounterBase = {};
   bindModule(std::move(M));
   return encodeModuleLoaded(static_cast<std::uint32_t>(FuncPtrs.size()),

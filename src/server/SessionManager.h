@@ -80,9 +80,11 @@
 /// copy and re-warmed to the analyses it had, with its cache counters
 /// carried over, so StatsReply is unchanged too.
 ///
-/// Sessions default to the driver's cached prepared plane: each value's
-/// use blocks are collected and renumbered once (core/PreparedCache) and
-/// reused across every later query batch of the connection. After CFG
+/// A LiveCheck session answers through the driver's one query plane, the
+/// prepared cache: each value's use blocks are collected and renumbered
+/// once (core/PreparedCache) and reused across every later query batch of
+/// the connection. LoadModule's plane byte selects nothing: ids 0 and 3
+/// both load this session. After CFG
 /// edits the next query batch remaps the entries onto the repaired
 /// numbering (PreparedCache::syncNumbering), so a long-lived session pays
 /// the chain walk again only for values whose def-use chain changed (or,

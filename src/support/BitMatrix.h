@@ -284,46 +284,6 @@ public:
     return maskedWord(LastWord) != 0;
   }
 
-  /// First bit set in both \p A and \p B within [\p Lo, \p Hi] ignoring
-  /// \p ExcludeBit, or npos. Same masking rules as wordsAnyCommonInRange;
-  /// the exact index is extracted from the first non-empty AND word with
-  /// `std::countr_zero`.
-  static unsigned wordsFirstCommonInRange(const Word *A, const Word *B,
-                                          unsigned Lo, unsigned Hi,
-                                          unsigned ExcludeBit = npos) {
-    if (Lo > Hi)
-      return npos;
-    unsigned FirstWord = Lo / WordBits;
-    unsigned LastWord = Hi / WordBits;
-    for (unsigned I = FirstWord; I <= LastWord; ++I) {
-      Word W = A[I] & B[I];
-      if (I == FirstWord)
-        W &= ~Word(0) << (Lo % WordBits);
-      if (I == LastWord) {
-        unsigned Rem = Hi % WordBits;
-        if (Rem != WordBits - 1)
-          W &= (Word(1) << (Rem + 1)) - 1;
-      }
-      if (ExcludeBit != npos && ExcludeBit / WordBits == I)
-        W &= ~(Word(1) << (ExcludeBit % WordBits));
-      if (W)
-        return I * WordBits + unsigned(std::countr_zero(W));
-    }
-    return npos;
-  }
-
-  /// Portable twin of wordsFirstCommonInRange: per-bit probe loop.
-  static unsigned wordsFirstCommonInRangePortable(const Word *A, const Word *B,
-                                                  unsigned Lo, unsigned Hi,
-                                                  unsigned ExcludeBit = npos) {
-    if (Lo > Hi)
-      return npos;
-    for (unsigned Bit = Lo; Bit <= Hi; ++Bit)
-      if (Bit != ExcludeBit && testBit(A, Bit) && testBit(B, Bit))
-        return Bit;
-    return npos;
-  }
-
   /// ORs bits [\p SLo, \p SHi] (inclusive) of span \p Src into span \p Dst
   /// starting at bit \p DLo — a word-shifted block move, the primitive
   /// behind run-based bit permutations. Destination words must exist up to
@@ -455,32 +415,6 @@ public:
     return false;
   }
 
-  /// Multi-bit test-gather: Out[i] = bit Bits[i] of span \p W, one byte per
-  /// probe. Lets the multi-query kernel pull a whole run of per-block
-  /// answers out of one precomputed row (e.g. the GoodSelf row) without a
-  /// branch per probe. Unrolled by 4; portable twin below.
-  static void wordsTestGather(const Word *W, const unsigned *Bits,
-                              std::size_t N, std::uint8_t *Out) {
-    std::size_t I = 0;
-    for (; I + 4 <= N; I += 4) {
-      Out[I] = std::uint8_t((W[Bits[I] / WordBits] >> (Bits[I] % WordBits)) & 1);
-      Out[I + 1] =
-          std::uint8_t((W[Bits[I + 1] / WordBits] >> (Bits[I + 1] % WordBits)) & 1);
-      Out[I + 2] =
-          std::uint8_t((W[Bits[I + 2] / WordBits] >> (Bits[I + 2] % WordBits)) & 1);
-      Out[I + 3] =
-          std::uint8_t((W[Bits[I + 3] / WordBits] >> (Bits[I + 3] % WordBits)) & 1);
-    }
-    for (; I != N; ++I)
-      Out[I] = std::uint8_t(testBit(W, Bits[I]));
-  }
-
-  /// Portable twin of wordsTestGather.
-  static void wordsTestGatherPortable(const Word *W, const unsigned *Bits,
-                                      std::size_t N, std::uint8_t *Out) {
-    for (std::size_t I = 0; I != N; ++I)
-      Out[I] = std::uint8_t(testBit(W, Bits[I]));
-  }
   /// @}
 
 private:

@@ -22,6 +22,7 @@
 #include "ir/CFG.h"
 #include "ir/Function.h"
 #include "ir/Verifier.h"
+#include "pipeline/BatchLivenessDriver.h"
 #include "ssa/SSAConstruction.h"
 #include "support/RandomEngine.h"
 #include "workload/CFGGenerator.h"
@@ -35,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace ssalive::testutil {
 
@@ -95,12 +97,12 @@ randomImperativeFunction(std::uint64_t Seed,
   return F;
 }
 
-/// A liveness backend answering exclusively through the classic block-id
+/// A liveness backend answering exclusively through LiveCheck's block-id
 /// entry points, re-walking the def-use chain on every query — the flow
 /// FunctionLiveness ran before the prepared-cache migration, preserved as
-/// a *differential oracle*: production now answers through the cached
-/// per-value prepared plane (core/PreparedCache), and the ssa/pipeline
-/// matrices compare it against this maximally independent plane (no
+/// the in-process *test reference*: production answers through the cached
+/// per-value prepared plane (core/PreparedCache), and the core, ssa,
+/// pipeline and server suites compare it against these entry points (no
 /// shared per-variable state, no numbering translation).
 class BlockIdLiveness : public LivenessQueries {
 public:
@@ -135,6 +137,31 @@ private:
   LiveCheck Engine;
   std::vector<unsigned> Uses;
 };
+
+/// The answers of \p Workload over \p Funcs from LiveCheck's block-id entry
+/// points: one fresh BlockIdLiveness engine per function queried, and the
+/// batch driver's queryability rule (a value with one def and at least one
+/// use; every other value is dead). The reference the driver and server
+/// suites compare the production plane against, byte for byte.
+inline std::vector<std::uint8_t>
+blockIdAnswers(const std::vector<const Function *> &Funcs,
+               const std::vector<BatchQuery> &Workload) {
+  std::vector<std::unique_ptr<BlockIdLiveness>> Engines(Funcs.size());
+  std::vector<std::uint8_t> Answers(Workload.size(), 0);
+  for (std::size_t I = 0; I != Workload.size(); ++I) {
+    const BatchQuery &Q = Workload[I];
+    const Function &F = *Funcs[Q.FuncIndex];
+    const Value &V = *F.value(Q.ValueId);
+    if (!V.hasSingleDef() || !V.hasUses())
+      continue;
+    if (!Engines[Q.FuncIndex])
+      Engines[Q.FuncIndex] = std::make_unique<BlockIdLiveness>(F);
+    const BasicBlock &B = *F.block(Q.BlockId);
+    Answers[I] = Q.IsLiveOut ? Engines[Q.FuncIndex]->isLiveOut(V, B)
+                             : Engines[Q.FuncIndex]->isLiveIn(V, B);
+  }
+  return Answers;
+}
 
 /// A liveness backend answering through per-query-prepared PreparedVar
 /// entries (over a use mask when \p UseMask is set): the variable is

@@ -6,10 +6,9 @@
 //
 // Every LiveCheck entry point, with and without incremental update state,
 // must match the brute-force oracle on random reducible and irreducible
-// CFGs: classic
-// block-id spans, prepared variables over an unsorted duplicate-bearing
-// use-number span, over the sorted/deduped span, and over a use mask, and
-// the liveInBlocks/liveOutBlocks batch sweeps.
+// CFGs: classic block-id spans, and prepared variables over an unsorted
+// duplicate-bearing use-number span, over the sorted/deduped span, and over
+// a use mask.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +84,7 @@ TEST_P(EntryPoints, EveryEntryPointMatchesOracle) {
           G, D, DT, LiveCheckOptions{Incremental}));
 
     auto Vars = placeVariables(G, DT, Rng, 10);
-    BitVector InSweep, OutSweep, Mask(N);
+    BitVector Mask(N);
     for (const SyntheticVar &V : Vars) {
       // The renumbered-plane inputs. RawNums is the translation in reverse
       // order with the first use repeated — the span contract allows any
@@ -113,13 +112,6 @@ TEST_P(EntryPoints, EveryEntryPointMatchesOracle) {
         LiveCheck::PreparedVar PVMask = PVSpan;
         PVMask.setMask(Mask);
 
-        E->liveInBlocks(V.Def, V.Uses, InSweep);
-        E->liveOutBlocks(V.Def, V.Uses, OutSweep);
-        BitVector InBoth, OutBoth;
-        E->liveInOutBlocks(V.Def, V.Uses, InBoth, OutBoth);
-        EXPECT_EQ(InBoth, InSweep) << "combined sweep (in) diverges";
-        EXPECT_EQ(OutBoth, OutSweep) << "combined sweep (out) diverges";
-
         for (unsigned Q = 0; Q != N; ++Q) {
           bool WantIn = LivenessOracle::liveInSearch(G, V.Def, V.Uses, Q);
           bool WantOut = LivenessOracle::liveOutSearch(G, V.Def, V.Uses, Q);
@@ -144,8 +136,6 @@ TEST_P(EntryPoints, EveryEntryPointMatchesOracle) {
               << Ctx("prepared-mask");
           EXPECT_EQ(E->isLiveOutPrepared(PVMask, Q), WantOut)
               << Ctx("prepared-mask");
-          EXPECT_EQ(InSweep.test(Q), WantIn) << Ctx("liveInBlocks");
-          EXPECT_EQ(OutSweep.test(Q), WantOut) << Ctx("liveOutBlocks");
         }
       }
     }

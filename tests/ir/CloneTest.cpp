@@ -10,6 +10,8 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Interpreter.h"
+#include "ir/Verifier.h"
+#include "workload/CFGMutator.h"
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,42 @@ x:
   ASSERT_TRUE(R.Func) << R.Error;
   auto Copy = cloneFunction(*R.Func);
   EXPECT_EQ(printFunction(*R.Func), printFunction(*Copy));
+}
+
+TEST(Clone, KeepsAnEditedPredecessorOrder) {
+  // Removing l -> m and adding it back puts l after r in m's predecessor
+  // list, so m's φ lists r's value first. A clone that rebuilt the lists
+  // from edge insertion order would list l first and fail verifySSA.
+  ParseResult R = parseFunction(R"(
+func @f {
+e:
+  %c = param 0
+  %a = const 1
+  %b = const 2
+  branch %c, l, r
+l:
+  jump m
+r:
+  jump m
+m:
+  %p = phi [%a, l], [%b, r]
+  ret %p
+}
+)");
+  ASSERT_TRUE(R.Func) << R.Error;
+  Function &F = *R.Func;
+  unsigned L = 1, M = 3;
+  ASSERT_EQ(F.block(L)->name(), "l");
+  ASSERT_EQ(F.block(M)->name(), "m");
+  ASSERT_TRUE(applyFunctionMutation(F, {MutationKind::RemoveEdge, L, M, 0}));
+  ASSERT_TRUE(applyFunctionMutation(F, {MutationKind::AddEdge, L, M, 0}));
+  ASSERT_EQ(F.block(M)->predecessors()[0]->name(), "r");
+  ASSERT_TRUE(verifySSA(F).ok()) << verifySSA(F).message();
+
+  auto Copy = cloneFunction(F);
+  VerifyResult V = verifySSA(*Copy);
+  EXPECT_TRUE(V.ok()) << V.message();
+  EXPECT_EQ(printFunction(F), printFunction(*Copy));
 }
 
 TEST(Clone, IsDeep) {

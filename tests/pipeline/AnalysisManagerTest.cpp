@@ -206,10 +206,8 @@ TEST(AnalysisManager, LazyAnalysesShareStructures) {
   FunctionAnalyses &Entry = AM.get(*F);
   // The accessors are independent entry points into one shared build chain.
   const DomTree &DT = Entry.domTree();
-  const LoopForest &LF = Entry.loopForest();
   const LiveCheck &Engine = Entry.liveCheck();
   EXPECT_EQ(DT.numNodes(), F->numBlocks());
-  (void)LF;
   (void)Engine;
   EXPECT_EQ(&Entry.dfs(), &Entry.dfs());
 }

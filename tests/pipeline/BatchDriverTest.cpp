@@ -218,8 +218,9 @@ TEST(BatchDriver, CallerDrainingUnstartedSlotsStealsNothing) {
 TEST(BatchDriver, ThreadsAndGroupingAreByteIdentical) {
   // The scheduler-equivalence suite: a skewed workload (hot values
   // concentrating long same-value runs in a few chunks) and a uniform one,
-  // answered under every grouping × thread-count combination on both query
-  // planes — all byte-identical to the 1-thread arrival-order oracle. Tiny
+  // answered under every grouping × thread-count combination — all
+  // byte-identical to the 1-thread arrival-order oracle, which matches
+  // LiveCheck's block-id entry points. Tiny
   // chunks force multi-chunk queues so steals actually happen; this suite
   // runs under TSan in CI, so the atomic chunk-cursor claiming is
   // race-checked here, not just argued.
@@ -238,31 +239,28 @@ TEST(BatchDriver, ThreadsAndGroupingAreByteIdentical) {
     std::swap(Skewed[I - 1], Skewed[Shuffle.nextBelow(unsigned(I))]);
 
   for (const std::vector<BatchQuery> *Workload : {&Uniform, &Skewed}) {
-    for (QueryPlane Plane : AllQueryPlanes) {
-      BatchOptions Ref;
-      Ref.Threads = 1;
-      Ref.Plane = Plane;
-      Ref.GroupChunks = false;
-      BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
-      ASSERT_EQ(Oracle.Answers.size(), Workload->size());
+    BatchOptions Ref;
+    Ref.Threads = 1;
+    Ref.GroupChunks = false;
+    BatchResult Oracle = BatchLivenessDriver(M.Funcs, Ref).run(*Workload);
+    ASSERT_EQ(Oracle.Answers.size(), Workload->size());
+    EXPECT_EQ(Oracle.Answers, blockIdAnswers(M.Funcs, *Workload))
+        << "the arrival-order oracle diverges from the block-id entry points";
 
-      for (bool Group : {false, true}) {
-        BatchOptions Opts;
-        Opts.Threads = 4;
-        Opts.Plane = Plane;
-        Opts.GroupChunks = Group;
-        Opts.ChunkSize = 128; // Many chunks per worker → real steals.
-        BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
-        EXPECT_EQ(R.Answers, Oracle.Answers)
-            << "plane " << queryPlaneName(Plane)
-            << (Group ? " grouped" : "")
-            << " diverges from the arrival-order oracle";
-      }
+    for (bool Group : {false, true}) {
+      BatchOptions Opts;
+      Opts.Threads = 4;
+      Opts.GroupChunks = Group;
+      Opts.ChunkSize = 128; // Many chunks per worker → real steals.
+      BatchResult R = BatchLivenessDriver(M.Funcs, Opts).run(*Workload);
+      EXPECT_EQ(R.Answers, Oracle.Answers)
+          << (Group ? "grouped" : "arrival order")
+          << " diverges from the arrival-order oracle";
     }
   }
 
-  // The baselines ignore the plane but still ride the stealing scheduler;
-  // pin them on the skewed workload too.
+  // The baselines answer query by query but still ride the stealing
+  // scheduler; pin them on the skewed workload too.
   for (BatchBackend B : {BatchBackend::Dataflow,
                          BatchBackend::PathExploration}) {
     BatchOptions Ref;
@@ -340,8 +338,8 @@ TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
   // remaps every entry of the CFG-edited function onto the new numbering
   // before the fan-out, so that function rebuilds nothing; the def-use
   // edited value is stale and must be rebuilt exactly once. The answers
-  // must match the block-id plane's. Runs under TSan in CI with the rest
-  // of this suite.
+  // must match LiveCheck's block-id entry points. Runs under TSan in CI
+  // with the rest of this suite.
   Module M(6, 0xDEF);
   std::vector<BatchQuery> Base =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0x1CE, 6000);
@@ -401,11 +399,8 @@ TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
   };
 
   BatchResult R = Driver.run(Frame);
-  BatchOptions Ref;
-  Ref.Threads = 1;
-  Ref.Plane = QueryPlane::BlockId;
-  EXPECT_EQ(R.Answers, BatchLivenessDriver(M.Funcs, Ref).run(Frame).Answers)
-      << "deferred answers diverge from the block-id plane";
+  EXPECT_EQ(R.Answers, blockIdAnswers(M.Funcs, Frame))
+      << "deferred answers diverge from the block-id entry points";
   for (std::size_t F = 0; F != M.Funcs.size(); ++F) {
     EXPECT_EQ(rebuildsSince(F), F == DefUseEdited ? 1u : 0u)
         << "function " << F << ": only the def-use edit may rebuild";
@@ -433,7 +428,7 @@ TEST(BatchDriver, Section7ChurnRebuildsExactlyTheEditedValues) {
   // The paper's Section-7 stability under churn: between query frames,
   // non-structural edits add and remove uses and create new values, and
   // the CFG never changes. A warm 4-thread driver, grouped and not, must
-  // answer every frame like the block-id plane and a fresh
+  // answer every frame like the block-id entry points and a fresh
   // DataflowLiveness; its caches must rebuild each edited value exactly
   // once and no untouched one; and values that are never queryable (no
   // def, or a def and no use) must keep answering 0. The warm path looks
@@ -538,11 +533,8 @@ TEST(BatchDriver, Section7ChurnRebuildsExactlyTheEditedValues) {
         Before.push_back(Driver.preparedCache(F)->stats());
       BatchResult R = Driver.run(Frame);
 
-      BatchOptions Ref;
-      Ref.Threads = 1;
-      Ref.Plane = QueryPlane::BlockId;
-      ASSERT_EQ(R.Answers, BatchLivenessDriver(M.Funcs, Ref).run(Frame).Answers)
-          << "round " << Round << ": diverges from the block-id plane";
+      ASSERT_EQ(R.Answers, blockIdAnswers(M.Funcs, Frame))
+          << "round " << Round << ": diverges from the block-id entry points";
       std::vector<std::unique_ptr<DataflowLiveness>> Fresh;
       for (const Function *F : M.Funcs)
         Fresh.push_back(std::make_unique<DataflowLiveness>(*F));

@@ -123,18 +123,19 @@ bool compareEngines(const LiveCheck &Inc, const DomTree &IncDT,
                   << Fresh.numNodes();
     return false;
   }
-  BitVector IncIn, IncOut, FreshIn, FreshOut;
   std::vector<unsigned> IncNums, FreshNums;
   BitVector IncMask(N), FreshMask(N);
   for (const VarSample &V : Vars) {
-    // Whole-graph coverage through the batch sweeps (one comparison per
-    // block and direction, at word speed).
-    Inc.liveInOutBlocks(V.Def, V.Uses, IncIn, IncOut);
-    Fresh.liveInOutBlocks(V.Def, V.Uses, FreshIn, FreshOut);
-    if (IncIn != FreshIn || IncOut != FreshOut) {
-      ADD_FAILURE() << Tag << ": block-sweep mismatch, def=" << V.Def;
-      return false;
-    }
+    // Whole-graph coverage through the block-id entry points (one
+    // comparison per block and direction).
+    for (unsigned Q = 0; Q != N; ++Q)
+      if (Inc.isLiveIn(V.Def, Q, V.Uses) != Fresh.isLiveIn(V.Def, Q, V.Uses) ||
+          Inc.isLiveOut(V.Def, Q, V.Uses) !=
+              Fresh.isLiveOut(V.Def, Q, V.Uses)) {
+        ADD_FAILURE() << Tag << ": whole-graph mismatch, def=" << V.Def
+                      << " q=" << Q;
+        return false;
+      }
     // Per-entry-point checks on sampled query blocks.
     IncNums.clear();
     FreshNums.clear();

@@ -50,12 +50,10 @@ std::string moduleText(std::uint64_t Seed) {
   return Text;
 }
 
-std::vector<std::uint8_t> loadRequest(const std::string &Text,
-                                      BatchBackend Backend =
-                                          BatchBackend::LiveCheckPropagated,
-                                      QueryPlane Plane = QueryPlane::Prepared) {
-  return proto::encodeLoadModule(static_cast<std::uint8_t>(Backend),
-                                 static_cast<std::uint8_t>(Plane), Text);
+std::vector<std::uint8_t> loadRequest(const std::string &Text) {
+  return proto::encodeLoadModule(
+      static_cast<std::uint8_t>(BatchBackend::LiveCheckPropagated),
+      static_cast<std::uint8_t>(QueryPlane::Prepared), Text);
 }
 
 std::vector<std::uint8_t> queryRequest(const std::vector<BatchQuery> &W) {
@@ -70,11 +68,12 @@ std::uint64_t metric(const char *Name) {
   return telemetry::Registry::global().value(Name);
 }
 
-/// A parsed copy of a module text with a single-threaded block-id driver
-/// over it. With the Dataflow backend it is the independent oracle for an
-/// unedited module; a module under CFG edits may leave strict SSA, where
-/// only the server's own backend defines the answers, so an edit mirror
-/// uses that backend (as the soak clients do).
+/// A parsed copy of a module text and the reference answers over it. With
+/// the Dataflow backend (a single-threaded driver) it is the independent
+/// oracle for an unedited module; a module under CFG edits may leave
+/// strict SSA, where only the server's own engine defines the answers, so
+/// an edit mirror answers through LiveCheck's block-id entry points over
+/// fresh engines (blockIdAnswers), as the soak clients do.
 struct Oracle {
   explicit Oracle(const std::string &Text,
                   BatchBackend Backend = BatchBackend::Dataflow)
@@ -82,32 +81,32 @@ struct Oracle {
     EXPECT_TRUE(Parsed.Error.empty()) << Parsed.Error;
     for (const auto &F : Parsed.Funcs)
       Funcs.push_back(F.get());
-    BatchOptions Opts;
-    Opts.Backend = Backend;
-    Opts.Plane = QueryPlane::BlockId;
-    Opts.Threads = 1;
-    Driver = std::make_unique<BatchLivenessDriver>(Funcs, Opts);
+    if (!batchBackendUsesLiveCheck(Backend)) {
+      BatchOptions Opts;
+      Opts.Backend = Backend;
+      Opts.Threads = 1;
+      Driver = std::make_unique<BatchLivenessDriver>(Funcs, Opts);
+    }
   }
 
   /// Applies a mutator-chosen edit to function \p FI, if one applies.
   std::optional<Mutation> mutate(unsigned FI, RandomEngine &Rng,
                                  const CFGMutatorOptions &Opts = {}) {
-    Function &F = *Parsed.Funcs[FI];
-    std::optional<Mutation> M = mutateFunctionCFG(F, Rng, Opts);
-    if (M) {
-      if (batchBackendUsesLiveCheck(Driver->backend()))
-        Driver->analysisManager().refresh(F);
+    std::optional<Mutation> M =
+        mutateFunctionCFG(*Parsed.Funcs[FI], Rng, Opts);
+    if (M && Driver)
       Driver->notifyCFGEdited();
-    }
     return M;
   }
 
   std::vector<std::uint8_t> answers(const std::vector<BatchQuery> &W) {
-    return proto::encodeAnswers(Driver->run(W).Answers);
+    return proto::encodeAnswers(Driver ? Driver->run(W).Answers
+                                       : blockIdAnswers(Funcs, W));
   }
 
   ModuleParseResult Parsed;
   std::vector<const Function *> Funcs;
+  /// Null for a LiveCheck mirror.
   std::unique_ptr<BatchLivenessDriver> Driver;
 };
 

@@ -74,9 +74,10 @@ TEST(PoolSeat, OpenSessionsKeepTheirFramesOnTheirOwnThread) {
   for (const auto &F : Parsed.Funcs)
     Funcs.push_back(F.get());
   // 4096 queries on four workers carve into 16 chunks of 256.
+  const std::vector<BatchQuery> Workload =
+      BatchLivenessDriver::generateWorkload(Funcs, 5, 4096);
   std::vector<proto::QueryItem> Items;
-  for (const BatchQuery &Q :
-       BatchLivenessDriver::generateWorkload(Funcs, 5, 4096))
+  for (const BatchQuery &Q : Workload)
     Items.push_back({Q.FuncIndex, Q.ValueId, Q.BlockId, Q.IsLiveOut});
   const std::vector<std::uint8_t> Frame = proto::encodeQueryBatch(Items);
 
@@ -84,7 +85,7 @@ TEST(PoolSeat, OpenSessionsKeepTheirFramesOnTheirOwnThread) {
   ASSERT_EQ(One.pool().numThreads(), 1u);
   const std::vector<std::uint8_t> Want =
       loadedSession(One, Text)->handle(Frame);
-  ASSERT_EQ(Want[0], static_cast<std::uint8_t>(proto::Opcode::Answers));
+  ASSERT_EQ(Want, proto::encodeAnswers(blockIdAnswers(Funcs, Workload)));
 
   server::ServerConfig Cfg;
   Cfg.Threads = 4;

@@ -508,9 +508,21 @@ TEST(ProtocolFuzz, RetiredPlaneId2IsRefused) {
 }
 
 TEST(ProtocolFuzz, EveryAssignedBackendAndPlaneIdLoads) {
+  // The server has one query plane: plane ids 0 and 3 are both accepted
+  // and load the same session, so a query frame and the Stats frame after
+  // it get byte-identical replies under either id.
   auto F = randomSSAFunction(7004, {/*TargetBlocks=*/10});
   std::string Text = printFunction(*F);
-  for (std::uint8_t Backend : {0, 5, 6})
+  // Ids as the server assigns them: draw the queries from the parsed text.
+  ModuleParseResult Parsed = parseModule(Text);
+  ASSERT_TRUE(Parsed.Error.empty()) << Parsed.Error;
+  std::vector<proto::QueryItem> Items;
+  for (const BatchQuery &Q : BatchLivenessDriver::generateWorkload(
+           {Parsed.Funcs[0].get()}, 7005, 256))
+    Items.push_back({Q.FuncIndex, Q.ValueId, Q.BlockId, Q.IsLiveOut});
+  const std::vector<std::uint8_t> Query = proto::encodeQueryBatch(Items);
+  for (std::uint8_t Backend : {0, 5, 6}) {
+    std::vector<std::vector<std::uint8_t>> Replies[2];
     for (std::uint8_t Plane : {0, 3}) {
       server::SessionManager Mgr({});
       auto S = Mgr.createSession();
@@ -518,7 +530,15 @@ TEST(ProtocolFuzz, EveryAssignedBackendAndPlaneIdLoads) {
       EXPECT_EQ(Reply[0],
                 static_cast<std::uint8_t>(proto::Opcode::ModuleLoaded))
           << "backend " << unsigned(Backend) << " plane " << unsigned(Plane);
+      Replies[Plane != 0] = {Reply, S->handle(Query),
+                             S->handle(proto::encodeStats())};
     }
+    EXPECT_EQ(Replies[1][1][0],
+              static_cast<std::uint8_t>(proto::Opcode::Answers));
+    EXPECT_EQ(Replies[0], Replies[1])
+        << "backend " << unsigned(Backend)
+        << ": plane ids 0 and 3 must load the same session";
+  }
 }
 
 TEST(ProtocolFuzz, MetricsRoundTripsOverTheStreamTransport) {

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The differential soak harness of the liveness server: several concurrent
-// clients (>= 4), each with its own module (or one shared module text),
-// backend, and query plane,
-// replay randomized query+edit streams against one LivenessServer over
-// socketpair transports — >= 100k requests in total — and every single
+// clients (>= 4), each with its own module (or one shared module text) and
+// backend, replay randomized query+edit streams against one LivenessServer
+// over socketpair transports — >= 100k requests in total — and every single
 // reply is compared byte for byte against an in-process oracle built from
 // the exact bytes each client sent. Edits are chosen by the CFGMutator on
 // the oracle copy and shipped as deterministic replays, so the server's
@@ -54,7 +53,6 @@ struct ClientPlan {
   std::uint64_t Seed;       ///< The query and edit stream.
   std::uint64_t ModuleSeed; ///< The module text; equal seeds share a module.
   BatchBackend Backend;
-  QueryPlane Plane;
   unsigned Iterations;
   unsigned QueriesPerBatch;
   unsigned EditPercent; ///< Chance an iteration sends edits, in percent.
@@ -89,14 +87,13 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
     std::ostringstream OS;
     OS << "client " << ClientId << " seed=" << Plan.Seed
        << " module-seed=" << Plan.ModuleSeed << " backend="
-       << batchBackendName(Plan.Backend) << " plane="
-       << queryPlaneName(Plan.Plane) << ": " << What << " #" << Index
+       << batchBackendName(Plan.Backend) << ": " << What << " #" << Index
        << " (replay: rerun this client alone with this seed)";
     return OS.str();
   };
 
-  // The oracle: parse the same text the server will parse, drive it with
-  // a single-threaded driver of the same backend/plane.
+  // The oracle: parse the same text the server will parse and apply the
+  // same edits to it.
   std::string Text = makeModuleText(Plan.ModuleSeed, /*NumFuncs=*/4);
   ModuleParseResult Oracle = parseModule(Text);
   if (!Oracle.Error.empty()) {
@@ -110,23 +107,29 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
     Blocks += F->numBlocks();
     Values += F->numValues();
   }
-  // The oracle always answers through the classic block-id entry points,
-  // whatever plane the server session runs: all planes answer identically
-  // by construction, so every byte-compared Answers frame below doubles
-  // as a cross-plane differential — in particular the cached prepared
-  // plane (the server default) is checked bit for bit against block-id
-  // entries across the whole query+edit stream.
+  // A LiveCheck session is checked against LiveCheck's block-id entry
+  // points over fresh engines (blockIdAnswers): no prepared cache, no
+  // incremental repair, no numbering remap, so every byte-compared Answers
+  // frame below checks the server's cached plane across the whole
+  // query+edit stream. A baseline session is checked against a
+  // single-threaded driver of the same backend.
+  const bool LiveCheckPlan = batchBackendUsesLiveCheck(Plan.Backend);
   BatchOptions OOpts;
   OOpts.Backend = Plan.Backend;
-  OOpts.Plane = QueryPlane::BlockId;
   OOpts.Threads = 1;
   BatchLivenessDriver OracleDriver(Funcs, OOpts);
+  auto oracleAnswers = [&](const std::vector<BatchQuery> &Workload) {
+    return LiveCheckPlan ? blockIdAnswers(Funcs, Workload)
+                         : OracleDriver.run(Workload).Answers;
+  };
 
   std::vector<std::uint8_t> Reply;
   bool LoadSent = roundTrip(Fd,
                             proto::encodeLoadModule(
                                 static_cast<std::uint8_t>(Plan.Backend),
-                                static_cast<std::uint8_t>(Plan.Plane), Text),
+                                static_cast<std::uint8_t>(
+                                    QueryPlane::Prepared),
+                                Text),
                             Reply);
   if (AllLoaded)
     AllLoaded->arrive_and_wait();
@@ -160,8 +163,6 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
         auto M = mutateFunctionCFG(F, Rng, MOpts);
         if (!M)
           continue;
-        if (batchBackendUsesLiveCheck(Plan.Backend))
-          OracleDriver.analysisManager().refresh(F);
         Items.push_back({static_cast<std::uint8_t>(M->Kind), FI, M->From,
                          M->To, M->To2});
         Expect.emplace_back(1, F.cfgVersion());
@@ -177,8 +178,6 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
         // consistently; mirror the decision locally either way.
         Mutation M{MutationKind::AddEdge, 0, 0, 0};
         bool Applied = applyFunctionMutation(F, M);
-        if (Applied && batchBackendUsesLiveCheck(Plan.Backend))
-          OracleDriver.analysisManager().refresh(F);
         Items.push_back({static_cast<std::uint8_t>(M.Kind), FI, M.From,
                          M.To, M.To2});
         Expect.emplace_back(Applied ? 1 : 0, F.cfgVersion());
@@ -215,7 +214,7 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
         return Requests;
       }
       std::vector<std::uint8_t> Want =
-          proto::encodeAnswers(OracleDriver.run(Workload).Answers);
+          proto::encodeAnswers(oracleAnswers(Workload));
       if (Reply != Want) {
         ADD_FAILURE() << tag("query reply mismatch", It);
         return Requests;
@@ -256,23 +255,17 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
   Cfg.Threads = 2; // Sharded fan-out shared by all sessions.
   server::LivenessServer Server(Cfg);
 
-  // Six clients across backends and query planes; the shapes chosen so
-  // the request total comfortably clears 100k. The cached prepared plane
-  // (the production default) runs with edit streams, so stale-entry bugs
-  // in its cache interaction surface as byte mismatches against the
-  // block-id oracle.
+  // Six clients across backends; the shapes chosen so the request total
+  // comfortably clears 100k. The LiveCheck sessions run with edit
+  // streams, so stale-entry bugs in the prepared cache surface as byte
+  // mismatches against the block-id oracle.
   std::vector<ClientPlan> Plans = {
-      {1001, 1001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
-       560, 42, 8},
-      {1002, 1002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId,
-       560, 42, 6},
-      {1003, 1003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
-       560, 42, 8},
-      {1004, 1004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId,
-       560, 42, 6},
-      {1005, 1005, BatchBackend::Dataflow, QueryPlane::BlockId, 150, 42, 4},
-      {1006, 1006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
-       560, 42, 12},
+      {1001, 1001, BatchBackend::LiveCheckPropagated, 560, 42, 8},
+      {1002, 1002, BatchBackend::LiveCheckPropagated, 560, 42, 6},
+      {1003, 1003, BatchBackend::LiveCheckPropagated, 560, 42, 8},
+      {1004, 1004, BatchBackend::LiveCheckPropagated, 560, 42, 6},
+      {1005, 1005, BatchBackend::Dataflow, 150, 42, 4},
+      {1006, 1006, BatchBackend::LiveCheckPropagated, 560, 42, 12},
   };
 
   std::vector<int> ClientFds;
@@ -290,8 +283,8 @@ TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
 
   // Registry reconcile: the process-wide telemetry counter must advance by
   // exactly the number of queries the clients' oracles ledger — across six
-  // concurrent sessions, three backends, and both planes. (Snapshot deltas,
-  // not absolutes: earlier tests in this binary also serve queries.)
+  // concurrent sessions and two backends. (Snapshot deltas, not absolutes:
+  // earlier tests in this binary also serve queries.)
   std::uint64_t QueriesBefore =
       telemetry::Registry::global().value("ssalive_server_queries_total");
   std::atomic<std::uint64_t> QueryLedger{0};
@@ -336,20 +329,16 @@ TEST(ServerSoak, SharedModuleClientsMatchOracleByteForByte) {
   Cfg.Threads = 2;
   server::LivenessServer Server(Cfg);
 
-  // Both backends on both planes, edit rates from none (a client that
-  // reads the shared module to the end) to frequent.
+  // Both backends, edit rates from none (a client that reads the shared
+  // module to the end) to frequent.
   constexpr std::uint64_t Module = 3000;
   std::vector<ClientPlan> Plans = {
-      {3001, Module, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
-       240, 42, 10},
-      {3002, Module, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId,
-       240, 42, 6},
-      {3003, Module, BatchBackend::Dataflow, QueryPlane::BlockId, 80, 42, 8},
-      {3004, Module, BatchBackend::Dataflow, QueryPlane::Prepared, 80, 42, 4},
-      {3005, Module, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
-       240, 42, 0},
-      {3006, Module, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared,
-       240, 42, 20},
+      {3001, Module, BatchBackend::LiveCheckPropagated, 240, 42, 10},
+      {3002, Module, BatchBackend::LiveCheckPropagated, 240, 42, 6},
+      {3003, Module, BatchBackend::Dataflow, 80, 42, 8},
+      {3004, Module, BatchBackend::Dataflow, 80, 42, 4},
+      {3005, Module, BatchBackend::LiveCheckPropagated, 240, 42, 0},
+      {3006, Module, BatchBackend::LiveCheckPropagated, 240, 42, 20},
   };
 
   std::vector<int> ClientFds;
@@ -427,9 +416,7 @@ TEST(ServerSoak, UnixSocketAcceptLoopServesAndShutsDown) {
   for (unsigned I = 0; I != 2; ++I) {
     Clients.emplace_back([&, I] {
       int Fd = connect();
-      ClientPlan Plan{2000 + I, 2000 + I,
-                      BatchBackend::LiveCheckPropagated,
-                      I == 0 ? QueryPlane::Prepared : QueryPlane::BlockId,
+      ClientPlan Plan{2000 + I, 2000 + I, BatchBackend::LiveCheckPropagated,
                       40, 32, 10};
       Requests.fetch_add(runClient(Fd, Plan, I));
       ::close(Fd);
@@ -475,7 +462,7 @@ int connectLoopback(std::uint16_t Port) {
 /// Returns an empty sequence after a recorded failure.
 std::vector<std::vector<std::uint8_t>>
 buildMixedStream(std::uint64_t Seed, unsigned ClientId, BatchBackend Backend,
-                 QueryPlane Plane, std::size_t Frames) {
+                 std::size_t Frames) {
   std::string Text = makeModuleText(Seed, /*NumFuncs=*/4);
   ModuleParseResult Local = parseModule(Text);
   if (!Local.Error.empty()) {
@@ -491,8 +478,8 @@ buildMixedStream(std::uint64_t Seed, unsigned ClientId, BatchBackend Backend,
   MOpts.MaxNodes = 128;
   std::vector<std::vector<std::uint8_t>> Requests;
   Requests.push_back(proto::encodeLoadModule(
-      static_cast<std::uint8_t>(Backend), static_cast<std::uint8_t>(Plane),
-      Text));
+      static_cast<std::uint8_t>(Backend),
+      static_cast<std::uint8_t>(QueryPlane::Prepared), Text));
   while (Requests.size() != Frames) {
     if (Rng.chancePercent(10)) {
       std::vector<proto::EditItem> Items;
@@ -540,10 +527,9 @@ oracleReplies(const std::vector<std::vector<std::uint8_t>> &Requests) {
 /// must match the single-session oracle byte for byte. Returns the frames
 /// served before the first failure.
 std::uint64_t runMixedClient(std::uint16_t Port, std::uint64_t Seed,
-                             BatchBackend Backend, QueryPlane Plane,
-                             unsigned ClientId) {
+                             BatchBackend Backend, unsigned ClientId) {
   std::vector<std::vector<std::uint8_t>> Requests =
-      buildMixedStream(Seed, ClientId, Backend, Plane, /*Frames=*/400);
+      buildMixedStream(Seed, ClientId, Backend, /*Frames=*/400);
   std::vector<std::vector<std::uint8_t>> Expected = oracleReplies(Requests);
   int Fd = connectLoopback(Port);
   if (Fd < 0) {
@@ -580,30 +566,19 @@ TEST(ServerSoak, TcpDifferentialClientsMatchOracles) {
   ASSERT_TRUE(Server.listenTcp("127.0.0.1", /*Port=*/0, Err)) << Err;
   Server.start();
 
-  struct PlanEntry {
-    std::uint64_t Seed;
-    BatchBackend Backend;
-    QueryPlane Plane;
-  };
-  std::vector<PlanEntry> Plans = {
-      {7001, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {7002, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
-      {7003, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {7004, BatchBackend::LiveCheckPropagated, QueryPlane::BlockId},
-      {7005, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-      {7006, BatchBackend::LiveCheckPropagated, QueryPlane::Prepared},
-  };
+  const std::vector<std::uint64_t> Seeds = {7001, 7002, 7003,
+                                            7004, 7005, 7006};
   std::atomic<std::uint64_t> Frames{0};
   std::vector<std::thread> Clients;
-  for (std::size_t I = 0; I != Plans.size(); ++I)
+  for (std::size_t I = 0; I != Seeds.size(); ++I)
     Clients.emplace_back([&, I] {
-      Frames.fetch_add(runMixedClient(Server.boundTcpPort(), Plans[I].Seed,
-                                      Plans[I].Backend, Plans[I].Plane,
+      Frames.fetch_add(runMixedClient(Server.boundTcpPort(), Seeds[I],
+                                      BatchBackend::LiveCheckPropagated,
                                       static_cast<unsigned>(I)));
     });
   for (std::thread &T : Clients)
     T.join();
-  EXPECT_EQ(Frames.load(), Plans.size() * 400u);
+  EXPECT_EQ(Frames.load(), Seeds.size() * 400u);
 
   int Fd = connectLoopback(Server.boundTcpPort());
   ASSERT_GE(Fd, 0);

@@ -209,14 +209,8 @@ TEST(BitMatrix, DispatchMatchesPortableOnRandomSpans) {
                                                  Exclude))
         << "trial " << Trial << " lo " << Lo << " hi " << Hi << " excl "
         << Exclude;
-    EXPECT_EQ(
-        BitMatrix::wordsFirstCommonInRange(A.data(), B.data(), Lo, Hi, Exclude),
-        BitMatrix::wordsFirstCommonInRangePortable(A.data(), B.data(), Lo, Hi,
-                                                   Exclude))
-        << "trial " << Trial << " lo " << Lo << " hi " << Hi << " excl "
-        << Exclude;
 
-    // Probe-list primitives: random index lists with duplicates and a
+    // The probe-list primitive: random index lists with duplicates and a
     // ragged length (N % 4 != 0 in two thirds of the trials).
     std::size_t N = Rng.nextBelow(23);
     std::vector<unsigned> Probes(N);
@@ -225,23 +219,15 @@ TEST(BitMatrix, DispatchMatchesPortableOnRandomSpans) {
     EXPECT_EQ(BitMatrix::wordsAnyOfBits(A.data(), Probes.data(), N),
               BitMatrix::wordsAnyOfBitsPortable(A.data(), Probes.data(), N))
         << "trial " << Trial << " probes " << N;
-    std::vector<std::uint8_t> Got(N, 0xCC), Want(N, 0xCC);
-    BitMatrix::wordsTestGather(A.data(), Probes.data(), N, Got.data());
-    BitMatrix::wordsTestGatherPortable(A.data(), Probes.data(), N,
-                                       Want.data());
-    EXPECT_EQ(Got, Want) << "trial " << Trial << " probes " << N;
   }
 
   // Degenerate shapes the random draw cannot hit: empty ranges and
   // zero-word spans.
   std::vector<std::uint64_t> W = {~0ull};
   EXPECT_FALSE(BitMatrix::wordsAnyCommonInRange(W.data(), W.data(), 5, 2));
-  EXPECT_EQ(BitMatrix::wordsFirstCommonInRange(W.data(), W.data(), 5, 2),
-            BitMatrix::npos);
   EXPECT_FALSE(BitMatrix::wordsAnyCommon(W.data(), W.data(), 0));
   EXPECT_FALSE(BitMatrix::wordsAnyExcept(W.data(), 0));
   EXPECT_FALSE(BitMatrix::wordsAnyOfBits(W.data(), nullptr, 0));
-  BitMatrix::wordsTestGather(W.data(), nullptr, 0, nullptr);
 }
 
 TEST(BitMatrix, ResizeClearsAndClearReleases) {

@@ -14,10 +14,6 @@
 //                 propagated is the paper's engine with the Section-5.2
 //                 T sets (default); dataflow and path-exploration are
 //                 independent baselines
-//     --plane=block-id|prepared
-//                 LiveCheck entry point per query (default prepared — the
-//                 cached per-value plane; block-id re-derives the variable
-//                 per query and exists as the differential baseline)
 //     --threads=N     worker threads (default 1; 0 = hardware concurrency)
 //     --queries=N     workload size (default 500000)
 //     --seed=S        workload RNG seed (default 42)
@@ -59,7 +55,6 @@ namespace {
 
 struct CliOptions {
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
-  QueryPlane Plane = QueryPlane::Prepared;
   unsigned Threads = 1;
   std::size_t Queries = 500000;
   std::uint64_t Seed = 42;
@@ -85,11 +80,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     if (Arg.rfind("--backend=", 0) == 0) {
       if (!parseBatchBackend(Arg.substr(10), Opts.Backend)) {
         std::fprintf(stderr, "unknown backend '%s'\n", Arg.c_str() + 10);
-        return false;
-      }
-    } else if (Arg.rfind("--plane=", 0) == 0) {
-      if (!parseQueryPlane(Arg.substr(8), Opts.Plane)) {
-        std::fprintf(stderr, "unknown query plane '%s'\n", Arg.c_str() + 8);
         return false;
       }
     } else if (Arg.rfind("--threads=", 0) == 0 &&
@@ -190,15 +180,13 @@ int main(int Argc, char **Argv) {
 
   BatchOptions DOpts;
   DOpts.Backend = Opts.Backend;
-  DOpts.Plane = Opts.Plane;
   DOpts.Threads = Opts.Threads;
   BatchLivenessDriver Driver(Funcs, DOpts);
 
   std::printf("ssalive-batch: %zu functions (%zu blocks, %zu values), "
-              "%zu queries, backend=%s, plane=%s, threads=%u\n",
+              "%zu queries, backend=%s, threads=%u\n",
               Funcs.size(), TotalBlocks, TotalValues, Workload.size(),
-              batchBackendName(Opts.Backend), queryPlaneName(Opts.Plane),
-              Driver.numThreads());
+              batchBackendName(Opts.Backend), Driver.numThreads());
 
   BatchResult Last;
   for (unsigned Run = 0; Run != Opts.Repeat; ++Run) {
@@ -276,26 +264,6 @@ int main(int Argc, char **Argv) {
         Failed = true;
       } else {
         std::printf("  verify: answers identical in arrival order\n");
-      }
-    }
-
-    // Plane differential: the cached prepared plane must answer
-    // bit-identically to the classic block-id entry points on the same
-    // backend. Skipped when the backend ignores the plane selector.
-    if (batchBackendUsesLiveCheck(Opts.Backend) &&
-        Opts.Plane != QueryPlane::BlockId) {
-      BatchOptions POpts = SOpts;
-      POpts.Plane = QueryPlane::BlockId;
-      BatchLivenessDriver BlockId(Funcs, POpts);
-      BatchResult PlaneRef = BlockId.run(Workload);
-      if (PlaneRef.Answers != Last.Answers) {
-        std::fprintf(stderr, "FAIL: %s plane answers differ from the "
-                             "block-id plane\n",
-                     queryPlaneName(Opts.Plane));
-        Failed = true;
-      } else {
-        std::printf("  verify: %s plane identical to block-id plane\n",
-                    queryPlaneName(Opts.Plane));
       }
     }
 

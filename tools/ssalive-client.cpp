@@ -16,9 +16,6 @@
 //                             pipes (default), a temporary unix socket,
 //                             or TCP on a loopback ephemeral port
 //     --backend=NAME          propagated|dataflow|path-exploration
-//     --plane=NAME            block-id|prepared (LiveCheck entry point
-//                             used per query; default prepared — the
-//                             server-side cached plane)
 //     --generate=N            synthesize N SPEC-profile functions
 //                             (default 8 when no module file is given)
 //     --seed=S --queries=N --batch=K --repeat=R
@@ -75,7 +72,6 @@ struct CliOptions {
   bool UnixTransport = false;
   bool TcpTransport = false;
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
-  QueryPlane Plane = QueryPlane::Prepared;
   unsigned Generate = 0;
   std::uint64_t Seed = 42;
   std::size_t Queries = 200000;
@@ -129,11 +125,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--backend=", 0) == 0) {
       if (!parseBatchBackend(Arg.substr(10), Opts.Backend)) {
         std::fprintf(stderr, "unknown backend '%s'\n", Arg.c_str() + 10);
-        return false;
-      }
-    } else if (Arg.rfind("--plane=", 0) == 0) {
-      if (!parseQueryPlane(Arg.substr(8), Opts.Plane)) {
-        std::fprintf(stderr, "unknown query plane '%s'\n", Arg.c_str() + 8);
         return false;
       }
     } else if (Arg.rfind("--generate=", 0) == 0 &&
@@ -425,13 +416,11 @@ int main(int Argc, char **Argv) {
     TotalBlocks += F->numBlocks();
     TotalValues += F->numValues();
   }
-  // The oracle answers through the block-id entry points whatever plane
-  // the server session runs: all planes are answer-identical by
-  // construction, so every --verify byte-compare doubles as a cross-plane
-  // differential (in particular of the server's cached prepared plane).
+  // The oracle is a single-threaded driver on the same backend: every
+  // --verify byte-compare checks the server's codec, sessions, pool fan-out
+  // and edit replay against the in-process path.
   BatchOptions OOpts;
   OOpts.Backend = Opts.Backend;
-  OOpts.Plane = QueryPlane::BlockId;
   OOpts.Threads = 1;
   BatchLivenessDriver OracleDriver(OracleFuncs, OOpts);
 
@@ -504,7 +493,8 @@ int main(int Argc, char **Argv) {
 
   // ---- Load.
   if (!rt(proto::encodeLoadModule(static_cast<std::uint8_t>(Opts.Backend),
-                                  static_cast<std::uint8_t>(Opts.Plane),
+                                  static_cast<std::uint8_t>(
+                                      QueryPlane::Prepared),
                                   Text),
           Reply)) {
     std::fprintf(stderr, "transport failure during load-module\n");
@@ -520,11 +510,11 @@ int main(int Argc, char **Argv) {
     }
   }
   std::printf("ssalive-client: loaded %zu functions (%llu blocks, %llu "
-              "values), backend=%s, plane=%s\n",
+              "values), backend=%s\n",
               Oracle.Funcs.size(),
               static_cast<unsigned long long>(TotalBlocks),
               static_cast<unsigned long long>(TotalValues),
-              batchBackendName(Opts.Backend), queryPlaneName(Opts.Plane));
+              batchBackendName(Opts.Backend));
 
   // ---- Query/edit runs.
   RandomEngine EditRng(Opts.Seed * 31 + 7);
