@@ -34,6 +34,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ToolUtil.h"
+#include "core/UseInfo.h"
 #include "pipeline/BatchLivenessDriver.h"
 #include "server/Protocol.h"
 #include "support/Telemetry.h"
@@ -416,13 +417,34 @@ int main(int Argc, char **Argv) {
     TotalBlocks += F->numBlocks();
     TotalValues += F->numValues();
   }
-  // The oracle is a single-threaded driver on the same backend: every
-  // --verify byte-compare checks the server's codec, sessions, pool fan-out
-  // and edit replay against the in-process path.
+  // The oracle is a single-threaded driver on the same backend. For the
+  // LiveCheck backend it answers through the engine's block-id entry
+  // points, which re-walk the value's def-use chain per query: the server
+  // answers through its prepared caches, so every --verify byte-compare
+  // also checks them against state they do not share.
   BatchOptions OOpts;
   OOpts.Backend = Opts.Backend;
   OOpts.Threads = 1;
   BatchLivenessDriver OracleDriver(OracleFuncs, OOpts);
+  auto oracleAnswers = [&](const std::vector<BatchQuery> &Chunk) {
+    if (!batchBackendUsesLiveCheck(Opts.Backend))
+      return OracleDriver.run(Chunk).Answers;
+    std::vector<std::uint8_t> Answers(Chunk.size(), 0);
+    std::vector<unsigned> Uses;
+    for (std::size_t I = 0; I != Chunk.size(); ++I) {
+      const BatchQuery &Q = Chunk[I];
+      const Function &F = *OracleFuncs[Q.FuncIndex];
+      const Value &V = *F.value(Q.ValueId);
+      if (!V.hasSingleDef() || !V.hasUses())
+        continue; // The driver's queryability rule: dead.
+      const LiveCheck &E = OracleDriver.analysisManager().liveCheck(F);
+      Uses.clear();
+      appendLiveUseBlocks(V, Uses);
+      Answers[I] = Q.IsLiveOut ? E.isLiveOut(defBlockId(V), Q.BlockId, Uses)
+                               : E.isLiveIn(defBlockId(V), Q.BlockId, Uses);
+    }
+    return Answers;
+  };
 
   // ---- Transport.
   Connection Conn;
@@ -551,7 +573,7 @@ int main(int Argc, char **Argv) {
         std::vector<BatchQuery> Chunk(Workload.begin() + Begin,
                                       Workload.begin() + End);
         std::vector<std::uint8_t> Want =
-            proto::encodeAnswers(OracleDriver.run(Chunk).Answers);
+            proto::encodeAnswers(oracleAnswers(Chunk));
         if (Reply != Want) {
           describeMismatch("query-batch", Reply, Want);
           std::fprintf(stderr, "  replay: --seed=%llu run %u batch at %zu\n",
