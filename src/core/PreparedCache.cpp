@@ -19,7 +19,9 @@ using namespace ssalive;
 
 PreparedCache::PreparedCache(const Function &F, const LiveCheck &Engine,
                              const DomTree &DT)
-    : F(F), Engine(&Engine), DT(&DT) {}
+    : F(F), Engine(&Engine), DT(&DT) {
+  clearArenas();
+}
 
 PreparedCache::~PreparedCache() {
   publishTelemetry();
@@ -27,11 +29,9 @@ PreparedCache::~PreparedCache() {
   // total across caches, and this one is going away. arenaBytes() counts
   // capacity, so the arenas must really be released (swapped out), not
   // merely emptied.
-  for (ArenaStripe &S : Stripes) {
-    std::vector<unsigned>().swap(S.Spans);
-    std::vector<std::uint64_t>().swap(S.MaskWords);
-    S.LiveSlices = 0;
-  }
+  std::vector<unsigned>().swap(SpanArena);
+  std::vector<std::uint64_t>().swap(MaskArena);
+  LiveSlices = 0;
   publishTelemetry();
 }
 
@@ -46,14 +46,16 @@ void PreparedCache::rebind(const LiveCheck &NewEngine, const DomTree &NewDT) {
   // reset with it — capacity is retained, so the rebuild wave re-fills
   // the same buffers instead of growing fresh ones.
   Entries.assign(Entries.size(), Entry());
-  for (ArenaStripe &S : Stripes) {
-    S.Spans.clear();
-    S.MaskWords.clear();
-    S.SpanFree.fill(NoSlice);
-    S.MaskFree.fill(NoSlice);
-    S.LiveSlices = 0;
-  }
+  clearArenas();
   SyncedNodeAtNum.clear();
+}
+
+void PreparedCache::clearArenas() {
+  SpanArena.clear();
+  MaskArena.clear();
+  SpanFree.fill(NoSlice);
+  MaskFree.fill(NoSlice);
+  LiveSlices = 0;
 }
 
 void PreparedCache::syncNumbering() {
@@ -89,13 +91,12 @@ void PreparedCache::syncNumbering() {
       E.Prep.DefNum = DT->num(DefNode);
       E.Prep.MaxDom = DT->maxnum(DefNode);
       if (!Identity) {
-        ArenaStripe &S = Stripes[stripeOf(static_cast<std::uint32_t>(I))];
-        unsigned *Span = S.Spans.data() + E.NumsOff;
+        unsigned *Span = SpanArena.data() + E.NumsOff;
         for (unsigned K = 0; K != Len; ++K)
           Span[K] = Perm[Span[K]];
         std::sort(Span, Span + Len);
         if (Mask) {
-          std::uint64_t *MW = S.MaskWords.data() + E.MaskOff;
+          std::uint64_t *MW = MaskArena.data() + E.MaskOff;
           std::memset(MW, 0, Words * sizeof(std::uint64_t));
           for (unsigned K = 0; K != Len; ++K)
             MW[Span[K] / 64] |= std::uint64_t(1) << (Span[K] % 64);
@@ -104,7 +105,7 @@ void PreparedCache::syncNumbering() {
       E.CFGEpoch = Epoch;
       ++Carried;
     }
-    Remaps.fetch_add(Carried, std::memory_order_relaxed);
+    Remaps += Carried;
   }
   SyncedNodeAtNum.resize(N);
   for (unsigned I = 0; I != N; ++I)
@@ -124,10 +125,9 @@ void PreparedCache::growTo(std::size_t Count) {
 
 void PreparedCache::sizeToFunction() { growTo(F.numValues()); }
 
-void PreparedCache::reanchorSpans(unsigned Stripe) {
-  const unsigned *Base = Stripes[Stripe].Spans.data();
-  for (std::size_t I = Stripe; I < Entries.size(); I += NumStripes) {
-    Entry &E = Entries[I];
+void PreparedCache::reanchorSpans() {
+  const unsigned *Base = SpanArena.data();
+  for (Entry &E : Entries) {
     if (!E.Built || E.NumsClass == 0)
       continue;
     std::size_t Len =
@@ -137,67 +137,60 @@ void PreparedCache::reanchorSpans(unsigned Stripe) {
   }
 }
 
-void PreparedCache::reanchorMasks(unsigned Stripe) {
-  const std::uint64_t *Base = Stripes[Stripe].MaskWords.data();
-  for (std::size_t I = Stripe; I < Entries.size(); I += NumStripes) {
-    Entry &E = Entries[I];
+void PreparedCache::reanchorMasks() {
+  const std::uint64_t *Base = MaskArena.data();
+  for (Entry &E : Entries) {
     if (!E.Built || E.MaskClass == 0 || !E.Prep.MaskWords)
       continue;
     E.Prep.MaskWords = Base + E.MaskOff;
   }
 }
 
-std::uint32_t PreparedCache::allocSpanSlice(unsigned Stripe, unsigned Class) {
-  ArenaStripe &S = Stripes[Stripe];
-  ++S.LiveSlices;
-  if (S.SpanFree[Class] != NoSlice) {
-    std::uint32_t Off = S.SpanFree[Class];
-    S.SpanFree[Class] = S.Spans[Off]; // Intrusive next-free link.
+std::uint32_t PreparedCache::allocSpanSlice(unsigned Class) {
+  ++LiveSlices;
+  if (SpanFree[Class] != NoSlice) {
+    std::uint32_t Off = SpanFree[Class];
+    SpanFree[Class] = SpanArena[Off]; // Intrusive next-free link.
     return Off;
   }
-  std::size_t Off = S.Spans.size();
-  const unsigned *Old = S.Spans.data();
-  S.Spans.resize(Off + (std::size_t(1) << Class));
-  if (S.Spans.data() != Old)
-    reanchorSpans(Stripe);
+  std::size_t Off = SpanArena.size();
+  const unsigned *Old = SpanArena.data();
+  SpanArena.resize(Off + (std::size_t(1) << Class));
+  if (SpanArena.data() != Old)
+    reanchorSpans();
   return static_cast<std::uint32_t>(Off);
 }
 
-void PreparedCache::freeSpanSlice(unsigned Stripe, unsigned Class,
-                                  std::uint32_t Off) {
-  ArenaStripe &S = Stripes[Stripe];
-  assert(S.LiveSlices && "span slice freed twice");
-  --S.LiveSlices;
-  S.Spans[Off] = S.SpanFree[Class];
-  S.SpanFree[Class] = Off;
+void PreparedCache::freeSpanSlice(unsigned Class, std::uint32_t Off) {
+  assert(LiveSlices && "span slice freed twice");
+  --LiveSlices;
+  SpanArena[Off] = SpanFree[Class];
+  SpanFree[Class] = Off;
 }
 
-std::uint32_t PreparedCache::allocMaskSlice(unsigned Stripe, unsigned Class) {
-  ArenaStripe &S = Stripes[Stripe];
-  ++S.LiveSlices;
-  if (S.MaskFree[Class] != NoSlice) {
-    std::uint32_t Off = S.MaskFree[Class];
-    S.MaskFree[Class] = static_cast<std::uint32_t>(S.MaskWords[Off]);
+std::uint32_t PreparedCache::allocMaskSlice(unsigned Class) {
+  ++LiveSlices;
+  if (MaskFree[Class] != NoSlice) {
+    std::uint32_t Off = MaskFree[Class];
+    MaskFree[Class] = static_cast<std::uint32_t>(MaskArena[Off]);
     return Off;
   }
-  std::size_t Off = S.MaskWords.size();
-  const std::uint64_t *Old = S.MaskWords.data();
-  S.MaskWords.resize(Off + (std::size_t(1) << Class));
-  if (S.MaskWords.data() != Old)
-    reanchorMasks(Stripe);
+  std::size_t Off = MaskArena.size();
+  const std::uint64_t *Old = MaskArena.data();
+  MaskArena.resize(Off + (std::size_t(1) << Class));
+  if (MaskArena.data() != Old)
+    reanchorMasks();
   return static_cast<std::uint32_t>(Off);
 }
 
-void PreparedCache::freeMaskSlice(unsigned Stripe, unsigned Class,
-                                  std::uint32_t Off) {
-  ArenaStripe &S = Stripes[Stripe];
-  assert(S.LiveSlices && "mask slice freed twice");
-  --S.LiveSlices;
-  S.MaskWords[Off] = S.MaskFree[Class];
-  S.MaskFree[Class] = Off;
+void PreparedCache::freeMaskSlice(unsigned Class, std::uint32_t Off) {
+  assert(LiveSlices && "mask slice freed twice");
+  --LiveSlices;
+  MaskArena[Off] = MaskFree[Class];
+  MaskFree[Class] = Off;
 }
 
-void PreparedCache::build(Entry &E, const Value &V, unsigned Stripe) {
+void PreparedCache::build(Entry &E, const Value &V) {
   // Only queryable values get entries: the "fresh implies queryable"
   // invariant lookup() callers rely on.
   assert(V.hasSingleDef() && V.hasUses() &&
@@ -212,29 +205,27 @@ void PreparedCache::build(Entry &E, const Value &V, unsigned Stripe) {
 
   // Size-class the span slice: reuse in place when the class still fits
   // (the common def-use rebuild), otherwise free the old slice to the
-  // stripe's freelist and take a new one. Alloc may grow the stripe's
-  // arena and re-anchor its other entries; this entry's classes are
-  // zeroed around the swap so the re-anchor walk skips its (transient)
-  // state.
-  ArenaStripe &S = Stripes[Stripe];
+  // freelist and take a new one. Alloc may grow the arena and re-anchor
+  // the other entries; this entry's classes are zeroed around the swap so
+  // the re-anchor walk skips its (transient) state.
   unsigned Len = static_cast<unsigned>(Nums.size());
   unsigned Class = classFor(std::max<std::size_t>(1, Len));
   if (E.NumsClass == 0 || E.NumsClass - 1u != Class) {
     if (E.NumsClass) {
-      freeSpanSlice(Stripe, E.NumsClass - 1u, E.NumsOff);
+      freeSpanSlice(E.NumsClass - 1u, E.NumsOff);
       E.NumsClass = 0;
     }
-    std::uint32_t Off = allocSpanSlice(Stripe, Class);
+    std::uint32_t Off = allocSpanSlice(Class);
     E.NumsOff = Off;
     E.NumsClass = static_cast<std::uint8_t>(Class + 1);
   }
   if (Len)
-    std::memcpy(S.Spans.data() + E.NumsOff, Nums.data(),
+    std::memcpy(SpanArena.data() + E.NumsOff, Nums.data(),
                 Len * sizeof(unsigned));
 
   E.Prep = LiveCheck::PreparedVar();
   Engine->prepareDef(defBlockId(V), E.Prep);
-  E.Prep.NumsBegin = S.Spans.data() + E.NumsOff;
+  E.Prep.NumsBegin = SpanArena.data() + E.NumsOff;
   E.Prep.NumsEnd = E.Prep.NumsBegin + Len;
 
   // Same threshold FunctionLiveness always used: switch to the word-level
@@ -246,14 +237,14 @@ void PreparedCache::build(Entry &E, const Value &V, unsigned Stripe) {
     unsigned MClass = classFor(std::max(1u, Words));
     if (E.MaskClass == 0 || E.MaskClass - 1u != MClass) {
       if (E.MaskClass) {
-        freeMaskSlice(Stripe, E.MaskClass - 1u, E.MaskOff);
+        freeMaskSlice(E.MaskClass - 1u, E.MaskOff);
         E.MaskClass = 0;
       }
-      std::uint32_t Off = allocMaskSlice(Stripe, MClass);
+      std::uint32_t Off = allocMaskSlice(MClass);
       E.MaskOff = Off;
       E.MaskClass = static_cast<std::uint8_t>(MClass + 1);
     }
-    std::uint64_t *MW = S.MaskWords.data() + E.MaskOff;
+    std::uint64_t *MW = MaskArena.data() + E.MaskOff;
     std::memset(MW, 0, Words * sizeof(std::uint64_t));
     for (unsigned U : Nums)
       MW[U / 64] |= std::uint64_t(1) << (U % 64);
@@ -261,7 +252,7 @@ void PreparedCache::build(Entry &E, const Value &V, unsigned Stripe) {
     E.Prep.MaskNumWords = Words;
   } else {
     if (E.MaskClass) {
-      freeMaskSlice(Stripe, E.MaskClass - 1u, E.MaskOff);
+      freeMaskSlice(E.MaskClass - 1u, E.MaskOff);
       E.MaskClass = 0;
       E.MaskOff = 0;
     }
@@ -279,12 +270,12 @@ const LiveCheck::PreparedVar &PreparedCache::ensureSlow(const Value &V) {
   growTo(std::size_t(V.id()) + 1);
   Entry &E = Entries[V.id()];
   if (!E.Built)
-    Builds.fetch_add(1, std::memory_order_relaxed);
+    ++Builds;
   else if (E.CFGEpoch != F.cfgVersion())
-    EpochDrops.fetch_add(1, std::memory_order_relaxed);
+    ++EpochDrops;
   else
-    Rebuilds.fetch_add(1, std::memory_order_relaxed);
-  build(E, V, stripeOf(V.id()));
+    ++Rebuilds;
+  build(E, V);
   return E.Prep;
 }
 
@@ -304,10 +295,10 @@ bool PreparedCache::isFresh(const Value &V) const {
 PreparedCacheStats PreparedCache::stats() const {
   PreparedCacheStats S;
   S.Hits = Hits.load(std::memory_order_relaxed);
-  S.Builds = Builds.load(std::memory_order_relaxed);
-  S.Rebuilds = Rebuilds.load(std::memory_order_relaxed);
-  S.EpochDrops = EpochDrops.load(std::memory_order_relaxed);
-  S.Remaps = Remaps.load(std::memory_order_relaxed);
+  S.Builds = Builds;
+  S.Rebuilds = Rebuilds;
+  S.EpochDrops = EpochDrops;
+  S.Remaps = Remaps;
   return S;
 }
 
@@ -335,7 +326,7 @@ void PreparedCache::publishTelemetry() {
     RemapsC.inc(S.Remaps - Published.Remaps);
   Published = S;
   auto CurBytes = static_cast<std::int64_t>(arenaBytes());
-  auto CurSlices = static_cast<std::int64_t>(liveSlices());
+  auto CurSlices = static_cast<std::int64_t>(LiveSlices);
   if (CurBytes != PublishedArenaBytes)
     ArenaBytesG.add(CurBytes - PublishedArenaBytes);
   if (CurSlices != PublishedArenaSlices)
@@ -345,23 +336,11 @@ void PreparedCache::publishTelemetry() {
 }
 
 std::size_t PreparedCache::arenaBytes() const {
-  std::size_t Bytes = 0;
-  for (const ArenaStripe &S : Stripes) {
-    Bytes += S.Spans.capacity() * sizeof(unsigned);
-    Bytes += S.MaskWords.capacity() * sizeof(std::uint64_t);
-  }
-  return Bytes;
-}
-
-std::uint64_t PreparedCache::liveSlices() const {
-  std::uint64_t N = 0;
-  for (const ArenaStripe &S : Stripes)
-    N += S.LiveSlices;
-  return N;
+  return SpanArena.capacity() * sizeof(unsigned) +
+         MaskArena.capacity() * sizeof(std::uint64_t);
 }
 
 std::size_t PreparedCache::memoryBytes() const {
   return Entries.capacity() * sizeof(Entry) + arenaBytes() +
-         NumStripes * (sizeof(ArenaStripe::SpanFree) +
-                       sizeof(ArenaStripe::MaskFree));
+         sizeof(SpanFree) + sizeof(MaskFree);
 }

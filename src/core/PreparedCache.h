@@ -77,41 +77,36 @@
 ///
 /// An Entry holds only the hot query fields (Prep + the two epoch keys +
 /// Built — static_asserted to fit one cache line) plus two cold slice
-/// descriptors. The span and mask payloads themselves live in per-stripe
-/// arenas: one `unsigned` arena for the sorted use-number spans, one
-/// 64-bit-word arena for the use masks. The entry table is therefore a
-/// flat scan-friendly array, and warm lookups touch contiguous memory
-/// instead of chasing ~N per-entry heap blocks. Arena growth
-/// relocates a stripe's payloads and re-anchors every outstanding
-/// Prep.NumsBegin/NumsEnd/MaskWords of that stripe from the stored
-/// offsets; freed slices (def-use rebuilds that change size class) are
-/// recycled through per-size-class freelists, and rebind() bulk-resets
-/// the arenas (capacity retained) alongside the entries.
+/// descriptors. The span and mask payloads themselves live in two arenas:
+/// one `unsigned` arena for the sorted use-number spans, one 64-bit-word
+/// arena for the use masks. The entry table is therefore a flat
+/// scan-friendly array, and warm lookups touch contiguous memory instead
+/// of chasing ~N per-entry heap blocks. Arena growth relocates the
+/// payloads and re-anchors every outstanding Prep.NumsBegin/NumsEnd (or
+/// MaskWords) from the stored offsets; freed slices (def-use rebuilds that
+/// change size class) are recycled through one set of per-size-class
+/// freelists per arena, and rebind() bulk-resets the arenas (capacity
+/// retained) alongside the entries.
 ///
 /// ## Concurrency
 ///
-/// ensure() mutates the cache and is not thread-safe per value. After
-/// sizeToFunction() has grown the entry table (growth is the only
-/// operation that relocates *entries*), ensures may run concurrently as
-/// long as each **stripe** — stripeOf(id) = id % NumStripes — has at most
-/// one writer: an entry's payload lives in its stripe's arenas, and
-/// allocation, freeing, and growth re-anchoring all stay inside that
-/// stripe, so distinct stripes are write-disjoint by construction. The
-/// batch driver's sharded cold-fill mode assigns whole stripes to
-/// workers on exactly this contract.
+/// The cache has one writer at a time. ensure(), sizeToFunction(),
+/// syncNumbering() and rebind() all mutate it: building an entry may grow
+/// an arena, which moves every payload and re-anchors every entry.
 ///
 /// lookup() and cached() are const, lock-free, and safe for any number of
-/// concurrent readers while nobody ensures. lookup() is the batch
+/// concurrent readers while nobody writes. lookup() is the batch
 /// pipeline's fused read: keyed by value id, it reads the entry and the
 /// function's epoch table only, returns the entry when fresh and null
 /// otherwise, and never builds. Def-use edits count as writes here: they
 /// bump the epoch table, so they must not overlap readers either. The
 /// driver's workers answer every fresh query in one pass and set the rest
 /// aside; after the join the calling thread — then the only writer —
-/// ensure()s and answers those deferred queries. Readers and the one writer are thus separated by the join,
-/// and no separate ensure sweep precedes the query fan-out. Readers count
-/// their hits on their own stack and fold them in with countHits(), so
-/// the hit counter stays exact without a shared write per query.
+/// ensure()s and answers those deferred queries. The join separates the
+/// readers from the writer, and no separate ensure sweep precedes the
+/// query fan-out. Readers count their hits on their own stack and fold
+/// them in with countHits(), so the hit counter stays exact without a
+/// shared write per query.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,9 +124,9 @@
 
 namespace ssalive {
 
-/// Outcome counters, for tests and the throughput reports. Snapshot of
-/// internally atomic counters (ensure() may run concurrently on distinct
-/// stripes).
+/// Outcome counters, for tests and the throughput reports: a snapshot of
+/// the cache's counters. Hits may grow concurrently (readers fold theirs
+/// in through countHits()); the others change only under the one writer.
 struct PreparedCacheStats {
   std::uint64_t Hits = 0;       ///< Fresh entry served as-is.
   std::uint64_t Builds = 0;     ///< First-time entry builds.
@@ -151,14 +146,6 @@ struct PreparedCacheStats {
 /// objects) requires rebind().
 class PreparedCache {
 public:
-  /// Arena striping: entry id % NumStripes selects the arena shard that
-  /// owns the entry's span/mask payloads. One writer per stripe is the
-  /// concurrency unit of a sharded cold fill.
-  static constexpr unsigned NumStripes = 8;
-  static constexpr unsigned stripeOf(std::uint32_t ValueId) {
-    return ValueId % NumStripes;
-  }
-
   PreparedCache(const Function &F, const LiveCheck &Engine,
                 const DomTree &DT);
 
@@ -179,10 +166,9 @@ public:
   /// thread before its query fan-out.
   void syncNumbering();
 
-  /// Grows the entry table to the function's current value count. Call
-  /// before a concurrent ensure() sweep: growth is the only operation that
-  /// relocates entries, so pre-sizing makes per-value ensure() calls on
-  /// distinct stripes write-disjoint.
+  /// Grows the entry table to the function's current value count, so that
+  /// lookup() covers every value that exists now. A write (see
+  /// Concurrency): the batch driver calls it before its query fan-out.
   void sizeToFunction();
 
   /// The prepared entry for \p V, built or rebuilt as needed (see the
@@ -197,10 +183,9 @@ public:
     if (V.id() < Entries.size()) {
       Entry &E = Entries[V.id()];
       if (fresh(E, V.id())) {
-        // Relaxed read-modify-write, deliberately not an atomic RMW: a
-        // locked add per cached query is measurable, and the counters are
-        // diagnostics (exact single-threaded, approximate when distinct
-        // values are ensured concurrently).
+        // Relaxed load and store, deliberately not an atomic RMW: a locked
+        // add per cached query is measurable, and ensure() never overlaps
+        // another writer or a reader (see Concurrency).
         Hits.store(Hits.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
         // The span/mask payload lives in the shared arenas — cold under a
@@ -277,7 +262,7 @@ public:
 
   /// Span/mask slices currently attached to built entries — recycling
   /// diagnostics (a drop/rebuild cycle must not leak slices).
-  std::uint64_t liveSlices() const;
+  std::uint64_t liveSlices() const { return LiveSlices; }
 
   const LiveCheck &engine() const { return *Engine; }
   const DomTree &domTree() const { return *DT; }
@@ -291,11 +276,11 @@ private:
     std::uint64_t CFGEpoch = 0;
     std::uint64_t DefUseEpoch = 0;
     bool Built = false;
-    /// Cold slice descriptors: element offsets into the owning stripe's
-    /// arenas (stripe = entry id % NumStripes). A class of 0 means no
-    /// slice; otherwise the slice capacity is 1 << (Class - 1) elements.
-    /// Lengths are not stored — the span length lives in the Prep
-    /// pointers, the mask word count in Prep.MaskNumWords.
+    /// Cold slice descriptors: element offsets into the span and mask
+    /// arenas. A class of 0 means no slice; otherwise the slice capacity
+    /// is 1 << (Class - 1) elements. Lengths are not stored — the span
+    /// length lives in the Prep pointers, the mask word count in
+    /// Prep.MaskNumWords.
     std::uint8_t NumsClass = 0;
     std::uint8_t MaskClass = 0;
     std::uint32_t NumsOff = 0;
@@ -308,23 +293,11 @@ private:
                 "Entry regrew — the flat-table scan win depends on slim "
                 "entries (cold payloads belong in the arenas)");
 
-  /// One arena stripe: the span and mask payloads of every entry with
-  /// id % NumStripes == this stripe's index, plus intrusive power-of-two
-  /// size-class freelists (a freed slice's first element stores the next
-  /// free offset; NoSlice terminates).
+  /// Slice arenas: power-of-two size-class slices, with intrusive
+  /// freelists (a freed slice's first element stores the next free
+  /// offset; NoSlice terminates).
   static constexpr std::uint32_t NoSlice = 0xFFFFFFFFu;
   static constexpr unsigned NumClasses = 26; ///< up to 1<<25 elems/slice
-  struct ArenaStripe {
-    std::vector<unsigned> Spans;
-    std::vector<std::uint64_t> MaskWords;
-    std::array<std::uint32_t, NumClasses> SpanFree;
-    std::array<std::uint32_t, NumClasses> MaskFree;
-    std::uint64_t LiveSlices = 0;
-    ArenaStripe() {
-      SpanFree.fill(NoSlice);
-      MaskFree.fill(NoSlice);
-    }
-  };
 
   /// The one freshness rule: built, and both epochs match the function's.
   /// \p Id must be inside the entry table (hence inside the epoch table).
@@ -333,9 +306,9 @@ private:
            E.DefUseEpoch == F.defUseEpoch(Id);
   }
   const LiveCheck::PreparedVar &ensureSlow(const Value &V);
-  /// Shared growth path: resize + conditional payload re-anchoring.
+  /// Grows the entry table to \p Count entries (never shrinks it).
   void growTo(std::size_t Count);
-  void build(Entry &E, const Value &V, unsigned Stripe);
+  void build(Entry &E, const Value &V);
 
   /// Smallest class whose capacity 1 << class holds \p Need elements.
   static unsigned classFor(std::size_t Need) {
@@ -344,29 +317,34 @@ private:
       ++C;
     return C;
   }
-  std::uint32_t allocSpanSlice(unsigned Stripe, unsigned Class);
-  void freeSpanSlice(unsigned Stripe, unsigned Class, std::uint32_t Off);
-  std::uint32_t allocMaskSlice(unsigned Stripe, unsigned Class);
-  void freeMaskSlice(unsigned Stripe, unsigned Class, std::uint32_t Off);
-  /// Arena growth relocated a stripe's buffer: recompute the Prep
-  /// pointers of that stripe's built entries from their stored offsets.
-  /// Touches only entries of \p Stripe — the write-disjointness a
-  /// concurrent sharded fill relies on.
-  void reanchorSpans(unsigned Stripe);
-  void reanchorMasks(unsigned Stripe);
-  /// Current arena byte footprint (capacity, all stripes).
+  std::uint32_t allocSpanSlice(unsigned Class);
+  void freeSpanSlice(unsigned Class, std::uint32_t Off);
+  std::uint32_t allocMaskSlice(unsigned Class);
+  void freeMaskSlice(unsigned Class, std::uint32_t Off);
+  /// Arena growth relocated a buffer: recompute the Prep pointers of every
+  /// built entry from its stored offsets.
+  void reanchorSpans();
+  void reanchorMasks();
+  /// Resets both arenas and their freelists (capacity retained).
+  void clearArenas();
+  /// Current arena byte footprint (capacity).
   std::size_t arenaBytes() const;
 
   const Function &F;
   const LiveCheck *Engine;
   const DomTree *DT;
   std::vector<Entry> Entries;
-  std::array<ArenaStripe, NumStripes> Stripes;
+  std::vector<unsigned> SpanArena;
+  std::vector<std::uint64_t> MaskArena;
+  std::array<std::uint32_t, NumClasses> SpanFree;
+  std::array<std::uint32_t, NumClasses> MaskFree;
+  std::uint64_t LiveSlices = 0;
+  /// Atomic because readers fold their lookup() hits in concurrently.
   std::atomic<std::uint64_t> Hits{0};
-  std::atomic<std::uint64_t> Builds{0};
-  std::atomic<std::uint64_t> Rebuilds{0};
-  std::atomic<std::uint64_t> EpochDrops{0};
-  std::atomic<std::uint64_t> Remaps{0};
+  std::uint64_t Builds = 0;
+  std::uint64_t Rebuilds = 0;
+  std::uint64_t EpochDrops = 0;
+  std::uint64_t Remaps = 0;
   /// The numbering syncNumbering() last recorded: node at each preorder
   /// number, as of CFG epoch SyncedEpoch. Empty until the first sync, and
   /// reset by a rebind() that changes the analyses.

@@ -36,7 +36,6 @@ struct DriverTelemetry {
   telemetry::Counter EngineOut{"ssalive_engine_liveout_queries_total"};
   telemetry::Counter EngineTargets{"ssalive_engine_targets_visited_total"};
   telemetry::Counter EngineUseTests{"ssalive_engine_use_tests_total"};
-  telemetry::Counter ShardedFills{"ssalive_driver_sharded_fills_total"};
   telemetry::Counter Chunks{"ssalive_driver_chunks_total"};
   telemetry::Counter Steals{"ssalive_driver_steals_total"};
   telemetry::Histogram PrecomputeNs{"ssalive_driver_precompute_ns"};
@@ -360,22 +359,10 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
   std::vector<const LiveCheck *> Engines;
   std::vector<const DomTree *> Trees;
   const bool UsesLiveCheck = usesLiveCheck();
-  bool ShardedFill = false;
   {
   SSALIVE_SPAN("precompute");
   if (UsesLiveCheck) {
     resolveEngines(Engines, Trees);
-  } else if (Baselines.empty()) {
-    Baselines.resize(Funcs.size());
-    Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
-      if (Opts.Backend == BatchBackend::Dataflow)
-        Baselines[I] = std::make_unique<DataflowLiveness>(*Funcs[I]);
-      else
-        Baselines[I] = std::make_unique<PathExplorationLiveness>(*Funcs[I]);
-    });
-  }
-
-  if (UsesLiveCheck) {
     if (Prepared.size() != Funcs.size())
       Prepared.resize(Funcs.size());
     for (std::size_t I = 0; I != Funcs.size(); ++I) {
@@ -389,48 +376,17 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       // refreshed numbering while this thread is still the only writer.
       Prepared[I]->syncNumbering();
     }
-    // Cold-fill sharding gate: sample the workload for values without a
-    // fresh entry. A cold *giant* batch is the one place build cost
-    // dominates, and there the builds fan out across the pool by value-id
-    // stripe — each worker owns whole PreparedCache stripes, so entry
-    // writes and arena alloc/free/re-anchor traffic never cross workers.
-    // Everything else builds in the caller's deferred pass.
-    if (NumWorkers > 1 && Workload.size() >= Opts.ColdFillShardThreshold &&
-        Opts.ColdFillShardThreshold != SIZE_MAX) {
-      if (Opts.ColdFillShardThreshold == 0) {
-        ShardedFill = true;
-      } else {
-        constexpr std::size_t SampleStride = 64;
-        std::size_t ColdSampled = 0;
-        for (std::size_t I = 0; I < Workload.size(); I += SampleStride) {
-          const BatchQuery &Q = Workload[I];
-          if (!Prepared[Q.FuncIndex]->lookup(Q.ValueId) &&
-              queryableValue(*Funcs[Q.FuncIndex]->value(Q.ValueId)))
-            ++ColdSampled;
-        }
-        ShardedFill =
-            ColdSampled * SampleStride >= Opts.ColdFillShardThreshold;
-      }
-    }
-    if (ShardedFill) {
-      // Worker w sweeps the stripes s with s % workers == w. Duplicate
-      // values in the workload land on the same stripe, hence the same
-      // worker — the one-writer-per-stripe contract of PreparedCache.
-      Pool->runPerWorker([&](unsigned Worker) {
-        for (const BatchQuery &Q : Workload) {
-          if (PreparedCache::stripeOf(Q.ValueId) % NumWorkers != Worker)
-            continue;
-          assert(Q.FuncIndex < Funcs.size() &&
-                 "query function out of range");
-          const Value &V = *Funcs[Q.FuncIndex]->value(Q.ValueId);
-          if (queryableValue(V))
-            Prepared[Q.FuncIndex]->ensure(V);
-        }
-      });
-    }
+  } else if (Baselines.empty()) {
+    Baselines.resize(Funcs.size());
+    Pool->parallelFor(0, Funcs.size(), [this](std::size_t I) {
+      if (Opts.Backend == BatchBackend::Dataflow)
+        Baselines[I] = std::make_unique<DataflowLiveness>(*Funcs[I]);
+      else
+        Baselines[I] = std::make_unique<PathExplorationLiveness>(*Funcs[I]);
+    });
   }
-  // Engine resolution and cold builds only: prepared-cache ensures of the
-  // ordinary path happen inside the query phase and are timed with it.
+  // Engine resolution and the caches' numbering sync only: prepared-cache
+  // ensures happen inside the query phase and are timed with it.
   Result.PrecomputeMillis =
       std::chrono::duration<double, std::milli>(Clock::now() - PreStart)
           .count();
@@ -546,8 +502,6 @@ BatchResult BatchLivenessDriver::run(const std::vector<BatchQuery> &Workload) {
       static_cast<std::uint64_t>(Result.PrecomputeMillis * 1e6));
   T.QueryBatchNs.observe(
       static_cast<std::uint64_t>(Result.QueryMillis * 1e6));
-  if (ShardedFill)
-    T.ShardedFills.inc();
   if (UsesLiveCheck)
     publishPreparedTelemetry();
   return Result;

@@ -91,21 +91,11 @@ struct BatchQuery {
 /// Workload-execution knobs.
 struct BatchOptions {
   BatchBackend Backend = BatchBackend::LiveCheckPropagated;
-  /// Worker threads for both phases; 0 = hardware concurrency. Ignored
-  /// when the driver is constructed over a shared pool.
+  /// Worker threads for the engine builds and the query fan-out; 0 =
+  /// hardware concurrency. Ignored when the driver is constructed over a
+  /// shared pool. Prepared-cache entries are built by the calling thread
+  /// alone, after the fan-out joined, whatever the thread count.
   unsigned Threads = 1;
-  /// Sharded cold-fill gate (LiveCheck backend, multi-worker pools only):
-  /// when the estimated number of workload queries whose values lack a
-  /// fresh prepared entry reaches this threshold, the cold builds fan out
-  /// across the pool by value-id stripe (PreparedCache::stripeOf) before
-  /// the query phase — each worker owns whole stripes, so every build's
-  /// arena traffic is write-disjoint. Below the threshold nothing is built
-  /// up front: the query workers defer stale queries and the caller
-  /// ensures them after the join. Coldness is estimated from a strided
-  /// 1-in-64 sample of the workload, so the warm path pays ~1/64 of a
-  /// pass, not a full pre-scan. 0 forces sharding (tests); SIZE_MAX
-  /// disables it.
-  std::size_t ColdFillShardThreshold = 4096;
   /// Queries per stealing chunk; 0 picks adaptively from the workload size
   /// (size / (workers * 8), clamped to [256, 4096]) so skewed workloads
   /// leave enough chunks to rebalance while small batches stay near one
@@ -145,7 +135,8 @@ struct BatchResult {
   /// for every thread count by construction.
   std::vector<std::uint8_t> Answers;
   std::vector<BatchThreadStats> PerThread; ///< One slot per worker.
-  /// Engine resolution and cold builds (engines; a sharded prepared fill).
+  /// Engine resolution and cold engine builds, plus the prepared caches'
+  /// numbering sync (no prepared-cache entry is built here).
   double PrecomputeMillis = 0;
   /// The query phase, including the prepared-cache ensures of deferred
   /// queries.

@@ -292,40 +292,54 @@ TEST(BatchDriver, WorkloadGenerationIsDeterministic) {
   }
 }
 
-TEST(BatchDriver, ShardedColdFillMatchesSequentialByteForByte) {
-  // The per-worker ensure sharding of the prepared plane: forcing the
-  // sharded cold fill (threshold 0) must produce answers byte-identical to
-  // the sequential sweep for every thread count, cold and warm — and this
-  // suite runs under TSan in CI, so the one-writer-per-stripe contract the
-  // fan-out builds on is race-checked here, not just argued.
+TEST(BatchDriver, ColdFrameBuildsEachValueOnceInTheDeferredPass) {
+  // The one fill path of the prepared caches: on a cold frame the workers
+  // find no fresh entry and defer every query, and the calling thread
+  // builds each distinct value once after the join. At 2 and 4 threads the
+  // answers must match a 1-thread driver and LiveCheck's block-id entry
+  // points byte for byte, the caches must count one build per distinct
+  // queried value, and a warm re-run must build nothing. This suite runs
+  // under TSan in CI, so the join separating the readers from the one
+  // writer is race-checked here, not just argued.
   Module M(8, 0xAB5);
   std::vector<BatchQuery> Workload =
       BatchLivenessDriver::generateWorkload(M.Funcs, 0x717, 24000);
   ASSERT_FALSE(Workload.empty());
+  std::set<std::pair<std::uint32_t, std::uint32_t>> Distinct;
+  for (const BatchQuery &Q : Workload)
+    Distinct.emplace(Q.FuncIndex, Q.ValueId);
 
   BatchOptions Seq;
   Seq.Threads = 1;
   BatchResult Reference = BatchLivenessDriver(M.Funcs, Seq).run(Workload);
+  ASSERT_EQ(Reference.Answers, blockIdAnswers(M.Funcs, Workload));
 
+  // (first-time builds, rebuilds + epoch drops) summed over the caches.
+  auto cacheWork = [&](const BatchLivenessDriver &D) {
+    std::pair<std::uint64_t, std::uint64_t> Work{0, 0};
+    for (std::size_t F = 0; F != M.Funcs.size(); ++F) {
+      PreparedCacheStats S = D.preparedCache(F)->stats();
+      Work.first += S.Builds;
+      Work.second += S.Rebuilds + S.EpochDrops;
+    }
+    return Work;
+  };
+  const std::pair<std::uint64_t, std::uint64_t> Expected{Distinct.size(), 0};
   for (unsigned Threads : {2u, 4u}) {
     BatchOptions Opts;
     Opts.Threads = Threads;
-    Opts.ColdFillShardThreshold = 0; // Force the sharded fill.
     BatchLivenessDriver Driver(M.Funcs, Opts);
     BatchResult Cold = Driver.run(Workload);
     EXPECT_EQ(Cold.Answers, Reference.Answers)
-        << Threads << "-thread sharded cold fill diverges";
-    BatchResult Warm = Driver.run(Workload); // All ensures hit this time.
+        << Threads << "-thread cold frame diverges";
+    EXPECT_EQ(cacheWork(Driver), Expected)
+        << Threads << "-thread cold frame: one build per distinct value";
+    BatchResult Warm = Driver.run(Workload);
     EXPECT_EQ(Warm.Answers, Reference.Answers)
-        << Threads << "-thread warm run after sharded fill diverges";
+        << Threads << "-thread warm re-run diverges";
+    EXPECT_EQ(cacheWork(Driver), Expected)
+        << Threads << "-thread warm re-run must build nothing";
   }
-
-  // The explicit off switch keeps the sequential sweep.
-  BatchOptions Disabled;
-  Disabled.Threads = 4;
-  Disabled.ColdFillShardThreshold = SIZE_MAX;
-  BatchResult R = BatchLivenessDriver(M.Funcs, Disabled).run(Workload);
-  EXPECT_EQ(R.Answers, Reference.Answers);
 }
 
 TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
@@ -347,7 +361,6 @@ TEST(BatchDriver, DeferredEnsureRebuildsEachStaleValueOnce) {
   BatchOptions Opts;
   Opts.Threads = 4;
   Opts.ChunkSize = 128;
-  Opts.ColdFillShardThreshold = SIZE_MAX; // Keep stale values deferred.
   BatchLivenessDriver Driver(M.Funcs, Opts);
   Driver.run(Base);
   Driver.run(Base);
@@ -468,7 +481,6 @@ TEST(BatchDriver, Section7ChurnRebuildsExactlyTheEditedValues) {
     Opts.Threads = 4;
     Opts.ChunkSize = 128;
     Opts.GroupChunks = Group;
-    Opts.ColdFillShardThreshold = SIZE_MAX; // Stale values stay deferred.
     BatchLivenessDriver Driver(M.Funcs, Opts);
     Driver.run(makeFrame());
     Driver.run(makeFrame());

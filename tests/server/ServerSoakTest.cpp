@@ -252,7 +252,7 @@ std::uint64_t runClient(int Fd, const ClientPlan &Plan, unsigned ClientId,
 TEST(ServerSoak, ConcurrentClientsMatchOracleByteForByte) {
   proto::ignoreSigpipe();
   server::ServerConfig Cfg;
-  Cfg.Threads = 2; // Sharded fan-out shared by all sessions.
+  Cfg.Threads = 2; // One pool fan-out shared by all sessions.
   server::LivenessServer Server(Cfg);
 
   // Six clients across backends; the shapes chosen so the request total

@@ -23,7 +23,9 @@
 //     --generate=N    ignore input file, synthesize N SPEC-profile
 //                     functions (default when no file is given: 64)
 //     --verify        cross-check the parallel answers against a
-//                     single-threaded run
+//                     single-threaded run, against arrival-order
+//                     answering, and (propagated) against the engine's
+//                     block-id entry points
 //     --verify-all    additionally demand every other backend agrees on
 //                     the whole workload
 //     --expect-checksum=HEX
@@ -195,7 +197,7 @@ int main(int Argc, char **Argv) {
     std::uint64_t Positive = 0;
     for (const BatchThreadStats &S : Last.PerThread)
       Positive += S.PositiveAnswers;
-    std::printf("  run %u%s: precompute (engines + cold builds) %.2f ms, "
+    std::printf("  run %u%s: precompute (engines) %.2f ms, "
                 "queries (incl. prepared-cache ensures) %.2f ms "
                 "(%.0f q/s), %llu live (%.1f%%), %llu targets visited\n",
                 Run + 1, Run == 0 ? " (cold)" : " (warm)",
@@ -248,6 +250,22 @@ int main(int Argc, char **Argv) {
       std::printf("  verify: %u-thread answers identical to "
                   "single-threaded reference\n",
                   Driver.numThreads());
+    }
+
+    // The independent oracle of the LiveCheck backend: the engine's
+    // block-id entry points walk each value's def-use chain per query and
+    // share no state with the prepared-cache entries every driver run
+    // above answers through.
+    if (batchBackendUsesLiveCheck(Opts.Backend)) {
+      if (tool::blockIdLiveCheckAnswers(Funcs, Driver.analysisManager(),
+                                        Workload) != Last.Answers) {
+        std::fprintf(stderr, "FAIL: answers differ from the block-id "
+                             "LiveCheck oracle\n");
+        Failed = true;
+      } else {
+        std::printf("  verify: answers identical to the block-id "
+                    "LiveCheck oracle\n");
+      }
     }
 
     // Grouping differential: locality-grouped chunks must answer

@@ -34,7 +34,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "ToolUtil.h"
-#include "core/UseInfo.h"
 #include "pipeline/BatchLivenessDriver.h"
 #include "server/Protocol.h"
 #include "support/Telemetry.h"
@@ -429,21 +428,8 @@ int main(int Argc, char **Argv) {
   auto oracleAnswers = [&](const std::vector<BatchQuery> &Chunk) {
     if (!batchBackendUsesLiveCheck(Opts.Backend))
       return OracleDriver.run(Chunk).Answers;
-    std::vector<std::uint8_t> Answers(Chunk.size(), 0);
-    std::vector<unsigned> Uses;
-    for (std::size_t I = 0; I != Chunk.size(); ++I) {
-      const BatchQuery &Q = Chunk[I];
-      const Function &F = *OracleFuncs[Q.FuncIndex];
-      const Value &V = *F.value(Q.ValueId);
-      if (!V.hasSingleDef() || !V.hasUses())
-        continue; // The driver's queryability rule: dead.
-      const LiveCheck &E = OracleDriver.analysisManager().liveCheck(F);
-      Uses.clear();
-      appendLiveUseBlocks(V, Uses);
-      Answers[I] = Q.IsLiveOut ? E.isLiveOut(defBlockId(V), Q.BlockId, Uses)
-                               : E.isLiveIn(defBlockId(V), Q.BlockId, Uses);
-    }
-    return Answers;
+    return tool::blockIdLiveCheckAnswers(
+        OracleFuncs, OracleDriver.analysisManager(), Chunk);
   };
 
   // ---- Transport.
